@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <optional>
 #include <stdexcept>
-
-#include "sim/widesim.h"
 
 namespace gatpg::hybrid {
 
@@ -50,7 +49,8 @@ GaJustifyResult GaStateJustifier::justify(
   // are gated per frame by the launch activity derived from the lockstep
   // good machine (the good value of the launch line in the previous frame
   // must equal the transition's initial value).  The power-up frame cannot
-  // launch, so both masks start at zero.
+  // launch, so each batch starts with a zero current-frame mask; the latch
+  // mask is set before every clock edge.
   const bool trans = fault.is_transition();
   const NodeId launch_line =
       fault.pin == fault::kOutputPin
@@ -78,14 +78,23 @@ GaJustifyResult GaStateJustifier::justify(
   }
 
   // Batch evaluator: 64 candidates per bit-parallel simulation, batches
-  // fanned out across the worker pool.  Each batch owns its own pair of
-  // simulators and writes a disjoint fitness range.  The serial scan's
-  // early exit (first batch, in batch order, whose prefix reaches both
-  // desired states — at its earliest vector, lowest slot) becomes a
-  // lowest-batch-wins reduction: each batch records its own first match,
-  // the winner is the matching batch with the smallest index, and an
+  // fanned out across the worker pool.  Each lane owns one good/faulty
+  // machine pair, built on its first batch with the fault installed and
+  // reset per batch, and each batch writes a disjoint fitness range.  The
+  // serial scan's early exit (first batch, in batch order, whose prefix
+  // reaches both desired states — at its earliest vector, lowest slot)
+  // becomes a lowest-batch-wins reduction: each batch records its own first
+  // match, the winner is the matching batch with the smallest index, and an
   // atomic stop flag lets higher batches abandon early without affecting
   // the result.
+  struct Machines {
+    explicit Machines(const netlist::Circuit& c) : good(c), faulty(c) {}
+    sim::SequenceSimulator good;
+    sim::SequenceSimulator faulty;
+  };
+  std::vector<std::optional<Machines>> lanes(
+      util::max_lanes(config.parallel, config.population, 64));
+
   constexpr std::size_t kNoBatch = std::numeric_limits<std::size_t>::max();
   auto evaluate = [&](std::span<const ga::Chromosome> population,
                       std::span<double> fitness) -> bool {
@@ -99,40 +108,44 @@ GaJustifyResult GaStateJustifier::justify(
 
     util::parallel_for_chunks(
         config.parallel, population.size(), 64,
-        [&](std::size_t batch, std::size_t base, std::size_t end, unsigned) {
+        [&](std::size_t batch, std::size_t base, std::size_t end,
+            unsigned lane) {
           const std::size_t count = end - base;
 
-          sim::SequenceSimulator good(c_);
+          if (!lanes[lane]) {
+            Machines& m = lanes[lane].emplace(c_);
+            if (fault.pin == fault::kOutputPin) {
+              m.faulty.add_output_override(fault.node, fault.stuck_at, ~0ULL);
+            } else {
+              m.faulty.add_input_override(fault.node,
+                                          static_cast<unsigned>(fault.pin),
+                                          fault.stuck_at, ~0ULL);
+            }
+          }
+          sim::SequenceSimulator& good = lanes[lane]->good;
+          sim::SequenceSimulator& faulty = lanes[lane]->faulty;
           good.set_state(current_good_state);
-          sim::SequenceSimulator faulty(c_);
-          if (trans) {
-            faulty.set_override_activity(0);
-            faulty.set_latch_override_activity(0);
-          }
-          if (fault.pin == fault::kOutputPin) {
-            faulty.add_output_override(fault.node, fault.stuck_at, ~0ULL);
-          } else {
-            faulty.add_input_override(fault.node,
-                                      static_cast<unsigned>(fault.pin),
-                                      fault.stuck_at, ~0ULL);
-          }
+          if (trans) faulty.set_override_activity(0);
+          faulty.reset();
 
+          // With 64 independent candidates nearly every gate changes every
+          // frame, so each frame is one levelized sweep and a bare latch.
           std::vector<PackedV3> pi_words(num_pi);
           for (unsigned t = 0; t < config.sequence_length; ++t) {
             // A lower batch already matched: this batch cannot win, and on
             // success every fitness value is zeroed anyway.
             if (batch > best_batch.load(std::memory_order_acquire)) return;
             for (std::size_t i = 0; i < num_pi; ++i) {
-              PackedV3 w = PackedV3::broadcast(V3::k0);
+              const std::size_t bit = t * num_pi + i;
+              std::uint64_t ones = 0;
               for (std::size_t s = 0; s < count; ++s) {
-                if (population[base + s][t * num_pi + i]) {
-                  w.set(static_cast<unsigned>(s), V3::k1);
-                }
+                ones |= static_cast<std::uint64_t>(population[base + s][bit])
+                        << s;
               }
-              pi_words[i] = w;
+              pi_words[i] = {ones, ~ones};
             }
-            good.apply_packed(pi_words);
-            faulty.apply_packed(pi_words);
+            good.sweep_packed(pi_words);
+            faulty.sweep_packed(pi_words);
             if (trans) {
               // Launch activity for frame t+1, read off the settled good
               // frame; the latch mask must be in place before the clock
@@ -140,12 +153,12 @@ GaJustifyResult GaStateJustifier::justify(
               const PackedV3 lv = good.value(launch_line);
               const std::uint64_t next_act = fault.stuck_at ? lv.v1 : lv.v0;
               faulty.set_latch_override_activity(next_act);
-              good.clock();
-              faulty.clock();
+              good.latch();
+              faulty.latch();
               faulty.set_override_activity(next_act);
             } else {
-              good.clock();
-              faulty.clock();
+              good.latch();
+              faulty.latch();
             }
 
             const std::uint64_t match =
@@ -192,154 +205,7 @@ GaJustifyResult GaStateJustifier::justify(
     return deadline.expired();
   };
 
-  // SIMD-wide batch evaluator: 64·width candidates per wide simulator pair.
-  // Each wide batch is W consecutive 64-candidate *blocks*; the legacy
-  // lowest-batch-wins reduction becomes lowest-global-block-wins.  Block b
-  // of batch g is exactly legacy batch g·W+b slot for slot, each block
-  // records its own first match (earliest vector, lowest slot), and the
-  // winner is the matching block with the smallest global index — so the
-  // returned sequence is bit-identical to the width-1 evaluator.  A wide
-  // batch may leave its vector loop early only once its block 0 has matched
-  // (no lower-indexed block of its own remains) or all of its blocks have.
-  constexpr std::size_t kNoBlock = std::numeric_limits<std::size_t>::max();
-  const unsigned nw = config.width;
-  std::atomic<std::size_t> best_block{kNoBlock};
-  struct BlockMatch {
-    unsigned t = 0;
-    unsigned slot = 0;
-  };
-  std::vector<BlockMatch> block_matches;
-  auto evaluate_wide = [&](std::span<const ga::Chromosome> population,
-                           std::span<double> fitness) -> bool {
-    const std::size_t chunk = std::size_t{64} * nw;
-    best_block.store(kNoBlock, std::memory_order_relaxed);
-    block_matches.assign(population.size() / 64, BlockMatch{});
-
-    util::parallel_for_chunks(
-        config.parallel, population.size(), chunk,
-        [&](std::size_t batch, std::size_t base, std::size_t end, unsigned) {
-          const std::size_t count = end - base;
-          // The population is a multiple of 64, so every batch is whole
-          // 64-candidate blocks; mask words at or above n_blocks belong to
-          // ghost slots and are never examined.
-          const std::size_t n_blocks = count / 64;
-
-          sim::WideSimulator good(c_, nw);
-          good.set_state(current_good_state);
-          sim::WideSimulator faulty(c_, nw);
-          if (trans) {
-            faulty.set_override_activity(sim::WideMask{});
-            faulty.set_latch_override_activity(sim::WideMask{});
-          }
-          const sim::WideMask all_slots =
-              sim::WideMask::ones(nw, std::size_t{64} * nw);
-          if (fault.pin == fault::kOutputPin) {
-            faulty.add_output_override(fault.node, fault.stuck_at, all_slots);
-          } else {
-            faulty.add_input_override(fault.node,
-                                      static_cast<unsigned>(fault.pin),
-                                      fault.stuck_at, all_slots);
-          }
-
-          std::vector<std::uint64_t> pi1(num_pi * nw);
-          std::vector<std::uint64_t> pi0(num_pi * nw);
-          std::vector<char> block_done(n_blocks, 0);
-          std::size_t blocks_matched = 0;
-          for (unsigned t = 0; t < config.sequence_length; ++t) {
-            // Every block of a lower batch beats every block of this one;
-            // once one of them matched, this batch cannot win, and on
-            // success every fitness value is zeroed anyway.
-            if (batch * nw > best_block.load(std::memory_order_acquire)) {
-              return;
-            }
-            for (std::size_t i = 0; i < num_pi; ++i) {
-              std::uint64_t* r1 = pi1.data() + i * nw;
-              std::uint64_t* r0 = pi0.data() + i * nw;
-              for (unsigned w = 0; w < nw; ++w) {
-                r1[w] = 0;
-                r0[w] = ~0ULL;  // default k0, as in the 64-slot evaluator
-              }
-              for (std::size_t s = 0; s < count; ++s) {
-                if (population[base + s][t * num_pi + i]) {
-                  const std::uint64_t m = 1ULL << (s & 63);
-                  r1[s >> 6] |= m;
-                  r0[s >> 6] &= ~m;
-                }
-              }
-            }
-            good.apply_wide(pi1, pi0);
-            faulty.apply_wide(pi1, pi0);
-            if (trans) {
-              // Same launch-activity sequencing as the 64-slot evaluator,
-              // widened to nw words.
-              const std::uint64_t* lr = fault.stuck_at
-                                            ? good.row1(launch_line)
-                                            : good.row0(launch_line);
-              sim::WideMask next_act;
-              for (unsigned w = 0; w < nw; ++w) next_act.w[w] = lr[w];
-              faulty.set_latch_override_activity(next_act);
-              good.clock();
-              faulty.clock();
-              faulty.set_override_activity(next_act);
-            } else {
-              good.clock();
-              faulty.clock();
-            }
-
-            sim::WideMask match = good.state_match_mask(desired_good);
-            match &= faulty.state_match_mask(desired_faulty);
-            for (std::size_t b = 0; b < n_blocks; ++b) {
-              if (block_done[b] || match.w[b] == 0) continue;
-              block_done[b] = 1;
-              ++blocks_matched;
-              const std::size_t blk = batch * nw + b;
-              block_matches[blk] = {
-                  t, static_cast<unsigned>(__builtin_ctzll(match.w[b]))};
-              std::size_t cur = best_block.load(std::memory_order_relaxed);
-              while (blk < cur &&
-                     !best_block.compare_exchange_weak(
-                         cur, blk, std::memory_order_release,
-                         std::memory_order_relaxed)) {
-              }
-            }
-            if (block_done[0] || blocks_matched == n_blocks) return;
-          }
-
-          // No-match path: identical per-slot arithmetic to the 64-slot
-          // evaluator (when any block matched these writes are dead — the
-          // success path zeroes every fitness value).
-          for (std::size_t s = 0; s < count; ++s) {
-            const double raw =
-                config.good_weight *
-                    good.state_match_count(desired_good,
-                                           static_cast<unsigned>(s)) +
-                config.faulty_weight *
-                    faulty.state_match_count(desired_faulty,
-                                             static_cast<unsigned>(s));
-            fitness[base + s] = config.square_fitness ? raw * raw : raw;
-          }
-        });
-
-    const std::size_t winner = best_block.load(std::memory_order_acquire);
-    if (winner != kNoBlock) {
-      const BlockMatch m = block_matches[winner];
-      result.success = true;
-      result.sequence =
-          decode(population[winner * 64 + m.slot], num_pi, m.t + 1);
-      for (std::size_t s = 0; s < population.size(); ++s) {
-        fitness[s] = 0.0;
-      }
-      return true;
-    }
-    return deadline.expired();
-  };
-
-  if (nw > sim::kMaxWideWords) {
-    throw std::invalid_argument("GaJustifyConfig: width exceeds kMaxWideWords");
-  }
-  const ga::GaResult ga_result = ga::GaEngine(ga_config).run(
-      nw > 1 ? ga::GaEngine::BatchEvaluator(evaluate_wide)
-             : ga::GaEngine::BatchEvaluator(evaluate));
+  const ga::GaResult ga_result = ga::GaEngine(ga_config).run(evaluate);
   result.best_fitness = ga_result.best_fitness;
   result.evaluations = ga_result.evaluations;
   result.generations_run = ga_result.generations_run;

@@ -44,13 +44,6 @@ struct GaJustifyConfig {
   /// Squares the raw fitness before handing it to selection (no-op under
   /// tournament selection — reproduced by bench_selection).
   bool square_fitness = false;
-  /// Candidate-group width in 64-bit words: each simulation batch evaluates
-  /// 64·width candidates on the SIMD-wide machines (1 = the legacy 64-slot
-  /// path, retained verbatim).  The early exit generalizes to a
-  /// lowest-block-wins reduction over the 64-candidate blocks inside each
-  /// wide batch, so success, sequence, fitness values, and GA evolution are
-  /// bit-identical at every width and thread count.
-  unsigned width = 1;
   std::uint64_t seed = 1;
   /// Input sequences encoded into the initial population's first slots
   /// (StateStore reachable-state and near-miss harvest); longer sequences

@@ -246,7 +246,6 @@ TargetOutcome HybridEngine::attempt_solutions(
           ga_config.square_fitness = config_.ga_square_fitness;
           ga_config.selection = config_.selection;
           ga_config.parallel = fx.ga_parallel;
-          ga_config.width = config_.faultsim.width;
           ga_config.seed = config_.seed ^ (0x9e3779b9ULL * (fault_index + 1)) ^
                            (attempt << 20);
           if (use_store) {

@@ -12,6 +12,8 @@ SequenceSimulator::SequenceSimulator(const netlist::Circuit& c)
     : circuit_(c),
       values_(c.node_count()),
       queue_(c),
+      next_state_(c.flip_flops().size()),
+      node_has_out_over_(c.node_count(), 0),
       node_has_in_over_(c.node_count(), 0) {
   std::size_t max_fanin = 1;
   for (NodeId n = 0; n < c.node_count(); ++n) {
@@ -66,6 +68,7 @@ void SequenceSimulator::add_output_override(NodeId n, bool stuck,
     m.zero |= slot_mask;
     m.one &= ~slot_mask;
   }
+  node_has_out_over_[n] = 1;
   if (!netlist::is_combinational(circuit_.type(n))) {
     overridden_sources_.push_back(n);
     force_source_overrides();
@@ -90,6 +93,7 @@ void SequenceSimulator::add_input_override(NodeId n, unsigned pin, bool stuck,
 void SequenceSimulator::clear_overrides() {
   out_over_.clear();
   in_over_.clear();
+  std::fill(node_has_out_over_.begin(), node_has_out_over_.end(), 0);
   std::fill(node_has_in_over_.begin(), node_has_in_over_.end(), 0);
   overridden_sources_.clear();
   act_ = ~0ULL;
@@ -116,8 +120,7 @@ void SequenceSimulator::force_source_overrides() {
   }
 }
 
-bool SequenceSimulator::evaluate(NodeId n) {
-  ++gate_evals_;
+PackedV3 SequenceSimulator::gate_value(NodeId n) {
   // Branchless gate dispatch: one indexed call per evaluation instead of a
   // switch inside the slot loop (see kPackedGateTable in sim/logic3.h).
   const PackedGateFn fn = packed_gate_fn(circuit_.type(n));
@@ -137,10 +140,15 @@ bool SequenceSimulator::evaluate(NodeId n) {
   } else {
     next = fn(values_.data(), fanins.data(), fanins.size());
   }
-  if (!out_over_.empty()) {
-    auto it = out_over_.find(n);
-    if (it != out_over_.end()) next = apply_masks(next, it->second, act_);
+  if (node_has_out_over_[n]) {
+    next = apply_masks(next, out_over_.find(n)->second, act_);
   }
+  return next;
+}
+
+bool SequenceSimulator::evaluate(NodeId n) {
+  ++gate_evals_;
+  const PackedV3 next = gate_value(n);
   if (next == values_[n]) return false;
   values_[n] = next;
   return true;
@@ -154,21 +162,32 @@ void SequenceSimulator::apply_packed(const std::vector<PackedV3>& pi_values) {
   if (first_vector_) {
     // Full evaluation establishes a consistent baseline; afterwards only
     // events are traced.
-    for (std::size_t i = 0; i < pis.size(); ++i) values_[pis[i]] = pi_values[i];
-    force_source_overrides();
-    for (NodeId g : circuit_.topo_order()) evaluate(g);
-    first_vector_ = false;
+    sweep_packed(pi_values);
     return;
   }
   for (std::size_t i = 0; i < pis.size(); ++i) {
     PackedV3 v = pi_values[i];
-    auto it = out_over_.find(pis[i]);
-    if (it != out_over_.end()) v = apply_masks(v, it->second, act_);
+    if (node_has_out_over_[pis[i]]) {
+      v = apply_masks(v, out_over_.find(pis[i])->second, act_);
+    }
     if (values_[pis[i]] == v) continue;
     values_[pis[i]] = v;
     queue_.schedule_fanouts(pis[i]);
   }
   queue_.drain([this](NodeId n) { return evaluate(n); });
+}
+
+void SequenceSimulator::sweep_packed(std::span<const PackedV3> pi_values) {
+  const auto pis = circuit_.primary_inputs();
+  if (pi_values.size() != pis.size()) {
+    throw std::invalid_argument("sweep_packed: PI arity mismatch");
+  }
+  for (std::size_t i = 0; i < pis.size(); ++i) values_[pis[i]] = pi_values[i];
+  force_source_overrides();
+  const auto topo = circuit_.topo_order();
+  for (NodeId g : topo) values_[g] = gate_value(g);
+  gate_evals_ += topo.size();
+  first_vector_ = false;
 }
 
 void SequenceSimulator::apply_vector(const Vector3& v) {
@@ -179,31 +198,30 @@ void SequenceSimulator::apply_vector(const Vector3& v) {
   apply_packed(packed);
 }
 
+void SequenceSimulator::compute_next_state() {
+  for (std::size_t i = 0; i < next_state_.size(); ++i) {
+    next_state_[i] = next_state_packed(i);
+  }
+}
+
 void SequenceSimulator::clock() {
   const auto ffs = circuit_.flip_flops();
-  std::vector<PackedV3> next(ffs.size());
+  compute_next_state();
   for (std::size_t i = 0; i < ffs.size(); ++i) {
-    const NodeId ff = ffs[i];
-    PackedV3 d = values_[circuit_.fanins(ff)[0]];
-    // The D-pin forcing is sampled at the edge ending the current frame
-    // (current-frame activity); the Q forcing lives in the frame the latch
-    // feeds (latch activity, advanced one frame ahead by the caller).
-    if (node_has_in_over_[ff]) {
-      auto it = in_over_.find(in_key(ff, 0));
-      if (it != in_over_.end()) d = apply_masks(d, it->second, act_);
-    }
-    auto out = out_over_.find(ff);
-    if (out != out_over_.end()) d = apply_masks(d, out->second, act_latch_);
-    next[i] = d;
-  }
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (values_[ffs[i]] == next[i]) continue;
-    values_[ffs[i]] = next[i];
+    if (values_[ffs[i]] == next_state_[i]) continue;
+    values_[ffs[i]] = next_state_[i];
     queue_.schedule_fanouts(ffs[i]);
   }
   // Settle the combinational logic so post-clock reads are consistent with
   // the new state (costs nothing when the next apply would drain anyway).
   queue_.drain([this](NodeId n) { return evaluate(n); });
+}
+
+void SequenceSimulator::latch() {
+  const auto ffs = circuit_.flip_flops();
+  compute_next_state();
+  for (std::size_t i = 0; i < ffs.size(); ++i) values_[ffs[i]] = next_state_[i];
+  first_vector_ = true;
 }
 
 void SequenceSimulator::apply_differential(
@@ -255,12 +273,16 @@ void SequenceSimulator::apply_differential(
 PackedV3 SequenceSimulator::next_state_packed(std::size_t ff_index) const {
   const NodeId ff = circuit_.flip_flops()[ff_index];
   PackedV3 d = values_[circuit_.fanins(ff)[0]];
+  // The D-pin forcing is sampled at the edge ending the current frame
+  // (current-frame activity); the Q forcing lives in the frame the latch
+  // feeds (latch activity, advanced one frame ahead by the caller).
   if (node_has_in_over_[ff]) {
     auto it = in_over_.find(in_key(ff, 0));
     if (it != in_over_.end()) d = apply_masks(d, it->second, act_);
   }
-  auto out = out_over_.find(ff);
-  if (out != out_over_.end()) d = apply_masks(d, out->second, act_latch_);
+  if (node_has_out_over_[ff]) {
+    d = apply_masks(d, out_over_.find(ff)->second, act_latch_);
+  }
   return d;
 }
 

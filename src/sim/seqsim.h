@@ -12,9 +12,13 @@
 // slot (parallel-fault simulation) or the same fault in all slots (GA
 // fitness evaluation of 64 candidate sequences against one fault).
 //
-// Two stepping modes are offered.  apply_packed()/clock() is the
+// Three stepping modes are offered.  apply_packed()/clock() is the
 // self-contained mode: the machine carries its own state and traces its own
-// events from vector to vector.  apply_differential() is the PROOFS
+// events from vector to vector.  sweep_packed()/latch() is the oblivious
+// mode for high-activity workloads (the GA's 64 independent random
+// candidates change nearly every gate each frame): one levelized pass over
+// every gate per frame, and a clock edge that does not settle the logic the
+// next sweep re-evaluates anyway.  apply_differential() is the PROOFS
 // differential mode driven by FaultSimulator: the caller supplies the good
 // machine's settled node values for the frame, the machine overlays the
 // per-slot faulty flip-flop state and its fault overrides, and only the
@@ -119,12 +123,23 @@ class SequenceSimulator {
   /// events through the combinational logic.  Does not clock.
   void apply_packed(const std::vector<PackedV3>& pi_values);
 
+  /// Applies one packed input vector and evaluates every gate once in level
+  /// order, regardless of which inputs changed.  Afterwards every node value
+  /// is settled, exactly as after apply_packed().  Does not clock.
+  void sweep_packed(std::span<const PackedV3> pi_values);
+
   /// Broadcast convenience: applies the same scalar vector to all slots.
   void apply_vector(const Vector3& v);
 
   /// Latches flip-flop next-state values and schedules resulting activity
   /// for the next apply call.
   void clock();
+
+  /// The clock() edge without its settle: latches the flip-flop next state
+  /// but leaves the combinational logic stale, so only flip-flop reads
+  /// (state(), state_match_*) are meaningful until the next
+  /// apply_packed()/sweep_packed(), which then evaluates every gate.
+  void latch();
 
   /// Applies every vector of a sequence (apply + clock each cycle).
   void run_sequence(const Sequence& seq);
@@ -189,7 +204,9 @@ class SequenceSimulator {
     return (static_cast<std::uint64_t>(n) << 16) | pin;
   }
 
+  PackedV3 gate_value(netlist::NodeId n);
   bool evaluate(netlist::NodeId n);
+  void compute_next_state();
   void force_source_overrides();
   void mark_dirty();
 
@@ -204,9 +221,14 @@ class SequenceSimulator {
   // widest gate once so no evaluation allocates.
   std::vector<PackedV3> eval_ins_;
   std::vector<netlist::NodeId> eval_idx_;
+  // Scratch for the two-phase clock edge (a flip-flop may feed another).
+  std::vector<PackedV3> next_state_;
 
   std::unordered_map<netlist::NodeId, Masks> out_over_;
   std::unordered_map<std::uint64_t, Masks> in_over_;
+  // Per-node "has an entry in out_over_ / in_over_": keeps the hash lookups
+  // off the evaluation of fault-free gates.
+  std::vector<char> node_has_out_over_;
   std::vector<char> node_has_in_over_;
   // Overridden nodes that are not evaluated combinationally (PIs, DFF
   // outputs, constants) must be re-forced whenever their value is set.

@@ -95,18 +95,6 @@ void WideSimulator::reset() {
   first_vector_ = true;
 }
 
-void WideSimulator::set_state(const State3& state) {
-  const auto ffs = circuit_.flip_flops();
-  if (state.size() != ffs.size()) {
-    throw std::invalid_argument("set_state: state arity mismatch");
-  }
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    broadcast_into(ffs[i], state[i]);
-  }
-  force_source_overrides();
-  first_vector_ = true;
-}
-
 void WideSimulator::set_ff_rows(std::size_t ff_index, const std::uint64_t* r1,
                                 const std::uint64_t* r0) {
   const NodeId ff = circuit_.flip_flops()[ff_index];
@@ -459,33 +447,6 @@ State3 WideSimulator::state(unsigned slot) const {
     s[i] = get(ffs[i], slot);
   }
   return s;
-}
-
-unsigned WideSimulator::state_match_count(const State3& desired,
-                                          unsigned slot) const {
-  const auto ffs = circuit_.flip_flops();
-  unsigned count = 0;
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (desired[i] == V3::kX || desired[i] == get(ffs[i], slot)) ++count;
-  }
-  return count;
-}
-
-WideMask WideSimulator::state_match_mask(const State3& desired) const {
-  const auto ffs = circuit_.flip_flops();
-  WideMask mask = WideMask::ones(nw_, slots());
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (desired[i] == V3::kX) continue;
-    const std::uint64_t* r =
-        desired[i] == V3::k1 ? row1(ffs[i]) : row0(ffs[i]);
-    std::uint64_t any = 0;
-    for (unsigned w = 0; w < nw_; ++w) {
-      mask.w[w] &= r[w];
-      any |= mask.w[w];
-    }
-    if (any == 0) break;
-  }
-  return mask;
 }
 
 }  // namespace gatpg::sim

@@ -8,7 +8,7 @@
 // contract is bit-for-bit identical to SequenceSimulator — same ternary
 // encoding, same event discipline, same override model — so any consumer
 // can cross-check the two at width 1 slot for slot, and the fault simulator
-// and GA fitness paths produce identical detections/fitness at every width.
+// produces identical detections at every width.
 //
 // The hot-loop data layout differs deliberately:
 //   * Node values live in two flat plane buffers (v1 then v0), `W` words
@@ -46,8 +46,6 @@ class WideSimulator {
   /// Returns all flip-flops to X in every slot and clears node values.
   void reset();
 
-  /// Overwrites the flip-flop state in every slot (broadcast).
-  void set_state(const State3& state);
   /// Overwrites one flip-flop's plane rows directly (`r1`/`r0`: nw words).
   void set_ff_rows(std::size_t ff_index, const std::uint64_t* r1,
                    const std::uint64_t* r0);
@@ -113,8 +111,6 @@ class WideSimulator {
   }
 
   State3 state(unsigned slot = 0) const;
-  unsigned state_match_count(const State3& desired, unsigned slot) const;
-  WideMask state_match_mask(const State3& desired) const;
 
   std::uint64_t gate_evals() const { return gate_evals_; }
   void reset_gate_evals() { gate_evals_ = 0; }

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
+#include "gen/registry.h"
 #include "gen/s27.h"
 #include "helpers/random_circuit.h"
 #include "helpers/reference_sim.h"
 #include "hybrid/ga_justify.h"
+#include "netlist/builder.h"
 
 namespace gatpg::hybrid {
 namespace {
@@ -186,6 +191,289 @@ TEST(GaStateJustifier, PopulationOf128RunsTwoBatches) {
                                         cfg, util::Deadline::unlimited());
   if (!result.success) {
     EXPECT_EQ(result.evaluations, 256u);  // 128 x 2 generations
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: GaStateJustifier::justify against a naive batch evaluator built on
+// the scalar reference simulator.  Every candidate runs alone from scratch on
+// its own good/faulty pair; the early exit is the first match in batch,
+// vector, slot order.  The same seed must give the same GA run exactly.
+
+sim::Vector3 frame_of(const ga::Chromosome& chrom, std::size_t num_pi,
+                      unsigned t) {
+  sim::Vector3 v(num_pi);
+  for (std::size_t i = 0; i < num_pi; ++i) {
+    v[i] = chrom[t * num_pi + i] ? V3::k1 : V3::k0;
+  }
+  return v;
+}
+
+sim::Sequence decode_prefix(const ga::Chromosome& chrom, std::size_t num_pi,
+                            unsigned length) {
+  sim::Sequence seq;
+  for (unsigned t = 0; t < length; ++t) {
+    seq.push_back(frame_of(chrom, num_pi, t));
+  }
+  return seq;
+}
+
+unsigned match_count(const State3& desired, const State3& state) {
+  unsigned n = 0;
+  for (std::size_t i = 0; i < desired.size(); ++i) {
+    n += desired[i] == V3::kX || desired[i] == state[i];
+  }
+  return n;
+}
+
+GaJustifyResult oracle_justify(const netlist::Circuit& c,
+                               const fault::Fault& f,
+                               const State3& desired_good,
+                               const State3& desired_faulty,
+                               const State3& current_good,
+                               const GaJustifyConfig& config) {
+  const std::size_t num_pi = c.primary_inputs().size();
+  const std::size_t num_ff = c.flip_flops().size();
+  const netlist::NodeId launch_line =
+      f.pin == fault::kOutputPin
+          ? f.node
+          : c.fanins(f.node)[static_cast<std::size_t>(f.pin)];
+  const V3 launch = f.stuck_at ? V3::k1 : V3::k0;
+
+  ga::GaConfig ga_config;
+  ga_config.population_size = config.population;
+  ga_config.generations = config.generations;
+  ga_config.chromosome_bits = config.sequence_length * num_pi;
+  ga_config.selection = config.selection;
+  ga_config.seed = config.seed;
+
+  GaJustifyResult result;
+  auto evaluate = [&](std::span<const ga::Chromosome> population,
+                      std::span<double> fitness) {
+    std::optional<std::size_t> winner;
+    unsigned winner_t = 0;
+    for (std::size_t k = 0; k < population.size(); ++k) {
+      test::ReferenceSimulator good(c);
+      good.set_state(current_good);
+      test::ReferenceSimulator bad(c, f);
+      bad.set_fault_active(!f.is_transition());
+      bad.set_latch_fault_active(!f.is_transition());
+      std::optional<unsigned> first;
+      for (unsigned t = 0; t < config.sequence_length && !first; ++t) {
+        const sim::Vector3 v = frame_of(population[k], num_pi, t);
+        good.apply(v);
+        bad.apply(v);
+        const bool next_act = good.value(launch_line) == launch;
+        if (f.is_transition()) bad.set_latch_fault_active(next_act);
+        good.clock();
+        bad.clock();
+        if (f.is_transition()) bad.set_fault_active(next_act);
+        if (match_count(desired_good, good.state()) == num_ff &&
+            match_count(desired_faulty, bad.state()) == num_ff) {
+          first = t;
+        }
+      }
+      if (first) {
+        // Batch order first, then vector, then slot.
+        const bool better = !winner || k / 64 < *winner / 64 ||
+                            (k / 64 == *winner / 64 && *first < winner_t);
+        if (better) {
+          winner = k;
+          winner_t = *first;
+        }
+        continue;
+      }
+      const double raw =
+          config.good_weight * match_count(desired_good, good.state()) +
+          config.faulty_weight * match_count(desired_faulty, bad.state());
+      fitness[k] = config.square_fitness ? raw * raw : raw;
+    }
+    if (!winner) return false;
+    result.success = true;
+    result.sequence =
+        decode_prefix(population[*winner], num_pi, winner_t + 1);
+    for (double& fit : fitness) fit = 0.0;
+    return true;
+  };
+
+  const ga::GaResult ga_result = ga::GaEngine(ga_config).run(evaluate);
+  result.best_fitness = ga_result.best_fitness;
+  result.evaluations = ga_result.evaluations;
+  result.generations_run = ga_result.generations_run;
+  if (!result.success && !ga_result.best.empty()) {
+    result.sequence =
+        decode_prefix(ga_result.best, num_pi, config.sequence_length);
+  }
+  return result;
+}
+
+/// Runs the oracle and the production justifier on every population/thread
+/// shape; returns whether the GA succeeded (identical for all shapes).
+bool expect_matches_oracle(const netlist::Circuit& c, const fault::Fault& f,
+                           const State3& desired_good,
+                           const State3& desired_faulty,
+                           const State3& current_good, std::uint64_t seed) {
+  bool success = false;
+  for (const std::size_t population : {64u, 128u}) {
+    GaJustifyConfig cfg;
+    cfg.population = population;
+    cfg.generations = population == 64 ? 4 : 3;
+    cfg.sequence_length = 8;
+    cfg.seed = seed;
+    const GaJustifyResult want = oracle_justify(
+        c, f, desired_good, desired_faulty, current_good, cfg);
+    success = want.success;
+    for (const unsigned threads : {1u, 4u}) {
+      cfg.parallel.threads = threads;
+      const GaJustifyResult got =
+          GaStateJustifier(c).justify(f, desired_good, desired_faulty,
+                                      current_good, cfg,
+                                      util::Deadline::unlimited());
+      const std::string where = c.name() + " " + fault::to_string(c, f) +
+                                " population " + std::to_string(population) +
+                                " threads " + std::to_string(threads);
+      EXPECT_EQ(got.success, want.success) << where;
+      EXPECT_EQ(got.sequence, want.sequence) << where;
+      EXPECT_EQ(got.best_fitness, want.best_fitness) << where;
+      EXPECT_EQ(got.evaluations, want.evaluations) << where;
+      EXPECT_EQ(got.generations_run, want.generations_run) << where;
+    }
+  }
+  return success;
+}
+
+/// Stuck-at and transition faults on a gate output, a gate input pin, and a
+/// flip-flop D pin and Q output, plus a stuck-at fault on a primary input.
+std::vector<fault::Fault> oracle_faults(const netlist::Circuit& c,
+                                        util::Rng& rng) {
+  const auto topo = c.topo_order();
+  const auto pis = c.primary_inputs();
+  const auto ffs = c.flip_flops();
+  const netlist::NodeId gate = topo[rng.below(topo.size())];
+  const netlist::NodeId pin_gate = topo[rng.below(topo.size())];
+  const int pin = static_cast<int>(rng.below(c.fanin_count(pin_gate)));
+  const netlist::NodeId ff = ffs[rng.below(ffs.size())];
+  return {
+      {gate, fault::kOutputPin, rng.bit()},
+      {pin_gate, pin, rng.bit()},
+      {pis[rng.below(pis.size())], fault::kOutputPin, rng.bit()},
+      {ff, 0, rng.bit()},
+      {ff, fault::kOutputPin, rng.bit()},
+      fault::make_transition(gate, fault::kOutputPin, rng.bit()),
+      fault::make_transition(pin_gate, pin, rng.bit()),
+      fault::make_transition(ff, 0, rng.bit()),
+      fault::make_transition(ff, fault::kOutputPin, rng.bit()),
+  };
+}
+
+/// Checks every oracle fault against three goals: the good and faulty
+/// states one random sequence reaches (often justifiable, exercising the
+/// early exit), and a fully specified random good or faulty state (often
+/// not, exercising full fitness evaluation and evolution on each machine).
+/// Returns {successes, failures}.
+std::pair<int, int> check_circuit(const netlist::Circuit& c,
+                                  std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::size_t num_ff = c.flip_flops().size();
+  test::ReferenceSimulator warm(c);
+  for (const auto& v : test::random_sequence(c, rng, 3)) {
+    warm.apply(v);
+    warm.clock();
+  }
+  const State3 current = warm.state();
+  const State3 all_x(num_ff, V3::kX);
+
+  int successes = 0;
+  int failures = 0;
+  for (const fault::Fault& f : oracle_faults(c, rng)) {
+    test::ReferenceSimulator good(c);
+    good.set_state(current);
+    test::ReferenceSimulator bad(c, f);
+    for (const auto& v : test::random_sequence(c, rng, 6)) {
+      good.apply(v);
+      bad.apply(v);
+      good.clock();
+      bad.clock();
+    }
+    State3 random_state(num_ff);
+    for (V3& v : random_state) v = rng.bit() ? V3::k1 : V3::k0;
+    const std::uint64_t ga_seed = rng();
+    for (const auto& [dg, df] : {std::pair{good.state(), bad.state()},
+                                 std::pair{random_state, all_x},
+                                 std::pair{all_x, random_state}}) {
+      if (expect_matches_oracle(c, f, dg, df, current, ga_seed)) {
+        ++successes;
+      } else {
+        ++failures;
+      }
+    }
+  }
+  return {successes, failures};
+}
+
+TEST(GaFitnessOracle, MatchesNaiveEvaluatorOnRandomCircuits) {
+  int successes = 0;
+  int failures = 0;
+  for (const std::uint64_t seed : {3u, 8u, 21u}) {
+    test::RandomCircuitSpec spec;
+    spec.seed = seed;
+    spec.num_ffs = 3 + seed % 3;
+    spec.num_gates = 40;
+    const auto [s, f] = check_circuit(test::make_random_circuit(spec), seed);
+    successes += s;
+    failures += f;
+  }
+  EXPECT_GT(successes, 0);
+  EXPECT_GT(failures, 0);
+}
+
+TEST(GaFitnessOracle, MatchesNaiveEvaluatorOnRegistryCircuits) {
+  int successes = 0;
+  int failures = 0;
+  for (const char* name : {"s27", "g298"}) {
+    const auto [s, f] = check_circuit(gen::make_circuit(name), 11);
+    successes += s;
+    failures += f;
+  }
+  EXPECT_GT(successes, 0);
+  EXPECT_GT(failures, 0);
+}
+
+TEST(GaFitnessOracle, FaultyMachineRestartsAllXEveryBatch) {
+  // A six-bit shift register that shifts only when both enable inputs are
+  // 1, so a candidate ends its sequence still holding part of the state it
+  // started from.  The faulty last stage's D pin is stuck at 0, so the
+  // faulty goal "all ones" is unreachable: every generation is scored, and
+  // the faulty scores (and so the evolution) show whether each batch really
+  // started from all-X.
+  using netlist::GateType;
+  constexpr std::size_t kBits = 6;
+  netlist::CircuitBuilder b;
+  const std::vector<netlist::NodeId> enables = {b.add_input("e0"),
+                                                b.add_input("e1")};
+  const netlist::NodeId d = b.add_input("d");
+  const netlist::NodeId en = b.add_gate(GateType::kAnd, "en", enables);
+  const netlist::NodeId hold = b.add_gate(GateType::kNot, "hold", {en});
+  std::vector<netlist::NodeId> q;
+  for (std::size_t i = 0; i < kBits; ++i) {
+    q.push_back(b.add_dff("q" + std::to_string(i)));
+  }
+  for (std::size_t i = 0; i < kBits; ++i) {
+    const std::string name = "d" + std::to_string(i);
+    const netlist::NodeId load = b.add_gate(GateType::kAnd, name + "_load",
+                                            {en, i == 0 ? d : q[i - 1]});
+    const netlist::NodeId keep =
+        b.add_gate(GateType::kAnd, name + "_keep", {hold, q[i]});
+    b.set_dff_input(q[i], b.add_gate(GateType::kOr, name, {load, keep}));
+  }
+  b.mark_output(q.back());
+  const auto c = std::move(b).build("hold_register");
+
+  const fault::Fault f{q.back(), 0, false};
+  const State3 all_x(kBits, V3::kX);
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    EXPECT_FALSE(expect_matches_oracle(c, f, all_x, State3(kBits, V3::k1),
+                                       State3(kBits, V3::k0), seed));
   }
 }
 

@@ -20,6 +20,33 @@ HybridConfig fast_config(std::uint64_t seed = 1) {
   return cfg;
 }
 
+/// GA, GA, deterministic with no wall-clock limit: per-fault effort is
+/// bounded by forward solutions, GA generations and backtrack limits alone,
+/// so the run time and the result depend only on (circuit, config, seed).
+HybridConfig bounded_ga_config(std::uint64_t seed = 1) {
+  HybridConfig cfg;
+  cfg.seed = seed;
+  cfg.max_solutions_per_fault = 4;
+  cfg.schedule.passes.clear();
+  PassConfig pass;
+  pass.time_limit_s = 0.0;
+  pass.pass_budget_s = 0.0;
+  pass.mode = JustifyMode::kGenetic;
+  pass.max_backtracks = 200;
+  pass.ga_population = 64;
+  pass.ga_generations = 4;
+  pass.seq_len_multiplier = 4.0;
+  cfg.schedule.passes.push_back(pass);
+  pass.ga_population = 128;
+  pass.ga_generations = 8;
+  pass.seq_len_multiplier = 8.0;
+  cfg.schedule.passes.push_back(pass);
+  pass.mode = JustifyMode::kDeterministic;
+  pass.max_backtracks = 500;
+  cfg.schedule.passes.push_back(pass);
+  return cfg;
+}
+
 TEST(PassSchedule, MatchesTableOne) {
   const PassSchedule s = PassSchedule::ga_hitec(1.0);
   ASSERT_EQ(s.passes.size(), 3u);
@@ -62,9 +89,7 @@ TEST(HybridAtpg, FullCoverageOnS27) {
 TEST(HybridAtpg, GradingNeverBelowClaimedDetections) {
   for (const char* name : {"g386", "mult4", "div4"}) {
     const auto c = gen::make_circuit(name);
-    HybridConfig cfg = fast_config();
-    cfg.schedule = PassSchedule::ga_hitec(0.01);
-    HybridAtpg atpg(c, cfg);
+    HybridAtpg atpg(c, bounded_ga_config());
     const AtpgResult result = atpg.run();
     const auto report = fault::grade_sequence(c, result.test_set);
     // Claimed detections are all verified before commit, so independent
@@ -148,16 +173,13 @@ TEST(HybridAtpg, HitecModeAlsoCoversS27) {
 
 TEST(HybridAtpg, GaModeActuallyUsesGa) {
   const auto c = gen::make_circuit("g298");
-  HybridConfig cfg = fast_config();
-  cfg.schedule = PassSchedule::ga_hitec(0.01);
-  const AtpgResult result = HybridAtpg(c, cfg).run();
+  const AtpgResult result = HybridAtpg(c, bounded_ga_config()).run();
   EXPECT_GT(result.counters.ga_invocations, 0);
 }
 
 TEST(HybridAtpg, PrefilterOnlyRemovesUntestables) {
   const auto c = gen::make_circuit("g386");
-  HybridConfig plain = fast_config(3);
-  plain.schedule = PassSchedule::ga_hitec(0.01);
+  HybridConfig plain = bounded_ga_config(3);
   HybridConfig filtered = plain;
   filtered.prefilter_untestable = true;
   const AtpgResult a = HybridAtpg(c, plain).run();

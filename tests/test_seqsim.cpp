@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "fault/faultlist.h"
 #include "gen/s27.h"
 #include "helpers/random_circuit.h"
@@ -164,6 +166,98 @@ TEST_P(InjectionEquivalence, OverridesModelStuckAtFaults) {
 
 INSTANTIATE_TEST_SUITE_P(RandomCircuits, InjectionEquivalence,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// sweep_packed() + latch() is the GA's stepping: one levelized sweep per
+// frame and a clock edge without the settle drain.  It must agree slot for
+// slot with event-driven apply_packed() + clock(), under per-slot output and
+// input-pin overrides (gate pins, primary inputs, flip-flop D and Q) and
+// with the transition-fault activity protocol: a fresh latch mask before
+// every edge, the same mask as current-frame activity after it.  A third
+// machine steps with apply_packed() + latch(): after a bare latch the next
+// apply must re-evaluate everything, not trace events from stale values.
+class SweepLatchEquivalence : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(SweepLatchEquivalence, MatchesApplyPackedAndClock) {
+  RandomCircuitSpec spec;
+  spec.seed = GetParam() + 2000;
+  spec.num_gates = 30 + (GetParam() % 23);
+  spec.num_ffs = 2 + (GetParam() % 4);
+  const auto c = test::make_random_circuit(spec);
+  util::Rng rng(GetParam() * 101 + 3);
+
+  // A word with ~25% X slots and random defined values elsewhere.
+  auto random_word = [&] {
+    const std::uint64_t x = rng() & rng();
+    const std::uint64_t v = rng();
+    return PackedV3{v & ~x, ~v & ~x};
+  };
+
+  for (const bool gated : {false, true}) {
+    SequenceSimulator ref(c);
+    SequenceSimulator dut(c);
+    SequenceSimulator mixed(c);
+    auto all = [&](auto&& op) {
+      op(ref);
+      op(dut);
+      op(mixed);
+    };
+    if (gated) {
+      all([](SequenceSimulator& s) {
+        s.set_override_activity(0);
+        s.set_latch_override_activity(0);
+      });
+    }
+    const auto pis = c.primary_inputs();
+    const auto ffs = c.flip_flops();
+    const auto topo = c.topo_order();
+    const netlist::NodeId gate = topo[rng.below(topo.size())];
+    const netlist::NodeId pin_gate = topo[rng.below(topo.size())];
+    const netlist::NodeId pi = pis[rng.below(pis.size())];
+    const netlist::NodeId ff = ffs[rng.below(ffs.size())];
+    std::array<std::uint64_t, 5> slots;
+    for (auto& m : slots) m = rng();
+    all([&](SequenceSimulator& s) {
+      s.add_output_override(gate, true, slots[0]);
+      s.add_output_override(pi, false, slots[1]);
+      s.add_output_override(ff, true, slots[2]);
+      s.add_input_override(ff, 0, false, slots[3]);
+      s.add_input_override(pin_gate, 0, true, slots[4]);
+    });
+    all([](SequenceSimulator& s) { s.reset(); });
+
+    for (unsigned t = 0; t < 10; ++t) {
+      std::vector<PackedV3> words(pis.size());
+      for (auto& w : words) w = random_word();
+      ref.apply_packed(words);
+      dut.sweep_packed(words);
+      mixed.apply_packed(words);
+      for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+        ASSERT_EQ(dut.value(n), ref.value(n))
+            << "node " << c.name(n) << " frame " << t << " gated " << gated;
+        ASSERT_EQ(mixed.value(n), ref.value(n))
+            << "node " << c.name(n) << " frame " << t << " gated " << gated;
+      }
+      const std::uint64_t next_act = gated ? rng() : ~0ULL;
+      all([&](SequenceSimulator& s) {
+        s.set_latch_override_activity(next_act);
+      });
+      ref.clock();
+      dut.latch();
+      mixed.latch();
+      all([&](SequenceSimulator& s) { s.set_override_activity(next_act); });
+      for (const netlist::NodeId q : ffs) {
+        ASSERT_EQ(dut.value(q), ref.value(q))
+            << "flip-flop " << c.name(q) << " frame " << t;
+        ASSERT_EQ(mixed.value(q), ref.value(q))
+            << "flip-flop " << c.name(q) << " frame " << t;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomCircuits, SweepLatchEquivalence,
+                         ::testing::Range<std::uint64_t>(1, 13));
 
 TEST(SequenceSimulator, ClearOverridesRestoresGoodBehaviour) {
   const auto c = gen::make_s27();

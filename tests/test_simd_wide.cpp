@@ -11,9 +11,7 @@
 //    width-1 engines: detection sets *and order*, persisted faulty state,
 //    good state, what_if results, and the grouping-invariant stats — over
 //    randomized circuits, every registry circuit, and fault counts that are
-//    not multiples of 64 (partial slot masks),
-//  * the GA state justifier at every width: same success flag, same
-//    returned sequence, same fitness and evaluation counts.
+//    not multiples of 64 (partial slot masks).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -26,7 +24,6 @@
 #include "fault/faultsim.h"
 #include "gen/registry.h"
 #include "helpers/random_circuit.h"
-#include "hybrid/ga_justify.h"
 #include "sim/seqsim.h"
 #include "sim/wide.h"
 #include "sim/widesim.h"
@@ -211,12 +208,9 @@ TEST(SimdWideSim, MatchesSequenceSimulatorSlotForSlot) {
         expect_all_rows_match(wide, ref, "after clock");
       }
 
-      // state()/state_match_count must agree per slot as well.
-      const sim::State3 probe = ref.state(7);
+      // state() must agree per slot as well.
       for (unsigned s = 0; s < 64; ++s) {
         ASSERT_EQ(wide.state(s), ref.state(s));
-        ASSERT_EQ(wide.state_match_count(probe, s),
-                  ref.state_match_count(probe, s));
       }
     }
   }
@@ -453,82 +447,6 @@ TEST(SimdWideFaultSim, EveryRegistryCircuit) {
         test::random_sequence(c, rng, 6, 0.2)};
     expect_sessions_match(c, faults, chunks, make_config(true, 4, 4),
                           make_config(true, 1, 1));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// GA state justification: wide fitness path vs the 64-slot evaluator.
-
-TEST(SimdWideGa, JustifyBitIdenticalAcrossWidthsAndThreads) {
-  const auto c = gen::make_circuit("s27");
-  util::Rng rng(5);
-  sim::SequenceSimulator ref(c);
-  for (const auto& v : test::random_sequence(c, rng, 6)) {
-    ref.apply_vector(v);
-    ref.clock();
-  }
-  const sim::State3 target = ref.state();
-  const sim::State3 all_x(c.flip_flops().size(), V3::kX);
-  const fault::Fault benign{c.primary_outputs()[0], fault::kOutputPin, false};
-
-  auto run = [&](unsigned width, unsigned threads, const sim::State3& goal) {
-    hybrid::GaJustifyConfig config;
-    config.population = 256;  // several 64-blocks even at width 8
-    config.generations = 6;
-    config.sequence_length = 8;
-    config.seed = 9;
-    config.width = width;
-    config.parallel.threads = threads;
-    return hybrid::GaStateJustifier(c).justify(benign, goal, all_x, all_x,
-                                               config,
-                                               util::Deadline::unlimited());
-  };
-
-  const auto baseline = run(1, 1, target);
-  ASSERT_TRUE(baseline.success);
-  for (const unsigned width : {2u, 4u, 8u}) {
-    for (const unsigned threads : {1u, 4u}) {
-      const auto got = run(width, threads, target);
-      ASSERT_EQ(got.success, baseline.success)
-          << "width " << width << " threads " << threads;
-      ASSERT_EQ(got.sequence, baseline.sequence)
-          << "width " << width << " threads " << threads;
-      ASSERT_EQ(got.best_fitness, baseline.best_fitness);
-      ASSERT_EQ(got.evaluations, baseline.evaluations);
-      ASSERT_EQ(got.generations_run, baseline.generations_run);
-    }
-  }
-
-  // Failure path: an unreachable goal makes the GA run all generations, so
-  // fitness arithmetic and evolution (selection, crossover, mutation feed
-  // off the fitness values) must match across widths as well.
-  const auto ff0 = c.flip_flops()[0];
-  const fault::Fault pin_high{ff0, fault::kOutputPin, true};
-  sim::State3 impossible(c.flip_flops().size(), V3::kX);
-  impossible[0] = V3::k0;
-  auto run_fail = [&](unsigned width, unsigned threads) {
-    hybrid::GaJustifyConfig config;
-    config.population = 128;
-    config.generations = 5;
-    config.sequence_length = 6;
-    config.seed = 17;
-    config.width = width;
-    config.parallel.threads = threads;
-    return hybrid::GaStateJustifier(c).justify(pin_high, all_x, impossible,
-                                               all_x, config,
-                                               util::Deadline::unlimited());
-  };
-  const auto fail_base = run_fail(1, 1);
-  EXPECT_FALSE(fail_base.success);
-  for (const unsigned width : {2u, 8u}) {
-    for (const unsigned threads : {1u, 4u}) {
-      const auto got = run_fail(width, threads);
-      EXPECT_EQ(got.success, fail_base.success);
-      EXPECT_EQ(got.sequence, fail_base.sequence);
-      EXPECT_EQ(got.best_fitness, fail_base.best_fitness);
-      EXPECT_EQ(got.evaluations, fail_base.evaluations);
-      EXPECT_EQ(got.generations_run, fail_base.generations_run);
-    }
   }
 }
 
