@@ -6,7 +6,7 @@
 // Emits BENCH_faults.json with per-(circuit, model) coverage, test-set
 // size, engine counters, and the test-set digest, plus two self-check
 // invariants: `consistent_across_configs` (the base run is bit-identical
-// at 4 fault-sim threads and at SIMD group width 4) and
+// at 4 fault-sim threads) and
 // `stuck_at_matches_default` (a config that never mentions the fault-model
 // axis produces the stuck-at run bit for bit).  Coverage floors per model
 // are exported as min_coverage_* for the threshold gate.
@@ -171,22 +171,13 @@ int main(int argc, char** argv) {
       const session::SessionResult base = run_hybrid(c, faults, cfg);
       const double time_s = sw.seconds();
 
-      // Identity across execution shapes: fault-sim threads and SIMD width
-      // are pure execution parallelism and must never move a bit.
+      // Identity across execution shapes: fault-sim threads are pure
+      // execution parallelism and must never move a bit.
       {
         hybrid::HybridConfig v = cfg;
         v.parallel.threads = 4;
         if (!same_bits(base, run_hybrid(c, faults, v))) {
           std::printf("ERROR: %s %s diverges at 4 fault-sim threads\n",
-                      name.c_str(), fault::universe_name(universe));
-          consistent = false;
-        }
-      }
-      {
-        hybrid::HybridConfig v = cfg;
-        v.faultsim.width = 4;
-        if (!same_bits(base, run_hybrid(c, faults, v))) {
-          std::printf("ERROR: %s %s diverges at SIMD width 4\n",
                       name.c_str(), fault::universe_name(universe));
           consistent = false;
         }

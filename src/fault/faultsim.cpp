@@ -1,7 +1,6 @@
 #include "fault/faultsim.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace gatpg::fault {
 
@@ -10,7 +9,6 @@ using sim::PackedV3;
 using sim::Sequence;
 using sim::State3;
 using sim::V3;
-using sim::WideMask;
 
 namespace {
 
@@ -26,46 +24,6 @@ std::uint64_t differing_slots(PackedV3 a, V3 good) {
       return ~a.v0;
     default:
       return a.v1 | a.v0;
-  }
-}
-
-/// Per-word variant of differing_slots over one word of a plane-row pair.
-std::uint64_t differing_word(std::uint64_t r1, std::uint64_t r0, V3 good) {
-  switch (good) {
-    case V3::k1:
-      return ~r1;
-    case V3::k0:
-      return ~r0;
-    default:
-      return r1 | r0;
-  }
-}
-
-void set_row_slot(std::uint64_t* r1, std::uint64_t* r0, unsigned slot, V3 v) {
-  const std::uint64_t m = 1ULL << (slot & 63);
-  r1[slot >> 6] &= ~m;
-  r0[slot >> 6] &= ~m;
-  if (v == V3::k1) {
-    r1[slot >> 6] |= m;
-  } else if (v == V3::k0) {
-    r0[slot >> 6] |= m;
-  }
-}
-
-V3 get_row_slot(const std::uint64_t* r1, const std::uint64_t* r0,
-                unsigned slot) {
-  const std::uint64_t m = 1ULL << (slot & 63);
-  if (r1[slot >> 6] & m) return V3::k1;
-  if (r0[slot >> 6] & m) return V3::k0;
-  return V3::kX;
-}
-
-void broadcast_rows(std::uint64_t* r1, std::uint64_t* r0, unsigned nw, V3 v) {
-  const std::uint64_t b1 = v == V3::k1 ? ~0ULL : 0;
-  const std::uint64_t b0 = v == V3::k0 ? ~0ULL : 0;
-  for (unsigned w = 0; w < nw; ++w) {
-    r1[w] = b1;
-    r0[w] = b0;
   }
 }
 
@@ -95,10 +53,6 @@ FaultSimulator::FaultSimulator(const netlist::Circuit& c,
       faulty_state_(faults_.size(),
                     State3(c.flip_flops().size(), V3::kX)),
       launch_prev_(faults_.size(), V3::kX) {
-  if (config_.width < 1) config_.width = 1;
-  if (config_.width > sim::kMaxWideWords) {
-    throw std::invalid_argument("FaultSimConfig: width exceeds kMaxWideWords");
-  }
   for (const Fault& f : faults_) {
     if (f.is_transition()) {
       any_transition_ = true;
@@ -133,10 +87,6 @@ void FaultSimulator::drain_lane_stats(unsigned lanes) const {
     if (lane.machine) {
       stats_.gate_evals += lane.machine->gate_evals();
       lane.machine->reset_gate_evals();
-    }
-    if (lane.wide) {
-      stats_.gate_evals += lane.wide->gate_evals();
-      lane.wide->reset_gate_evals();
     }
   }
 }
@@ -211,8 +161,6 @@ void FaultSimulator::simulate_differential(
   // order.  Built once up front; at every window boundary it is compacted in
   // place with the liveness the surviving-slot write-back just produced —
   // one pass over the survivors instead of a rescan of the full fault list.
-  const unsigned nw = config_.width;
-  const std::size_t group_slots = std::size_t{64} * nw;
   std::vector<std::size_t> order;
   order.reserve(fault_indices.size());
   for (std::size_t i = 0; i < fault_indices.size(); ++i) {
@@ -244,200 +192,18 @@ void FaultSimulator::simulate_differential(
 
     // Dynamic repack: the maintained `order` packing is already dense and in
     // stable fault-index order (deterministic and thread-count-independent
-    // by construction); groups are carved from it 64·width at a time.
+    // by construction); groups are carved from it 64 at a time.
     if (order.empty()) continue;  // keep advancing the good machine
     if (t0 > 0 && order.size() < prev_live) {
-      stats_.groups_repacked += (order.size() + group_slots - 1) / group_slots;
+      stats_.groups_repacked += (order.size() + 63) / 64;
     }
     prev_live = order.size();
 
-    const std::size_t n_groups =
-        (order.size() + group_slots - 1) / group_slots;
+    const std::size_t n_groups = (order.size() + 63) / 64;
     std::vector<std::vector<Detection>> group_dets(n_groups);
-    const unsigned lanes =
-        util::max_lanes(config_.parallel, order.size(), group_slots);
+    const unsigned lanes = util::max_lanes(config_.parallel, order.size(), 64);
     ensure_lanes(lanes);
 
-    if (nw > 1) {
-      // SIMD-wide sweep: 64·width faults per group on the SoA WideSimulator.
-      util::parallel_for_chunks(
-          config_.parallel, order.size(), group_slots,
-          [&](std::size_t g, std::size_t begin, std::size_t end,
-              unsigned lane) {
-            Lane& scratch = lanes_[lane];
-            if (!scratch.wide || scratch.wide->words() != nw) {
-              scratch.wide = std::make_unique<sim::WideSimulator>(c_, nw);
-            }
-            sim::WideSimulator& machine = *scratch.wide;
-            const std::size_t count = end - begin;
-
-            machine.clear_overrides();
-            for (std::size_t s = 0; s < count; ++s) {
-              const Fault& f = faults_[fault_indices[order[begin + s]]];
-              WideMask mask;
-              mask.set(static_cast<unsigned>(s));
-              if (f.pin == kOutputPin) {
-                machine.add_output_override(f.node, f.stuck_at, mask);
-              } else {
-                machine.add_input_override(
-                    f.node, static_cast<unsigned>(f.pin), f.stuck_at, mask);
-              }
-            }
-
-            // Packed faulty present-state rows (flip-flop-major); unused
-            // high slots track the good state so they never disturb the
-            // event propagation.
-            scratch.wff1.assign(nff * nw, 0);
-            scratch.wff0.assign(nff * nw, 0);
-            for (std::size_t ff = 0; ff < nff; ++ff) {
-              std::uint64_t* r1 = scratch.wff1.data() + ff * nw;
-              std::uint64_t* r0 = scratch.wff0.data() + ff * nw;
-              broadcast_rows(r1, r0, nw, good_present[0][ff]);
-              for (std::size_t s = 0; s < count; ++s) {
-                set_row_slot(r1, r0, static_cast<unsigned>(s),
-                             states[order[begin + s]][ff]);
-              }
-            }
-
-            // Transition launch anchors, one per slot: the good value of the
-            // slot's launch line in the frame before the current one (window
-            // entry: the caller-carried value).
-            bool group_trans = false;
-            if (any_transition_) {
-              for (std::size_t s = 0; s < count; ++s) {
-                if (sites[order[begin + s]].transition) {
-                  group_trans = true;
-                  break;
-                }
-              }
-            }
-            std::vector<V3> lprev;
-            WideMask full_act;
-            if (group_trans) {
-              lprev.resize(count);
-              for (std::size_t s = 0; s < count; ++s) {
-                lprev[s] = launch[order[begin + s]];
-              }
-              full_act =
-                  WideMask::ones(nw, static_cast<std::size_t>(nw) * 64);
-            }
-
-            WideMask live_mask = WideMask::ones(nw, count);
-            for (std::size_t k = 0; k < wlen && live_mask.any(); ++k) {
-              ++scratch.stats.group_vectors;
-
-              // Per-frame override activity: a transition slot forces only
-              // when its launch line held the initial value in the previous
-              // frame (act), and its flip-flop latch forcing only when it
-              // holds it in this frame (act_next — the latch lands in the
-              // next frame).  Stuck-at slots stay unconditionally active.
-              WideMask act;
-              WideMask act_next;
-              if (group_trans) {
-                act = full_act;
-                act_next = full_act;
-                for (std::size_t s = 0; s < count; ++s) {
-                  const Site& site = sites[order[begin + s]];
-                  if (!site.transition) continue;
-                  if (lprev[s] != site.stuck) {
-                    act.clear(static_cast<unsigned>(s));
-                  }
-                  const V3 nl = good_frames[k][site.line].get(0);
-                  if (nl != site.stuck) {
-                    act_next.clear(static_cast<unsigned>(s));
-                  }
-                  lprev[s] = nl;
-                }
-              }
-
-              // Excitation/activity screen, word-parallel over the state.
-              WideMask active;
-              for (std::size_t s = 0; s < count; ++s) {
-                const Site& site = sites[order[begin + s]];
-                bool ex = good_frames[k][site.line].get(0) != site.stuck;
-                if (!ex && site.extra != netlist::kNoNode) {
-                  ex = good_frames[k][site.extra].get(0) != site.stuck;
-                }
-                if (ex) active.set(static_cast<unsigned>(s));
-              }
-              for (std::size_t ff = 0; ff < nff; ++ff) {
-                const std::uint64_t* r1 = scratch.wff1.data() + ff * nw;
-                const std::uint64_t* r0 = scratch.wff0.data() + ff * nw;
-                const V3 gv = good_present[k][ff];
-                for (unsigned w = 0; w < nw; ++w) {
-                  active.w[w] |= differing_word(r1[w], r0[w], gv);
-                }
-              }
-              active &= live_mask;
-              if (!active.any()) {
-                ++scratch.stats.group_vectors_skipped;
-                for (std::size_t ff = 0; ff < nff; ++ff) {
-                  broadcast_rows(scratch.wff1.data() + ff * nw,
-                                 scratch.wff0.data() + ff * nw, nw,
-                                 good_next[k][ff]);
-                }
-                continue;
-              }
-
-              if (group_trans) {
-                machine.set_override_activity(act);
-                machine.set_latch_override_activity(act_next);
-              }
-              machine.apply_differential(good_frames[k], scratch.wff1,
-                                         scratch.wff0);
-
-              WideMask hit;
-              for (const auto& [p, gv] : good_po[k]) {
-                const std::uint64_t* row =
-                    gv == V3::k1 ? machine.row0(p) : machine.row1(p);
-                for (unsigned w = 0; w < nw; ++w) hit.w[w] |= row[w];
-              }
-              hit &= live_mask;
-              const bool retired = hit.any();
-              for (unsigned w = 0; w < nw; ++w) {
-                std::uint64_t h = hit.w[w];
-                while (h) {
-                  const unsigned s =
-                      w * 64 + static_cast<unsigned>(__builtin_ctzll(h));
-                  h &= h - 1;
-                  live_mask.clear(s);
-                  group_dets[g].push_back(
-                      {static_cast<std::uint32_t>(order[begin + s]),
-                       static_cast<std::uint32_t>(t0 + k)});
-                }
-              }
-              if (retired) machine.retain_override_slots(live_mask);
-
-              std::uint64_t nx1[sim::kMaxWideWords];
-              std::uint64_t nx0[sim::kMaxWideWords];
-              for (std::size_t ff = 0; ff < nff; ++ff) {
-                machine.next_state_rows(ff, nx1, nx0);
-                const V3 gn = good_next[k][ff];
-                const std::uint64_t b1 = gn == V3::k1 ? ~0ULL : 0;
-                const std::uint64_t b0 = gn == V3::k0 ? ~0ULL : 0;
-                std::uint64_t* r1 = scratch.wff1.data() + ff * nw;
-                std::uint64_t* r0 = scratch.wff0.data() + ff * nw;
-                for (unsigned w = 0; w < nw; ++w) {
-                  r1[w] = (nx1[w] & live_mask.w[w]) | (b1 & ~live_mask.w[w]);
-                  r0[w] = (nx0[w] & live_mask.w[w]) | (b0 & ~live_mask.w[w]);
-                }
-              }
-            }
-
-            for (std::size_t s = 0; s < count; ++s) {
-              const std::size_t p = order[begin + s];
-              if (!live_mask.test(static_cast<unsigned>(s))) {
-                live[p] = 0;
-                continue;
-              }
-              for (std::size_t ff = 0; ff < nff; ++ff) {
-                states[p][ff] = get_row_slot(scratch.wff1.data() + ff * nw,
-                                             scratch.wff0.data() + ff * nw,
-                                             static_cast<unsigned>(s));
-              }
-            }
-          });
-    } else {
     util::parallel_for_chunks(
         config_.parallel, order.size(), 64,
         [&](std::size_t g, std::size_t begin, std::size_t end, unsigned lane) {
@@ -592,7 +358,6 @@ void FaultSimulator::simulate_differential(
             }
           }
         });
-    }
 
     drain_lane_stats(lanes);
     for (std::size_t g = 0; g < n_groups; ++g) {
@@ -626,7 +391,7 @@ void FaultSimulator::simulate_differential(
 
 std::vector<std::size_t> FaultSimulator::run(const Sequence& seq) {
   if (!config_.differential) {
-    return config_.width > 1 ? run_full_sweep_wide(seq) : run_full_sweep(seq);
+    return run_full_sweep(seq);
   }
   std::vector<std::size_t> newly;
   if (seq.empty()) return newly;
@@ -684,8 +449,7 @@ FaultSimulator::WhatIf FaultSimulator::what_if(
   WhatIf result;
   if (seq.empty() || fault_indices.empty()) return result;
   if (!config_.differential) {
-    return config_.width > 1 ? what_if_full_sweep_wide(fault_indices, seq)
-                             : what_if_full_sweep(fault_indices, seq);
+    return what_if_full_sweep(fault_indices, seq);
   }
 
   sim::SequenceSimulator good = good_;  // copy: session state untouched
@@ -1117,422 +881,6 @@ FaultSimulator::WhatIf FaultSimulator::what_if_full_sweep(
         effect_mask &= live_all & ~detected_mask;
         per_group[g].state_effects =
             static_cast<unsigned>(__builtin_popcountll(effect_mask));
-      });
-
-  drain_lane_stats(lanes);
-
-  for (const WhatIf& g : per_group) {
-    result.detected += g.detected;
-    result.state_effects += g.state_effects;
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Full-sweep engine, SIMD-wide groups
-// ---------------------------------------------------------------------------
-
-std::vector<std::size_t> FaultSimulator::run_full_sweep_wide(
-    const Sequence& seq) {
-  std::vector<std::size_t> newly;
-  if (seq.empty()) return newly;
-  const unsigned nw = config_.width;
-
-  const std::uint64_t good_evals_before = good_.gate_evals();
-
-  // Fault subset first so pass 1 can record launch-line values (cf. the
-  // 64-slot engine).
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    if (!detected_[i]) pending.push_back(i);
-  }
-  std::vector<NodeId> f_line;
-  std::vector<char> f_trans;
-  std::vector<V3> f_init;
-  std::vector<std::vector<V3>> good_launch;
-  if (any_transition_) {
-    f_line.resize(pending.size());
-    f_trans.resize(pending.size());
-    f_init.resize(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const Fault& f = faults_[pending[i]];
-      f_trans[i] = f.is_transition() ? 1 : 0;
-      f_init[i] = f.stuck_at ? V3::k1 : V3::k0;
-      f_line[i] = launch_line(c_, f);
-    }
-    good_launch.assign(seq.size(), std::vector<V3>(pending.size()));
-  }
-
-  // Pass 1: good machine, recording per-vector PO values (slot 0) — shared
-  // with the 64-slot engine verbatim.
-  const auto pos = c_.primary_outputs();
-  std::vector<std::vector<V3>> good_po(seq.size(), std::vector<V3>(pos.size()));
-  for (std::size_t t = 0; t < seq.size(); ++t) {
-    good_.apply_vector(seq[t]);
-    for (std::size_t p = 0; p < pos.size(); ++p) {
-      good_po[t][p] = good_.scalar_value(pos[p]);
-    }
-    if (any_transition_) {
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        good_launch[t][i] = good_.scalar_value(f_line[i]);
-      }
-    }
-    good_.clock();
-    if (good_sink_) good_sink_->push_back(good_.state());
-  }
-  stats_.frames += seq.size();
-  stats_.good_gate_evals += good_.gate_evals() - good_evals_before;
-
-  const std::size_t nff = c_.flip_flops().size();
-  const auto pis = c_.primary_inputs();
-
-  // The input sequence broadcast into wide rows once (nw words per PI,
-  // PI-major), shared read-only by every group.
-  std::vector<std::vector<std::uint64_t>> seq1(seq.size());
-  std::vector<std::vector<std::uint64_t>> seq0(seq.size());
-  for (std::size_t t = 0; t < seq.size(); ++t) {
-    seq1[t].resize(pis.size() * nw);
-    seq0[t].resize(pis.size() * nw);
-    for (std::size_t p = 0; p < pis.size(); ++p) {
-      broadcast_rows(seq1[t].data() + p * nw, seq0[t].data() + p * nw, nw,
-                     seq[t][p]);
-    }
-  }
-
-  const std::size_t group_slots = std::size_t{64} * nw;
-  const std::size_t n_groups =
-      (pending.size() + group_slots - 1) / group_slots;
-  std::vector<std::vector<Detection>> group_dets(n_groups);
-  const unsigned lanes =
-      util::max_lanes(config_.parallel, pending.size(), group_slots);
-  ensure_lanes(lanes);
-
-  util::parallel_for_chunks(
-      config_.parallel, pending.size(), group_slots,
-      [&](std::size_t g, std::size_t begin, std::size_t end, unsigned lane) {
-        Lane& scratch = lanes_[lane];
-        if (!scratch.wide || scratch.wide->words() != nw) {
-          scratch.wide = std::make_unique<sim::WideSimulator>(c_, nw);
-        }
-        sim::WideSimulator& machine = *scratch.wide;
-        const std::size_t count = end - begin;
-
-        machine.clear_overrides();
-        machine.reset();
-        for (std::size_t s = 0; s < count; ++s) {
-          const Fault& f = faults_[pending[begin + s]];
-          WideMask mask;
-          mask.set(static_cast<unsigned>(s));
-          if (f.pin == kOutputPin) {
-            machine.add_output_override(f.node, f.stuck_at, mask);
-          } else {
-            machine.add_input_override(
-                f.node, static_cast<unsigned>(f.pin), f.stuck_at, mask);
-          }
-        }
-        // Transition slots held inactive during the state load; the frame
-        // loop installs the real per-frame activity (cf. run_full_sweep).
-        WideMask trans_mask;
-        WideMask full_act;
-        std::vector<V3> lprev;
-        bool group_trans = false;
-        if (any_transition_) {
-          for (std::size_t s = 0; s < count; ++s) {
-            if (f_trans[begin + s]) {
-              trans_mask.set(static_cast<unsigned>(s));
-              group_trans = true;
-            }
-          }
-          if (group_trans) {
-            lprev.resize(count);
-            for (std::size_t s = 0; s < count; ++s) {
-              lprev[s] = launch_prev_[pending[begin + s]];
-            }
-            full_act = WideMask::ones(nw, static_cast<std::size_t>(nw) * 64);
-            WideMask load_act = full_act;
-            load_act.remove(trans_mask);
-            machine.set_override_activity(load_act);
-            machine.set_latch_override_activity(load_act);
-          }
-        }
-        // Load persisted per-fault flip-flop states.
-        std::uint64_t r1[sim::kMaxWideWords];
-        std::uint64_t r0[sim::kMaxWideWords];
-        for (std::size_t ff = 0; ff < nff; ++ff) {
-          broadcast_rows(r1, r0, nw, V3::kX);
-          for (std::size_t s = 0; s < count; ++s) {
-            set_row_slot(r1, r0, static_cast<unsigned>(s),
-                         faulty_state_[pending[begin + s]][ff]);
-          }
-          machine.set_ff_rows(ff, r1, r0);
-        }
-
-        scratch.stats.group_vectors += seq.size();
-        WideMask live = WideMask::ones(nw, count);
-        for (std::size_t t = 0; t < seq.size(); ++t) {
-          if (group_trans) {
-            WideMask act = full_act;
-            WideMask act_next = full_act;
-            for (std::size_t s = 0; s < count; ++s) {
-              if (!f_trans[begin + s]) continue;
-              if (lprev[s] != f_init[begin + s]) {
-                act.clear(static_cast<unsigned>(s));
-              }
-              const V3 nl = good_launch[t][begin + s];
-              if (nl != f_init[begin + s]) {
-                act_next.clear(static_cast<unsigned>(s));
-              }
-              lprev[s] = nl;
-            }
-            machine.set_override_activity(act);
-            machine.set_latch_override_activity(act_next);
-          }
-          machine.apply_wide(seq1[t], seq0[t]);
-          WideMask hit;
-          for (std::size_t p = 0; p < pos.size(); ++p) {
-            const V3 good_value = good_po[t][p];
-            if (good_value == V3::kX) continue;
-            const std::uint64_t* row = good_value == V3::k1
-                                           ? machine.row0(pos[p])
-                                           : machine.row1(pos[p]);
-            for (unsigned w = 0; w < nw; ++w) hit.w[w] |= row[w];
-          }
-          hit &= live;
-          for (unsigned w = 0; w < nw; ++w) {
-            std::uint64_t h = hit.w[w];
-            while (h) {
-              const unsigned s =
-                  w * 64 + static_cast<unsigned>(__builtin_ctzll(h));
-              h &= h - 1;
-              live.clear(s);
-              group_dets[g].push_back(
-                  {static_cast<std::uint32_t>(begin + s),
-                   static_cast<std::uint32_t>(t)});
-            }
-          }
-          machine.clock();
-        }
-
-        // Persist faulty flip-flop states for still-undetected faults
-        // (slots still live).
-        for (std::size_t s = 0; s < count; ++s) {
-          if (!live.test(static_cast<unsigned>(s))) continue;
-          const std::size_t fi = pending[begin + s];
-          for (std::size_t ff = 0; ff < nff; ++ff) {
-            faulty_state_[fi][ff] =
-                machine.get(c_.flip_flops()[ff], static_cast<unsigned>(s));
-          }
-        }
-      });
-
-  drain_lane_stats(lanes);
-
-  // Launch anchors advance for every fault uniformly (good-machine values).
-  if (any_transition_) {
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      launch_prev_[pending[i]] = good_launch[seq.size() - 1][i];
-    }
-  }
-
-  // Reproduce the 64-slot engine's exact detection order: its serial merge
-  // lands detections in (pending position / 64, time, position) order, so
-  // sorting by that key makes the list grouping-independent.
-  std::vector<Detection> dets;
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    dets.insert(dets.end(), group_dets[g].begin(), group_dets[g].end());
-  }
-  std::sort(dets.begin(), dets.end(),
-            [](const Detection& a, const Detection& b) {
-              if ((a.pos >> 6) != (b.pos >> 6)) {
-                return (a.pos >> 6) < (b.pos >> 6);
-              }
-              if (a.t != b.t) return a.t < b.t;
-              return a.pos < b.pos;
-            });
-  for (const Detection& d : dets) {
-    const std::size_t fi = pending[d.pos];
-    detected_[fi] = 1;
-    ++num_detected_;
-    newly.push_back(fi);
-  }
-  return newly;
-}
-
-FaultSimulator::WhatIf FaultSimulator::what_if_full_sweep_wide(
-    std::span<const std::size_t> fault_indices, const Sequence& seq) const {
-  WhatIf result;
-  const unsigned nw = config_.width;
-
-  // Transition launch bookkeeping over the what-if fault subset (entry
-  // anchors come from the session's launch_prev_; nothing is written back).
-  std::vector<NodeId> f_line;
-  std::vector<char> f_trans;
-  std::vector<V3> f_init;
-  std::vector<std::vector<V3>> good_launch;
-  if (any_transition_) {
-    f_line.resize(fault_indices.size());
-    f_trans.resize(fault_indices.size());
-    f_init.resize(fault_indices.size());
-    for (std::size_t i = 0; i < fault_indices.size(); ++i) {
-      const Fault& f = faults_[fault_indices[i]];
-      f_trans[i] = f.is_transition() ? 1 : 0;
-      f_init[i] = f.stuck_at ? V3::k1 : V3::k0;
-      f_line[i] = launch_line(c_, f);
-    }
-    good_launch.assign(seq.size(), std::vector<V3>(fault_indices.size()));
-  }
-
-  // Good machine: a copy of the session machine, run once.
-  sim::SequenceSimulator good = good_;
-  good.reset_gate_evals();
-  const auto pos = c_.primary_outputs();
-  std::vector<std::vector<V3>> good_po(seq.size(), std::vector<V3>(pos.size()));
-  for (std::size_t t = 0; t < seq.size(); ++t) {
-    good.apply_vector(seq[t]);
-    for (std::size_t p = 0; p < pos.size(); ++p) {
-      good_po[t][p] = good.scalar_value(pos[p]);
-    }
-    if (any_transition_) {
-      for (std::size_t i = 0; i < fault_indices.size(); ++i) {
-        good_launch[t][i] = good.scalar_value(f_line[i]);
-      }
-    }
-    good.clock();
-  }
-  const State3 good_final = good.state();
-  stats_.frames += seq.size();
-  stats_.good_gate_evals += good.gate_evals();
-
-  const std::size_t nff = c_.flip_flops().size();
-  const auto pis = c_.primary_inputs();
-  std::vector<std::vector<std::uint64_t>> seq1(seq.size());
-  std::vector<std::vector<std::uint64_t>> seq0(seq.size());
-  for (std::size_t t = 0; t < seq.size(); ++t) {
-    seq1[t].resize(pis.size() * nw);
-    seq0[t].resize(pis.size() * nw);
-    for (std::size_t p = 0; p < pis.size(); ++p) {
-      broadcast_rows(seq1[t].data() + p * nw, seq0[t].data() + p * nw, nw,
-                     seq[t][p]);
-    }
-  }
-
-  const std::size_t group_slots = std::size_t{64} * nw;
-  const std::size_t n_groups =
-      (fault_indices.size() + group_slots - 1) / group_slots;
-  std::vector<WhatIf> per_group(n_groups);
-  const unsigned lanes =
-      util::max_lanes(config_.parallel, fault_indices.size(), group_slots);
-  ensure_lanes(lanes);
-
-  util::parallel_for_chunks(
-      config_.parallel, fault_indices.size(), group_slots,
-      [&](std::size_t g, std::size_t begin, std::size_t end, unsigned lane) {
-        Lane& scratch = lanes_[lane];
-        if (!scratch.wide || scratch.wide->words() != nw) {
-          scratch.wide = std::make_unique<sim::WideSimulator>(c_, nw);
-        }
-        sim::WideSimulator& machine = *scratch.wide;
-        const std::size_t count = end - begin;
-
-        machine.clear_overrides();
-        machine.reset();
-        for (std::size_t s = 0; s < count; ++s) {
-          const Fault& f = faults_[fault_indices[begin + s]];
-          WideMask mask;
-          mask.set(static_cast<unsigned>(s));
-          if (f.pin == kOutputPin) {
-            machine.add_output_override(f.node, f.stuck_at, mask);
-          } else {
-            machine.add_input_override(f.node, static_cast<unsigned>(f.pin),
-                                       f.stuck_at, mask);
-          }
-        }
-        // Transition slots held inactive during the state load; the frame
-        // loop installs the real per-frame activity (cf. run_full_sweep).
-        WideMask trans_mask;
-        WideMask full_act;
-        std::vector<V3> lprev;
-        bool group_trans = false;
-        if (any_transition_) {
-          for (std::size_t s = 0; s < count; ++s) {
-            if (f_trans[begin + s]) {
-              trans_mask.set(static_cast<unsigned>(s));
-              group_trans = true;
-            }
-          }
-          if (group_trans) {
-            lprev.resize(count);
-            for (std::size_t s = 0; s < count; ++s) {
-              lprev[s] = launch_prev_[fault_indices[begin + s]];
-            }
-            full_act = WideMask::ones(nw, static_cast<std::size_t>(nw) * 64);
-            WideMask load_act = full_act;
-            load_act.remove(trans_mask);
-            machine.set_override_activity(load_act);
-            machine.set_latch_override_activity(load_act);
-          }
-        }
-        std::uint64_t r1[sim::kMaxWideWords];
-        std::uint64_t r0[sim::kMaxWideWords];
-        for (std::size_t ff = 0; ff < nff; ++ff) {
-          broadcast_rows(r1, r0, nw, V3::kX);
-          for (std::size_t s = 0; s < count; ++s) {
-            set_row_slot(r1, r0, static_cast<unsigned>(s),
-                         faulty_state_[fault_indices[begin + s]][ff]);
-          }
-          machine.set_ff_rows(ff, r1, r0);
-        }
-
-        scratch.stats.group_vectors += seq.size();
-        const WideMask live_all = WideMask::ones(nw, count);
-        WideMask detected_mask;
-        for (std::size_t t = 0; t < seq.size(); ++t) {
-          if (group_trans) {
-            WideMask act = full_act;
-            WideMask act_next = full_act;
-            for (std::size_t s = 0; s < count; ++s) {
-              if (!f_trans[begin + s]) continue;
-              if (lprev[s] != f_init[begin + s]) {
-                act.clear(static_cast<unsigned>(s));
-              }
-              const V3 nl = good_launch[t][begin + s];
-              if (nl != f_init[begin + s]) {
-                act_next.clear(static_cast<unsigned>(s));
-              }
-              lprev[s] = nl;
-            }
-            machine.set_override_activity(act);
-            machine.set_latch_override_activity(act_next);
-          }
-          machine.apply_wide(seq1[t], seq0[t]);
-          for (std::size_t p = 0; p < pos.size(); ++p) {
-            const V3 good_value = good_po[t][p];
-            if (good_value == V3::kX) continue;
-            const std::uint64_t* row = good_value == V3::k1
-                                           ? machine.row0(pos[p])
-                                           : machine.row1(pos[p]);
-            for (unsigned w = 0; w < nw; ++w) detected_mask.w[w] |= row[w];
-          }
-          machine.clock();
-        }
-        detected_mask &= live_all;
-        per_group[g].detected = detected_mask.popcount();
-
-        // Fault effects parked in the state at sequence end (undetected
-        // slots whose faulty flip-flop value is defined and differs from
-        // the good machine's).
-        WideMask effect_mask;
-        for (std::size_t ff = 0; ff < nff; ++ff) {
-          const V3 g_v = good_final[ff];
-          if (g_v == V3::kX) continue;
-          const std::uint64_t* row = g_v == V3::k1
-                                         ? machine.row0(c_.flip_flops()[ff])
-                                         : machine.row1(c_.flip_flops()[ff]);
-          for (unsigned w = 0; w < nw; ++w) effect_mask.w[w] |= row[w];
-        }
-        effect_mask &= live_all;
-        effect_mask.remove(detected_mask);
-        per_group[g].state_effects = effect_mask.popcount();
       });
 
   drain_lane_stats(lanes);

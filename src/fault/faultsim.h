@@ -44,7 +44,6 @@
 
 #include "fault/fault.h"
 #include "sim/seqsim.h"
-#include "sim/widesim.h"
 #include "util/parallel.h"
 
 namespace gatpg::fault {
@@ -62,15 +61,6 @@ struct FaultSimConfig {
   /// out of the dense 64-slot groups at every boundary.  Also bounds the
   /// good-frame recording memory (window × nodes × 16 bytes).
   unsigned window = 32;
-  /// Group width in 64-bit machine words: each fault group packs 64·width
-  /// faults into one simulation machine.  1 (the default) is the legacy
-  /// SequenceSimulator path, retained verbatim as the golden reference;
-  /// 2..sim::kMaxWideWords route the sweeps through the SIMD-wide
-  /// WideSimulator with the structure-of-arrays layout.  Detections (sets
-  /// *and* order), persisted flip-flop state, and what-if results are
-  /// bit-identical at every width and thread count; only the cost counters
-  /// that depend on grouping (gate_evals, group_vectors, skips) differ.
-  unsigned width = 1;
 };
 
 /// Cost and effectiveness counters, accumulated across run()/what_if()
@@ -213,14 +203,10 @@ class FaultSimulator {
   };
 
   /// Per-lane scratch: the group machine plus packed state and counters,
-  /// owned exclusively by one lane of the worker pool during a sweep.  The
-  /// wide machine and its flip-flop plane rows exist only at width > 1.
+  /// owned exclusively by one lane of the worker pool during a sweep.
   struct Lane {
     std::unique_ptr<sim::SequenceSimulator> machine;
     std::vector<sim::PackedV3> ff;  ///< per-slot faulty present state
-    std::unique_ptr<sim::WideSimulator> wide;
-    std::vector<std::uint64_t> wff1;  ///< wide present state, plane 1 rows
-    std::vector<std::uint64_t> wff0;  ///< wide present state, plane 0 rows
     SimStats stats;
   };
 
@@ -247,9 +233,6 @@ class FaultSimulator {
   std::vector<std::size_t> run_full_sweep(const sim::Sequence& seq);
   WhatIf what_if_full_sweep(std::span<const std::size_t> fault_indices,
                             const sim::Sequence& seq) const;
-  std::vector<std::size_t> run_full_sweep_wide(const sim::Sequence& seq);
-  WhatIf what_if_full_sweep_wide(std::span<const std::size_t> fault_indices,
-                                 const sim::Sequence& seq) const;
 
   /// The input sequence broadcast into packed form once per call (shared
   /// read-only by every fault group of the full-sweep engine).

@@ -32,8 +32,9 @@ namespace gatpg::serialize {
 /// change; readers reject other versions outright (snapshots are
 /// short-lived checkpoint artifacts, not a long-term interchange format).
 /// Version history: 1 = original session snapshot; 2 = fault-model axis
-/// (IDNT carries the session's FaultUniverse).
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// (IDNT carries the session's FaultUniverse); 3 = IDNT drops the fault-sim
+/// group width.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Any structural problem with an archive: bad magic/version/sentinel,
 /// digest mismatch, truncation, section tag/length mismatch, or a

@@ -4,7 +4,7 @@
 // Snapshot layout (inside the serialize::Archive payload):
 //
 //   IDNT  circuit name + structural signature, fault-list identity digest,
-//         fault-sim engine shape (differential/window/width), engine name
+//         fault-sim engine shape (differential/window), engine name
 //   FMGR  FaultManager (statuses, aborted flags, counters, pass cursor)
 //   TSET  TestSetBuilder (committed segments; flat set rebuilt on load)
 //   STOR  StateStore (all four caches + stamps + stats, config-checked)
@@ -123,7 +123,6 @@ void Session::checkpoint(const std::string& path) const {
   w.u64(fault::identity_digest(faults_.list()));
   w.boolean(config_.faultsim.differential);
   w.u32(config_.faultsim.window);
-  w.u32(config_.faultsim.width);
   w.str(running_engine_ ? running_engine_->name() : "");
   w.end_section();
 
@@ -183,7 +182,6 @@ void Session::resume(const std::string& path, Engine& engine) {
   const std::uint64_t fault_identity = r.u64();
   const bool differential = r.boolean();
   const std::uint32_t window = r.u32();
-  const std::uint32_t width = r.u32();
   const std::string engine_name = r.str();
   r.leave_section();
   if (circuit_name != c_.name() || signature != circuit_signature(c_)) {
@@ -205,10 +203,10 @@ void Session::resume(const std::string& path, Engine& engine) {
   // but the engine shape must match or the replayed SimStats and grouping
   // counters would diverge from the uninterrupted run.
   if (differential != config_.faultsim.differential ||
-      window != config_.faultsim.window || width != config_.faultsim.width) {
+      window != config_.faultsim.window) {
     throw serialize::SnapshotError(
-        "snapshot fault-sim engine shape (differential/window/width) "
-        "differs from this session's config");
+        "snapshot fault-sim engine shape (differential/window) differs from "
+        "this session's config");
   }
   if (engine_name != engine.name()) {
     throw serialize::SnapshotError("snapshot engine '" + engine_name +

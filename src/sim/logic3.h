@@ -1,14 +1,11 @@
-// Three-valued (0/1/X) logic: scalar, 64-way bit-parallel, and width-generic
-// N-word groups.
+// Three-valued (0/1/X) logic: scalar and 64-way bit-parallel.
 //
 // Packed encoding follows the paper (two machine words per node): bit i of
 // plane `v1` is set when slot i carries logic 1, bit i of plane `v0` when it
 // carries logic 0, and neither for X.  (v1 & v0) != 0 is invalid by
 // construction.  The paper used 32-bit words; we use 64-bit words, so 64
 // candidate sequences (GA fitness) or 64 faults (fault simulation) are
-// evaluated per pass.  WideV3<W> generalizes the encoding to W words per
-// plane (64·W slots per group; W = 1 is exactly PackedV3) — the value type
-// of the SIMD-wide simulation kernels (sim/wide.h, sim/widesim.h).
+// evaluated per pass.
 #pragma once
 
 #include <array>
@@ -103,89 +100,6 @@ inline constexpr PackedV3 p_or(PackedV3 a, PackedV3 b) {
 
 inline constexpr PackedV3 p_xor(PackedV3 a, PackedV3 b) {
   return {(a.v1 & b.v0) | (a.v0 & b.v1), (a.v1 & b.v1) | (a.v0 & b.v0)};
-}
-
-// -- Width-generic packed groups ---------------------------------------------
-
-/// Largest supported group width in 64-bit words per plane (512 slots).
-inline constexpr unsigned kMaxWideWords = 8;
-
-/// 64·W ternary values packed in two planes of W machine words each.
-/// WideV3<1> carries exactly the PackedV3 encoding; the wide simulators use
-/// flat structure-of-arrays plane buffers instead of arrays of WideV3, but
-/// this type is the value view for per-group get/set/broadcast and the unit
-/// the scalar kernels are unrolled over.
-template <unsigned W>
-struct WideV3 {
-  static_assert(W >= 1 && W <= kMaxWideWords);
-  std::array<std::uint64_t, W> v1{};
-  std::array<std::uint64_t, W> v0{};
-
-  static constexpr unsigned slots() { return 64 * W; }
-  static constexpr WideV3 all_x() { return {}; }
-  static constexpr WideV3 broadcast(V3 v) {
-    WideV3 r;
-    for (unsigned w = 0; w < W; ++w) {
-      r.v1[w] = v == V3::k1 ? ~0ULL : 0;
-      r.v0[w] = v == V3::k0 ? ~0ULL : 0;
-    }
-    return r;
-  }
-
-  V3 get(unsigned slot) const {
-    const std::uint64_t m = 1ULL << (slot & 63);
-    if (v1[slot >> 6] & m) return V3::k1;
-    if (v0[slot >> 6] & m) return V3::k0;
-    return V3::kX;
-  }
-
-  void set(unsigned slot, V3 v) {
-    const std::uint64_t m = 1ULL << (slot & 63);
-    v1[slot >> 6] &= ~m;
-    v0[slot >> 6] &= ~m;
-    if (v == V3::k1) {
-      v1[slot >> 6] |= m;
-    } else if (v == V3::k0) {
-      v0[slot >> 6] |= m;
-    }
-  }
-
-  friend constexpr bool operator==(const WideV3&, const WideV3&) = default;
-};
-
-template <unsigned W>
-constexpr WideV3<W> w_not(const WideV3<W>& a) {
-  return {a.v0, a.v1};
-}
-
-template <unsigned W>
-constexpr WideV3<W> w_and(const WideV3<W>& a, const WideV3<W>& b) {
-  WideV3<W> r;
-  for (unsigned w = 0; w < W; ++w) {
-    r.v1[w] = a.v1[w] & b.v1[w];
-    r.v0[w] = a.v0[w] | b.v0[w];
-  }
-  return r;
-}
-
-template <unsigned W>
-constexpr WideV3<W> w_or(const WideV3<W>& a, const WideV3<W>& b) {
-  WideV3<W> r;
-  for (unsigned w = 0; w < W; ++w) {
-    r.v1[w] = a.v1[w] | b.v1[w];
-    r.v0[w] = a.v0[w] & b.v0[w];
-  }
-  return r;
-}
-
-template <unsigned W>
-constexpr WideV3<W> w_xor(const WideV3<W>& a, const WideV3<W>& b) {
-  WideV3<W> r;
-  for (unsigned w = 0; w < W; ++w) {
-    r.v1[w] = (a.v1[w] & b.v0[w]) | (a.v0[w] & b.v1[w]);
-    r.v0[w] = (a.v1[w] & b.v1[w]) | (a.v0[w] & b.v0[w]);
-  }
-  return r;
 }
 
 // -- Branchless per-type gate kernels (64-bit path) --------------------------

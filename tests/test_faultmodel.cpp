@@ -243,12 +243,11 @@ INSTANTIATE_TEST_SUITE_P(RandomCircuits, TransitionCollapseEquivalence,
                          ::testing::Range<std::uint64_t>(1, 7));
 
 // ---------------------------------------------------------------------------
-// The transition fault simulator vs the naive reference, across engines,
-// widths, and thread counts, with persistent state over multiple run()s.
+// The transition fault simulator vs the naive reference, across engines and
+// thread counts, with persistent state over multiple run()s.
 
 struct SimShape {
   bool differential;
-  unsigned width;
   unsigned threads;
 };
 
@@ -273,15 +272,12 @@ TEST_P(TransitionSimEquivalence, MatchesTwoFrameReference) {
     expected[i] = test::reference_detects(c, faults[i], all);
   }
 
-  const SimShape shapes[] = {
-      {true, 1, 1}, {true, 2, 1}, {true, 1, 4}, {false, 1, 1}, {false, 4, 1}};
+  const SimShape shapes[] = {{true, 1}, {true, 4}, {false, 1}};
   for (const SimShape& shape : shapes) {
     SCOPED_TRACE(std::string(shape.differential ? "diff" : "sweep") +
-                 " width " + std::to_string(shape.width) + " threads " +
-                 std::to_string(shape.threads));
+                 " threads " + std::to_string(shape.threads));
     FaultSimConfig cfg;
     cfg.differential = shape.differential;
-    cfg.width = shape.width;
     cfg.parallel.threads = shape.threads;
     FaultSimulator fs(c, faults, cfg);
     fs.run(seq1);
@@ -333,33 +329,28 @@ TEST(TransitionSim, WhatIfPathsAgreeWithCommit) {
   // run() must all agree mid-session.
   const auto c = gen::make_s27();
   const auto faults = collapse(c, FaultUniverse::kTransition).faults;
-  for (const unsigned width : {1u, 2u}) {
-    SCOPED_TRACE("width " + std::to_string(width));
-    FaultSimConfig cfg;
-    cfg.width = width;
-    FaultSimulator fs(c, faults, cfg);
-    util::Rng rng(43);
-    fs.run(test::random_sequence(c, rng, 4));
+  FaultSimulator fs(c, faults);
+  util::Rng rng(43);
+  fs.run(test::random_sequence(c, rng, 4));
 
-    const auto probe = test::random_sequence(c, rng, 8);
-    std::vector<bool> predicted(faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (fs.detected()[i]) {
-        predicted[i] = true;
-        continue;
-      }
-      predicted[i] = fs.would_detect(i, probe);
-      EXPECT_EQ(predicted[i],
-                FaultSimulator::would_detect_from(
-                    c, fs.good_machine(), fs.fault_state(i), faults[i], probe,
-                    fs.launch_prev(i)))
-          << to_string(c, faults[i]);
+  const auto probe = test::random_sequence(c, rng, 8);
+  std::vector<bool> predicted(faults.size());
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (fs.detected()[i]) {
+      predicted[i] = true;
+      continue;
     }
-    fs.run(probe);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      EXPECT_EQ(static_cast<bool>(fs.detected()[i]), predicted[i])
-          << to_string(c, faults[i]);
-    }
+    predicted[i] = fs.would_detect(i, probe);
+    EXPECT_EQ(predicted[i],
+              FaultSimulator::would_detect_from(
+                  c, fs.good_machine(), fs.fault_state(i), faults[i], probe,
+                  fs.launch_prev(i)))
+        << to_string(c, faults[i]);
+  }
+  fs.run(probe);
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    EXPECT_EQ(static_cast<bool>(fs.detected()[i]), predicted[i])
+        << to_string(c, faults[i]);
   }
 }
 

@@ -5,15 +5,20 @@
 // reference engine: same detections, same detection *order*, same persisted
 // faulty flip-flop states, same good-machine state — across randomized
 // circuits, random (including partially-X) sequences, multi-run sessions,
-// any window size, and any thread count.
+// any window size, and any thread count (the thread-count check also runs
+// on every registry circuit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "fault/faultlist.h"
 #include "fault/faultsim.h"
+#include "gen/registry.h"
 #include "helpers/random_circuit.h"
 
 namespace {
@@ -95,6 +100,28 @@ TEST(FaultSimDiff, ThreadCountIndependent) {
     const auto faults = fault::collapse(c).faults;
     expect_sessions_match(c, faults, session_chunks(c, spec.seed),
                           make_config(true, 1), make_config(true, 4));
+  }
+  // Every registry circuit, in one bounded session each: a fault sample of
+  // at most 97 (deliberately not a multiple of 64, so the last group's slot
+  // mask is partial), stride-spread across the circuit, over a short
+  // mixed-X sequence.
+  for (const std::string& name : gen::registry_names()) {
+    SCOPED_TRACE("circuit " + name);
+    const auto c = gen::make_circuit(name);
+    const auto all = fault::collapse(c).faults;
+    const std::size_t target = std::min<std::size_t>(all.size(), 97);
+    const std::size_t stride = std::max<std::size_t>(all.size() / target, 1);
+    std::vector<fault::Fault> faults;
+    for (std::size_t i = 0; i < all.size() && faults.size() < target;
+         i += stride) {
+      faults.push_back(all[i]);
+    }
+    util::Rng rng(std::hash<std::string>{}(name));
+    const std::vector<sim::Sequence> chunks = {
+        test::random_sequence(c, rng, 8, 0.0),
+        test::random_sequence(c, rng, 6, 0.2)};
+    expect_sessions_match(c, faults, chunks, make_config(true, 4),
+                          make_config(true, 1));
   }
 }
 

@@ -10,16 +10,6 @@
 namespace gatpg::hybrid {
 namespace {
 
-HybridConfig fast_config(std::uint64_t seed = 1) {
-  HybridConfig cfg;
-  cfg.schedule = PassSchedule::ga_hitec(/*time_scale=*/0.05);
-  // Keep CI time bounded: large analog circuits would otherwise spend the
-  // full per-fault budget on every aborted fault.
-  for (auto& pass : cfg.schedule.passes) pass.pass_budget_s = 2.0;
-  cfg.seed = seed;
-  return cfg;
-}
-
 /// GA, GA, deterministic with no wall-clock limit: per-fault effort is
 /// bounded by forward solutions, GA generations and backtrack limits alone,
 /// so the run time and the result depend only on (circuit, config, seed).
@@ -44,6 +34,16 @@ HybridConfig bounded_ga_config(std::uint64_t seed = 1) {
   pass.mode = JustifyMode::kDeterministic;
   pass.max_backtracks = 500;
   cfg.schedule.passes.push_back(pass);
+  return cfg;
+}
+
+/// bounded_ga_config with every pass deterministic (the HITEC baseline
+/// shape), so the GA is never called.
+HybridConfig bounded_hitec_config() {
+  HybridConfig cfg = bounded_ga_config();
+  for (auto& pass : cfg.schedule.passes) {
+    pass.mode = JustifyMode::kDeterministic;
+  }
   return cfg;
 }
 
@@ -76,7 +76,7 @@ TEST(PassSchedule, HitecBaselineEscalatesTimesAndBacktracks) {
 
 TEST(HybridAtpg, FullCoverageOnS27) {
   const auto c = gen::make_s27();
-  HybridAtpg atpg(c, fast_config());
+  HybridAtpg atpg(c, bounded_ga_config());
   const AtpgResult result = atpg.run();
   EXPECT_EQ(result.total_faults, 32u);
   EXPECT_EQ(result.detected() + result.untestable(), 32u);
@@ -100,9 +100,7 @@ TEST(HybridAtpg, GradingNeverBelowClaimedDetections) {
 
 TEST(HybridAtpg, PassOutcomesAreCumulative) {
   const auto c = gen::make_circuit("g386");
-  HybridConfig cfg = fast_config();
-  cfg.schedule = PassSchedule::ga_hitec(0.01);
-  const AtpgResult result = HybridAtpg(c, cfg).run();
+  const AtpgResult result = HybridAtpg(c, bounded_ga_config()).run();
   ASSERT_EQ(result.passes.size(), 3u);
   for (std::size_t p = 1; p < result.passes.size(); ++p) {
     EXPECT_GE(result.passes[p].detected, result.passes[p - 1].detected);
@@ -114,7 +112,7 @@ TEST(HybridAtpg, PassOutcomesAreCumulative) {
 
 TEST(HybridAtpg, FaultStatesPartitionTheList) {
   const auto c = gen::make_s27();
-  const AtpgResult result = HybridAtpg(c, fast_config()).run();
+  const AtpgResult result = HybridAtpg(c, bounded_ga_config()).run();
   std::size_t det = 0, unt = 0, und = 0;
   for (FaultState s : result.fault_state) {
     det += s == FaultState::kDetected;
@@ -139,8 +137,9 @@ TEST(HybridAtpg, UntestableClaimsHoldOnSmallCircuits) {
   b.mark_output(b.add_gate(netlist::GateType::kAnd, "z", {ff, y}));
   const auto c = std::move(b).build("red_seq");
 
-  const AtpgResult result = HybridAtpg(c, fast_config()).run();
-  const auto& faults = HybridAtpg(c, fast_config()).fault_list().faults;
+  HybridAtpg atpg(c, bounded_ga_config());
+  const AtpgResult result = atpg.run();
+  const auto& faults = atpg.fault_list().faults;
   for (std::size_t i = 0; i < result.fault_state.size(); ++i) {
     if (result.fault_state[i] == FaultState::kUntestable) {
       const auto truth = test::exhaustively_detectable(c, faults[i]);
@@ -154,17 +153,15 @@ TEST(HybridAtpg, UntestableClaimsHoldOnSmallCircuits) {
 
 TEST(HybridAtpg, DeterministicForSameSeed) {
   const auto c = gen::make_s27();
-  const AtpgResult a = HybridAtpg(c, fast_config(7)).run();
-  const AtpgResult b = HybridAtpg(c, fast_config(7)).run();
+  const AtpgResult a = HybridAtpg(c, bounded_ga_config(7)).run();
+  const AtpgResult b = HybridAtpg(c, bounded_ga_config(7)).run();
   EXPECT_EQ(a.detected(), b.detected());
   EXPECT_EQ(a.test_set, b.test_set);
 }
 
 TEST(HybridAtpg, HitecModeAlsoCoversS27) {
   const auto c = gen::make_s27();
-  HybridConfig cfg = fast_config();
-  cfg.schedule = PassSchedule::hitec(0.05);
-  const AtpgResult result = HybridAtpg(c, cfg).run();
+  const AtpgResult result = HybridAtpg(c, bounded_hitec_config()).run();
   EXPECT_EQ(result.detected(), 32u);
   EXPECT_EQ(fault::grade_sequence(c, result.test_set).detected, 32u);
   // Pure deterministic mode never calls the GA.
@@ -198,7 +195,7 @@ TEST(HybridAtpg, PrefilterOnlyRemovesUntestables) {
 TEST(HybridAtpg, SequenceLengthFollowsSchedule) {
   // seq_len_override wins over the depth multiplier (Table III note).
   const auto c = gen::make_s27();
-  HybridConfig cfg = fast_config();
+  HybridConfig cfg = bounded_ga_config();
   cfg.schedule.passes[0].seq_len_override = 24;
   cfg.schedule.passes[1].seq_len_override = 48;
   EXPECT_NO_THROW(HybridAtpg(c, cfg).run());

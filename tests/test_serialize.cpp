@@ -116,6 +116,20 @@ TEST(Archive, HeaderAndDigestValidation) {
     EXPECT_THROW(serialize::Reader{bad}, serialize::SnapshotError)
         << "corruption at byte " << at << " was not rejected";
   }
+
+  // An archive from the previous format version fails at the header, with
+  // the version named (version 2 still carried the fault-sim group width in
+  // IDNT, which this build would otherwise mis-decode).
+  std::vector<std::uint8_t> v2 = good;
+  v2[8] = 2;
+  v2[9] = v2[10] = v2[11] = 0;
+  try {
+    serialize::Reader{v2};
+    ADD_FAILURE() << "a version-2 archive was not rejected";
+  } catch (const serialize::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Archive, HugeLengthIsRejectedNotWrapped) {

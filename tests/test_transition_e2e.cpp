@@ -2,8 +2,8 @@
 // circuit, a backtrack-bounded hybrid run over the transition universe must
 // detect faults and be bit-identical — tests, segments, fault statuses,
 // every counter, all three digests, and the per-target observer stream —
-// across fault-sim thread count, targeting lane count, SIMD group width,
-// and the differential/full-sweep engine choice.  Also covers mid-pass
+// across fault-sim thread count, targeting lane count, and the
+// differential/full-sweep engine choice.  Also covers mid-pass
 // kill-and-resume, the snapshot fault-model identity check, worker-count
 // invariance of sharded transition jobs, and the daemon's fault_model= key.
 #include <gtest/gtest.h>
@@ -197,14 +197,6 @@ TEST(TransitionAtpg, DetectsAndInvariantAcrossExecutionShapes) {
       SCOPED_TRACE("targeting lanes 4");
       hybrid::HybridConfig cfg = transition_config();
       cfg.target_parallel.lanes = 4;
-      const RunOutput got = run_once(c, faults, cfg);
-      expect_identical(ref.result, got.result);
-      expect_trace_equal(ref.trace, got.trace);
-    }
-    {
-      SCOPED_TRACE("simd width 4");
-      hybrid::HybridConfig cfg = transition_config();
-      cfg.faultsim.width = 4;
       const RunOutput got = run_once(c, faults, cfg);
       expect_identical(ref.result, got.result);
       expect_trace_equal(ref.trace, got.trace);

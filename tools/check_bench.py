@@ -153,8 +153,7 @@ BENCH_SPECS = {
         "args": ("seed", "backtracks", "cap"),
         "invariants": {
             "consistent_across_configs":
-                "a fault-sim thread-count or SIMD-width variant diverged "
-                "from the base run",
+                "a fault-sim thread-count variant diverged",
             "stuck_at_matches_default":
                 "the fault-model axis is no longer invisible to default "
                 "(stuck-at) configurations",
