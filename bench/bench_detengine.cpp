@@ -1,27 +1,15 @@
-// Deterministic per-fault engine storage/implication bench (the tentpole
-// metric of the FrameModel rework): for each circuit a sample of collapsed
-// faults is driven through ForwardEngine::next_solution (plus the
-// required_state minimization of every solved fault) under three
-// configurations with identical limits and an unlimited deadline, so all
-// modes perform exactly the same search:
-//
-//   oblivious  — full re-simulation reference, legacy nested-vector layout
-//   legacy     — incremental implication, legacy nested-vector layout,
-//                one FrameModel construction per fault (the pre-rework
-//                production configuration)
-//   flat       — incremental implication, flat composite-byte layout, with
-//                a shared FrameModelPool so per-fault models are
-//                reset-and-reused (the current production configuration)
+// Deterministic per-fault engine bench: for each circuit a sample of
+// collapsed faults is driven through ForwardEngine::next_solution (plus the
+// required_state minimization of every solved fault) with a shared
+// FrameModelPool, so per-fault models are reset-and-reused, and an
+// unlimited deadline, so the search clips only on the backtrack budget.
 //
 // Emits BENCH_detengine.json with wall-clock, decisions/sec, gate-eval and
-// event counts per mode, the gate-evals-per-decision reduction of the
-// incremental engine, the flat-vs-legacy wall-clock speedup, and the pool's
-// construction/acquire tallies (constructions ≪ acquires proves reuse).
-// Verifies on the way that per-fault status, decision and backtrack counts,
-// vectors, and minimized required states are bit-identical across all three
-// modes and that the deterministic counters (gate_evals, events) of the
-// flat layout exactly match the legacy layout; exit status is nonzero on
-// any mismatch.
+// event counts, and the pool's construction/acquire tallies
+// (constructions ≪ acquires proves reuse).  Every counter except wall time
+// is a deterministic function of (circuit, fault sample, limits), so the
+// threshold check (tools/check_bench.py --bench detengine) pins them
+// exactly against the committed snapshot.
 //
 // A second phase benches speculative parallel fault targeting (DESIGN.md
 // §4j): each circuit runs a backtrack-bounded hybrid session serially and
@@ -60,33 +48,11 @@ namespace {
 
 using namespace gatpg;
 
-struct ModeSpec {
-  const char* key;  // JSON/report identifier
-  bool incremental;
-  bool flat;
-  bool pooled;
-};
-
-constexpr ModeSpec kModes[] = {
-    {"oblivious", false, false, false},
-    {"incremental-legacy", true, false, false},
-    {"incremental-flat-pooled", true, true, true},
-};
-constexpr std::size_t kModeCount = sizeof(kModes) / sizeof(kModes[0]);
-
-struct FaultResult {
-  atpg::ForwardStatus status = atpg::ForwardStatus::kAborted;
-  unsigned solutions = 0;
-  long decisions = 0;
-  long backtracks = 0;
-  std::vector<sim::Sequence> vectors;
-  std::vector<sim::State3> states;
-
-  bool operator==(const FaultResult&) const = default;
-};
+// Row key of the single engine row per circuit; the committed snapshot's
+// rows are matched by it.
+constexpr const char* kEngineKey = "incremental-flat-pooled";
 
 struct Sample {
-  const ModeSpec* mode = nullptr;
   double wall_s = 0.0;
   long decisions = 0;
   long backtracks = 0;
@@ -94,7 +60,6 @@ struct Sample {
   long events = 0;
   std::size_t solved = 0;
   std::size_t untestable = 0;
-  // Pool tallies (pooled mode only; zero otherwise).
   std::size_t model_builds = 0;
   std::size_t model_acquires = 0;
 
@@ -113,62 +78,34 @@ struct CircuitResult {
   std::string name;
   std::size_t faults = 0;
   std::size_t sampled = 0;
-  Sample samples[kModeCount];
-  bool identical = true;
-
-  const Sample& oblivious() const { return samples[0]; }
-  const Sample& legacy() const { return samples[1]; }
-  const Sample& flat() const { return samples[2]; }
-
-  double eval_reduction() const {
-    return legacy().gate_evals > 0
-               ? static_cast<double>(oblivious().gate_evals) /
-                     static_cast<double>(legacy().gate_evals)
-               : 0.0;
-  }
-  /// Wall-clock speedup of the reworked layout+pool over the pre-rework
-  /// incremental configuration (same implication engine, same search).
-  double flat_speedup() const {
-    return flat().wall_s > 0 ? legacy().wall_s / flat().wall_s : 0.0;
-  }
-  /// The flat layout must not change what the engine computes: its
-  /// deterministic effort counters match the legacy layout exactly.
-  bool counters_unchanged() const {
-    return legacy().gate_evals == flat().gate_evals &&
-           legacy().events == flat().events &&
-           legacy().decisions == flat().decisions &&
-           legacy().backtracks == flat().backtracks;
-  }
+  Sample sample;
 };
 
 /// Runs one fault to completion (bounded by the backtrack budget and the
-/// per-fault solution cap) and records everything the identity check
-/// compares.  The unlimited deadline keeps the search deterministic: all
-/// modes clip on exactly the same backtrack count, never on wall clock.
-FaultResult run_fault(const netlist::Circuit& c, const fault::Fault& f,
-                      const atpg::SearchLimits& limits,
-                      const atpg::ObsDistances& obs, unsigned max_solutions,
-                      atpg::FrameModelPool* pool, Sample& sample) {
-  FaultResult r;
+/// per-fault solution cap) and adds its effort to `sample`.  The unlimited
+/// deadline keeps the search deterministic: it clips on exactly the same
+/// backtrack count every run, never on wall clock.
+void run_fault(const netlist::Circuit& c, const fault::Fault& f,
+               const atpg::SearchLimits& limits,
+               const atpg::ObsDistances& obs, unsigned max_solutions,
+               atpg::FrameModelPool* pool, Sample& sample) {
   atpg::ForwardEngine engine(c, f, limits, obs, pool);
   const auto deadline = util::Deadline::unlimited();
+  atpg::ForwardStatus status = atpg::ForwardStatus::kAborted;
+  unsigned solutions = 0;
   for (unsigned s = 0; s < max_solutions; ++s) {
-    r.status = engine.next_solution(deadline);
-    if (r.status != atpg::ForwardStatus::kSolved) break;
-    ++r.solutions;
-    r.vectors.push_back(engine.vectors());
-    r.states.push_back(engine.required_state());
+    status = engine.next_solution(deadline);
+    if (status != atpg::ForwardStatus::kSolved) break;
+    ++solutions;
+    (void)engine.required_state();
   }
   const atpg::SearchStats& st = engine.stats();
-  r.decisions = st.decisions;
-  r.backtracks = st.backtracks;
   sample.decisions += st.decisions;
   sample.backtracks += st.backtracks;
   sample.gate_evals += st.gate_evals;
   sample.events += st.events;
-  if (r.solutions > 0) ++sample.solved;
-  if (r.status == atpg::ForwardStatus::kUntestable) ++sample.untestable;
-  return r;
+  if (solutions > 0) ++sample.solved;
+  if (status == atpg::ForwardStatus::kUntestable) ++sample.untestable;
 }
 
 // ---------------------------------------------------------------------------
@@ -249,20 +186,6 @@ bool targeting_identical(const session::SessionResult& a,
          a.counters.det_gate_evals == b.counters.det_gate_evals;
 }
 
-const char* status_name(atpg::ForwardStatus s) {
-  switch (s) {
-    case atpg::ForwardStatus::kSolved:
-      return "solved";
-    case atpg::ForwardStatus::kUntestable:
-      return "untestable";
-    case atpg::ForwardStatus::kExhausted:
-      return "exhausted";
-    case atpg::ForwardStatus::kAborted:
-      return "aborted";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -293,16 +216,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "Deterministic-engine implication/storage bench "
+      "Deterministic-engine bench "
       "(max_faults=%zu, backtracks=%ld, solutions=%u, repeat=%d)\n\n",
       max_faults, backtracks, max_solutions, repeat);
 
-  bool consistent = true;
-  bool counters_ok = true;
-  long obl_evals_total = 0;
-  long inc_evals_total = 0;
-  double legacy_wall_total = 0.0;
-  double flat_wall_total = 0.0;
   std::vector<CircuitResult> results;
   for (const std::string& name : names) {
     const auto c = gen::make_circuit(name);
@@ -324,102 +241,36 @@ int main(int argc, char** argv) {
     atpg::SearchLimits limits;
     limits.max_backtracks = backtracks;
 
-    std::vector<FaultResult> reference;
-    for (std::size_t m = 0; m < kModeCount; ++m) {
-      const ModeSpec& mode = kModes[m];
-      limits.incremental_model = mode.incremental;
-      limits.flat_model = mode.flat;
-      Sample& sample = cr.samples[m];
-      sample.mode = &mode;
-      // Min across repeats: the noise-robust estimator (scheduler
-      // interference only ever adds time).
-      double wall = 0.0;
-      for (int rep = 0; rep < repeat; ++rep) {
-        Sample scratch;  // only the last repeat's counters are kept
-        std::vector<FaultResult> run;
-        run.reserve(picks.size());
-        // A fresh pool per repeat keeps the tallies comparable run-to-run.
-        atpg::FrameModelPool pool(c);
-        atpg::FrameModelPool* pool_ptr = mode.pooled ? &pool : nullptr;
-        const util::Stopwatch sw;
-        for (const std::size_t i : picks) {
-          run.push_back(run_fault(c, faults[i], limits, obs, max_solutions,
-                                  pool_ptr, scratch));
-        }
-        const double elapsed = sw.seconds();
-        wall = rep == 0 ? elapsed : std::min(wall, elapsed);
-        scratch.mode = &mode;
-        scratch.model_builds = mode.pooled ? pool.constructions() : 0;
-        scratch.model_acquires = mode.pooled ? pool.acquires() : 0;
-        sample = scratch;
-        if (rep == 0) {
-          if (m == 0) {
-            reference = std::move(run);
-          } else if (run != reference) {
-            cr.identical = false;
-            for (std::size_t k = 0; k < run.size(); ++k) {
-              if (!(run[k] == reference[k])) {
-                std::printf(
-                    "ERROR: %s fault #%zu diverges: oblivious %s "
-                    "dec=%ld bt=%ld sol=%u vs %s %s dec=%ld "
-                    "bt=%ld sol=%u\n",
-                    name.c_str(), picks[k], status_name(reference[k].status),
-                    reference[k].decisions, reference[k].backtracks,
-                    reference[k].solutions, mode.key,
-                    status_name(run[k].status), run[k].decisions,
-                    run[k].backtracks, run[k].solutions);
-                break;
-              }
-            }
-          }
-        }
+    // Min across repeats: the noise-robust estimator (scheduler
+    // interference only ever adds time).
+    double wall = 0.0;
+    for (int rep = 0; rep < repeat; ++rep) {
+      Sample scratch;  // only the last repeat's counters are kept
+      // A fresh pool per repeat keeps the tallies comparable run-to-run.
+      atpg::FrameModelPool pool(c);
+      const util::Stopwatch sw;
+      for (const std::size_t i : picks) {
+        run_fault(c, faults[i], limits, obs, max_solutions, &pool, scratch);
       }
-      sample.wall_s = wall;
+      const double elapsed = sw.seconds();
+      wall = rep == 0 ? elapsed : std::min(wall, elapsed);
+      scratch.model_builds = pool.constructions();
+      scratch.model_acquires = pool.acquires();
+      cr.sample = scratch;
     }
-    consistent = consistent && cr.identical;
-    if (!cr.counters_unchanged()) {
-      counters_ok = false;
-      std::printf(
-          "ERROR: %s deterministic counters differ between layouts: "
-          "legacy gate_evals=%ld events=%ld vs flat gate_evals=%ld "
-          "events=%ld\n",
-          name.c_str(), cr.legacy().gate_evals, cr.legacy().events,
-          cr.flat().gate_evals, cr.flat().events);
-    }
+    cr.sample.wall_s = wall;
 
-    obl_evals_total += cr.oblivious().gate_evals;
-    inc_evals_total += cr.legacy().gate_evals;
-    legacy_wall_total += cr.legacy().wall_s;
-    flat_wall_total += cr.flat().wall_s;
-    for (const Sample& s : cr.samples) {
-      std::printf(
-          "%-8s %-23s  wall=%8.2fms  dec=%8ld  bt=%8ld  "
-          "gate_evals=%11ld  evals/dec=%8.1f  events=%10ld  "
-          "solved=%zu  unt=%zu",
-          cr.name.c_str(), s.mode->key, s.wall_s * 1e3, s.decisions,
-          s.backtracks, s.gate_evals, s.evals_per_decision(), s.events,
-          s.solved, s.untestable);
-      if (s.mode->pooled) {
-        std::printf("  builds=%zu acquires=%zu", s.model_builds,
-                    s.model_acquires);
-      }
-      std::printf("\n");
-    }
+    const Sample& s = cr.sample;
     std::printf(
-        "%-8s   gate-eval reduction x%.2f, flat wall-clock x%.2f, "
-        "identity %s, counters %s\n\n",
-        cr.name.c_str(), cr.eval_reduction(), cr.flat_speedup(),
-        cr.identical ? "OK" : "FAILED",
-        cr.counters_unchanged() ? "unchanged" : "CHANGED");
+        "%-8s %-23s  wall=%8.2fms  dec=%8ld  bt=%8ld  "
+        "gate_evals=%11ld  evals/dec=%8.1f  events=%10ld  "
+        "solved=%zu  unt=%zu  builds=%zu acquires=%zu\n",
+        cr.name.c_str(), kEngineKey, s.wall_s * 1e3, s.decisions,
+        s.backtracks, s.gate_evals, s.evals_per_decision(), s.events,
+        s.solved, s.untestable, s.model_builds, s.model_acquires);
     results.push_back(std::move(cr));
   }
-
-  const double overall_reduction =
-      inc_evals_total > 0 ? static_cast<double>(obl_evals_total) /
-                                static_cast<double>(inc_evals_total)
-                          : 0.0;
-  const double overall_flat_speedup =
-      flat_wall_total > 0 ? legacy_wall_total / flat_wall_total : 0.0;
+  std::printf("\n");
 
   // Phase 2: speculative parallel targeting, serial vs `lanes` lanes.
   const unsigned lanes = options.threads ? options.threads : 4;
@@ -491,11 +342,7 @@ int main(int argc, char** argv) {
   json.field("repeat", repeat);
   json.field("threads", lanes);
   json.field("hardware_concurrency", hardware);
-  json.field("identical_across_modes", consistent);
-  json.field("counters_unchanged", counters_ok);
   json.field("targeting_identical", targeting_ok);
-  json.field("overall_gate_eval_reduction", overall_reduction);
-  json.field("overall_flat_speedup", overall_flat_speedup);
   json.field("target_speedup", target_speedup);
   json.key("circuits").begin_array();
   for (const CircuitResult& cr : results) {
@@ -503,15 +350,11 @@ int main(int argc, char** argv) {
     json.field("name", cr.name);
     json.field("faults", cr.faults);
     json.field("sampled", cr.sampled);
-    json.field("identical", cr.identical);
-    json.field("counters_unchanged", cr.counters_unchanged());
-    json.field("gate_eval_reduction", cr.eval_reduction());
-    json.field("flat_speedup", cr.flat_speedup());
     json.key("results").begin_array();
-    for (std::size_t m = 0; m < kModeCount; ++m) {
-      const Sample& s = cr.samples[m];
+    {
+      const Sample& s = cr.sample;
       json.begin_object();
-      json.field("engine", s.mode->key);
+      json.field("engine", kEngineKey);
       json.field("wall_s", s.wall_s);
       json.field("decisions", s.decisions);
       json.field("backtracks", s.backtracks);
@@ -563,19 +406,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "overall gate-eval reduction (incremental vs oblivious): x%.2f\n",
-      overall_reduction);
-  std::printf(
-      "overall flat-layout wall-clock speedup (vs legacy incremental): "
-      "x%.2f\n",
-      overall_flat_speedup);
-  std::printf(
       "speculative targeting speedup (serial vs %u lanes): x%.2f%s\n", lanes,
       target_speedup,
       hardware < lanes ? " [hardware_concurrency below lane count]" : "");
   std::printf("wrote BENCH_detengine.json%s\n",
-              consistent && counters_ok && targeting_ok
-                  ? ""
-                  : " (INCONSISTENT RESULTS)");
-  return consistent && counters_ok && targeting_ok ? 0 : 1;
+              targeting_ok ? "" : " (INCONSISTENT RESULTS)");
+  return targeting_ok ? 0 : 1;
 }

@@ -57,9 +57,7 @@ ForwardEngine::ForwardEngine(const netlist::Circuit& c, const fault::Fault& f,
       limits_(limits),
       own_pool_(pool ? nullptr : std::make_unique<FrameModelPool>(c)),
       pool_(pool ? pool : own_pool_.get()),
-      model_h_(pool_->acquire(
-          f, std::max(1u, limits.max_forward_frames),
-          FrameModelConfig{limits.incremental_model, limits.flat_model})),
+      model_h_(pool_->acquire(f, std::max(1u, limits.max_forward_frames))),
       model_(*model_h_),
       stack_(model_),
       obs_dist_(obs_dist ? std::move(obs_dist)
@@ -71,8 +69,6 @@ ForwardEngine::ForwardEngine(const netlist::Circuit& c, const fault::Fault& f,
 
 const SearchStats& ForwardEngine::stats() const {
   FrameModelStats total = model_.stats();
-  total.gate_evals += retired_scratch_stats_.gate_evals;
-  total.events += retired_scratch_stats_.events;
   if (scratch_) {
     total.gate_evals += scratch_->stats().gate_evals;
     total.events += scratch_->stats().events;
@@ -220,55 +216,9 @@ bool ForwardEngine::pick_objective(Objective& obj) {
 sim::State3 ForwardEngine::required_state() const {
   // Rebuild the solution on a scratch model and greedily clear state
   // assignments whose removal keeps a fault effect on some primary output.
-  if (!model_.incremental()) {
-    const FrameModelConfig sc_config{/*incremental=*/false, model_.flat()};
-    if (scratch_) {
-      // Reuse the pooled scratch: fold its effort into the retired tally
-      // (it is about to be zeroed) and reset instead of reconstructing.
-      retired_scratch_stats_.gate_evals += scratch_->stats().gate_evals;
-      retired_scratch_stats_.events += scratch_->stats().events;
-      scratch_->reset(fault_, model_.max_frames(), sc_config);
-    } else {
-      scratch_ = pool_->acquire(fault_, model_.max_frames(), sc_config);
-    }
-    FrameModel& scratch = *scratch_;
-    scratch.set_frame_count(model_.frame_count());
-    const auto pis = c_.primary_inputs();
-    for (unsigned t = 0; t < model_.frame_count(); ++t) {
-      for (std::size_t i = 0; i < pis.size(); ++i) {
-        scratch.assign_pi(t, i, model_.pi_value(t, i));
-      }
-    }
-    const std::size_t nff = c_.flip_flops().size();
-    for (std::size_t i = 0; i < nff; ++i) {
-      scratch.assign_state(i, model_.state_value(i));
-    }
-    scratch.simulate();
-    const bool at_solution = scratch.po_has_d();
-    if (at_solution) {
-      for (std::size_t i = 0; i < nff; ++i) {
-        const V3 saved = scratch.state_value(i);
-        if (saved == V3::kX) continue;
-        scratch.clear_state(i);
-        scratch.simulate();
-        if (!scratch.po_has_d()) {
-          scratch.assign_state(i, saved);
-          scratch.simulate();
-        }
-      }
-    }
-    // The live scratch's stats are folded in by stats(); the retired tally
-    // only collects effort about to be wiped by reset().
-    // Not currently at a solution: report the raw assignment.
-    return at_solution ? scratch.extract_state() : model_.extract_state();
-  }
-  // Incremental: one scratch model reused across calls, reset through the
-  // trail; each greedy probe is a trailed clear_state undone on failure
-  // instead of a full window re-simulation per flip-flop.
-  if (!scratch_) {
-    scratch_ = pool_->acquire(fault_, model_.max_frames(),
-                              FrameModelConfig{true, model_.flat()});
-  }
+  // One scratch model is reused across calls, reset through the trail; each
+  // greedy probe is a trailed clear_state undone on failure.
+  if (!scratch_) scratch_ = pool_->acquire(fault_, model_.max_frames());
   FrameModel& sc = *scratch_;
   sc.undo_to(0);  // back to the all-unassigned construction state
   // Frames beyond 0 reverted to their raw pre-activation contents; shrink
@@ -316,7 +266,6 @@ ForwardStatus ForwardEngine::next_solution(const util::Deadline& deadline) {
     if (!stack_.backtrack(stats_)) return final_status();
   } else {
     started_ = true;
-    model_.simulate();
     if (fault_.is_transition() && model_.frame_count() < 2) {
       // The launch needs a predecessor frame; a one-frame window cannot
       // hold the (0, 1) pair.
@@ -324,7 +273,6 @@ ForwardStatus ForwardEngine::next_solution(const util::Deadline& deadline) {
         stats_.clipped = true;  // the frame cap blocked the launch
         return ForwardStatus::kExhausted;
       }
-      model_.simulate();
     }
   }
 
@@ -355,10 +303,7 @@ ForwardStatus ForwardEngine::next_solution(const util::Deadline& deadline) {
     // No objective: either the fault effect is parked at flip-flop inputs of
     // the last frame (extend the window) or it has died (backtrack).
     if (excited_somewhere() && d_pending_at_ff_input()) {
-      if (model_.extend()) {
-        model_.simulate();
-        continue;
-      }
+      if (model_.extend()) continue;
       stats_.clipped = true;  // the frame cap blocked further propagation
     }
     if (!stack_.backtrack(stats_)) return final_status();

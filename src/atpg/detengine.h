@@ -101,14 +101,10 @@ class ForwardEngine {
   mutable SearchStats stats_;
   netlist::NodeId driver_;  // node whose good value excites the fault
   ObsDistances obs_dist_;   // static distance-to-observation (shared)
-  /// Lazily acquired scratch model reused across required_state() calls:
-  /// reset via the trail (incremental) or reset() (oblivious) instead of
-  /// reconstruction.
+  /// Lazily acquired scratch model reused across required_state() calls,
+  /// reset through the trail instead of reconstruction.
   mutable FrameModelHandle scratch_;
   mutable std::vector<FrameModel::FrontierGate> frontier_scratch_;
-  /// Effort of already-destroyed oblivious required_state scratch models,
-  /// folded into stats() so both modes account minimization identically.
-  mutable FrameModelStats retired_scratch_stats_;
   bool started_ = false;
   bool any_solution_ = false;
 };

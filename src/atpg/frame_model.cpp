@@ -9,7 +9,7 @@ using netlist::GateType;
 using netlist::NodeId;
 using sim::V3;
 
-// -- Flat-layout gate kernels ------------------------------------------------
+// -- Gate kernels -------------------------------------------------------------
 //
 // Each kernel folds a gate over the composite bytes of its fanins, producing
 // both planes of the output byte in one pass.  The 0x05/0x0A masks pick the
@@ -48,7 +48,7 @@ inline std::uint8_t c_xor(std::uint8_t a, std::uint8_t b) {
   return static_cast<std::uint8_t>(r1 | (r0 << 1));
 }
 
-// Conditional forcing shared by both layouts: `ls` is launch_state() for
+// Conditional forcing at the fault site: `ls` is launch_state() for
 // transition faults, or a constant 1 for stuck-at faults (always forced).
 inline V3 gate_transition(V3 normal, V3 forced, int ls) {
   if (ls == 1) return forced;
@@ -91,14 +91,13 @@ constexpr std::array<CompGateFn, 12> kCompGateTable = {
 }  // namespace
 
 FrameModel::FrameModel(const netlist::Circuit& c,
-                       std::optional<fault::Fault> fault, unsigned max_frames,
-                       FrameModelConfig config)
+                       std::optional<fault::Fault> fault, unsigned max_frames)
     : circuit_(c) {
-  reset(std::move(fault), max_frames, config);
+  reset(std::move(fault), max_frames);
 }
 
-void FrameModel::reset(std::optional<fault::Fault> fault, unsigned max_frames,
-                       FrameModelConfig config) {
+void FrameModel::reset(std::optional<fault::Fault> fault,
+                       unsigned max_frames) {
   assert(max_frames >= 1);
   fault_ = std::move(fault);
   fault_node_ = fault_ ? fault_->node : kNoFaultNode;
@@ -115,7 +114,6 @@ void FrameModel::reset(std::optional<fault::Fault> fault, unsigned max_frames,
     }
   }
   max_frames_ = max_frames;
-  config_ = config;
   frame_count_ = 1;
   stats_ = {};
   trail_.clear();
@@ -124,44 +122,26 @@ void FrameModel::reset(std::optional<fault::Fault> fault, unsigned max_frames,
   pi_stride_ = c.primary_inputs().size();
   const std::size_t cells =
       static_cast<std::size_t>(max_frames_) * c.node_count();
-  if (config_.flat) {
-    if (comp_.capacity() < cells) ++buffer_grows_;
-    comp_.assign(cells, compbits::pack_same(V3::kX));
-    if (comp_fn_.empty()) {
-      comp_fn_.resize(c.node_count(), nullptr);
-      for (NodeId n = 0; n < c.node_count(); ++n) {
-        comp_fn_[n] = kCompGateTable[static_cast<std::size_t>(c.type(n))];
-      }
-    }
-    good_.clear();
-    faulty_.clear();
-  } else {
-    if (good_.capacity() < max_frames_) ++buffer_grows_;
-    good_.resize(max_frames_);
-    for (auto& vals : good_) vals.assign(c.node_count(), V3::kX);
-    if (fault_) {
-      faulty_.resize(max_frames_);
-      for (auto& vals : faulty_) vals.assign(c.node_count(), V3::kX);
-    } else {
-      faulty_.clear();
+  if (comp_.capacity() < cells) ++buffer_grows_;
+  comp_.assign(cells, compbits::pack_same(V3::kX));
+  if (comp_fn_.empty()) {
+    comp_fn_.resize(c.node_count(), nullptr);
+    for (NodeId n = 0; n < c.node_count(); ++n) {
+      comp_fn_[n] = kCompGateTable[static_cast<std::size_t>(c.type(n))];
     }
   }
   pi_assign_.assign(
       static_cast<std::size_t>(max_frames_) * c.primary_inputs().size(),
       V3::kX);
   state_assign_.assign(c.flip_flops().size(), V3::kX);
-  if (config_.incremental) {
-    init_incremental();
-    recompute_frame(0);
-    // Mark 0 is the post-construction state: the trail starts empty, the
-    // summaries stay (they describe the values just computed).
-    trail_.clear();
-  } else {
-    simulate();
-  }
+  init_propagation();
+  recompute_frame(0);
+  // Mark 0 is the post-construction state: the trail starts empty, the
+  // summaries stay (they describe the values just computed).
+  trail_.clear();
 }
 
-void FrameModel::init_incremental() {
+void FrameModel::init_propagation() {
   const auto& c = circuit_;
   level_stride_ = static_cast<std::size_t>(c.max_level()) + 1;
   const std::size_t cells =
@@ -213,13 +193,13 @@ void FrameModel::init_incremental() {
 bool FrameModel::extend() {
   if (frame_count_ >= max_frames_) return false;
   ++frame_count_;
-  if (config_.incremental) recompute_frame(frame_count_ - 1);
+  recompute_frame(frame_count_ - 1);
   return true;
 }
 
 void FrameModel::set_frame_count(unsigned n) {
   assert(n >= 1 && n <= max_frames_);
-  if (!config_.incremental || n <= frame_count_) {
+  if (n <= frame_count_) {
     // Shrinking never releases storage: every buffer stays sized for
     // max_frames_, so shrink/grow cycles while backtracking over window
     // extensions cost no allocation (see buffer_grows()).
@@ -237,13 +217,9 @@ void FrameModel::set_frame_count(unsigned n) {
 
 void FrameModel::assign_pi(unsigned frame, std::size_t pi_index, V3 v) {
   V3& slot = pi_assign_[pi_cell(frame, pi_index)];
-  if (!config_.incremental) {
-    slot = v;
-    return;
-  }
   if (slot == v) return;
-  trail_.push_back(
-      {TrailEntry::kPi, slot, frame, static_cast<std::uint32_t>(pi_index)});
+  trail_.push_back({TrailEntry::kPi, static_cast<std::uint8_t>(slot), frame,
+                    static_cast<std::uint32_t>(pi_index)});
   slot = v;
   if (frame < frame_count_) {
     // Inactive frames pick the assignment up when they are activated
@@ -253,19 +229,11 @@ void FrameModel::assign_pi(unsigned frame, std::size_t pi_index, V3 v) {
   }
 }
 
-void FrameModel::clear_pi(unsigned frame, std::size_t pi_index) {
-  assign_pi(frame, pi_index, V3::kX);
-}
-
 void FrameModel::assign_state(std::size_t ff_index, V3 v) {
   V3& slot = state_assign_[ff_index];
-  if (!config_.incremental) {
-    slot = v;
-    return;
-  }
   if (slot == v) return;
-  trail_.push_back(
-      {TrailEntry::kState, slot, 0, static_cast<std::uint32_t>(ff_index)});
+  trail_.push_back({TrailEntry::kState, static_cast<std::uint8_t>(slot), 0,
+                    static_cast<std::uint32_t>(ff_index)});
   slot = v;
   enqueue(0, circuit_.flip_flops()[ff_index]);  // frame 0 is always active
   propagate();
@@ -275,95 +243,7 @@ void FrameModel::clear_state(std::size_t ff_index) {
   assign_state(ff_index, V3::kX);
 }
 
-// -- Legacy-layout evaluation ------------------------------------------------
-
-V3 FrameModel::eval_node(const std::vector<std::vector<V3>>& plane,
-                         unsigned frame, NodeId n, bool inject) {
-  const auto& c = circuit_;
-  const fault::Fault* f = inject && fault_ ? &*fault_ : nullptr;
-  const GateType t = c.type(n);
-  switch (t) {
-    case GateType::kInput: {
-      V3 v = pi_assign_[pi_cell(frame, static_cast<std::size_t>(c.pi_index(n)))];
-      if (f && f->node == n && f->pin == fault::kOutputPin) {
-        v = gate_transition(v, f->stuck_at ? V3::k1 : V3::k0,
-                            trans_ ? launch_state(frame) : 1);
-      }
-      return v;
-    }
-    case GateType::kDff: {
-      V3 v;
-      if (frame == 0) {
-        v = state_assign_[static_cast<std::size_t>(c.ff_index(n))];
-      } else {
-        // Next-state: the D fanin of the flip-flop in the previous frame,
-        // with an injected D-pin fault applied if present.
-        v = plane[frame - 1][c.fanins(n)[0]];
-        if (f && f->node == n && f->pin == 0) {
-          v = gate_transition(v, f->stuck_at ? V3::k1 : V3::k0,
-                              trans_ ? launch_state(frame) : 1);
-        }
-      }
-      if (f && f->node == n && f->pin == fault::kOutputPin) {
-        v = gate_transition(v, f->stuck_at ? V3::k1 : V3::k0,
-                            trans_ ? launch_state(frame) : 1);
-      }
-      return v;
-    }
-    case GateType::kConst0:
-      return V3::k0;
-    case GateType::kConst1:
-      return V3::k1;
-    default: {
-      ++stats_.gate_evals;
-      const auto& vals = plane[frame];
-      V3 v;
-      if (f && f->node == n && f->pin >= 0) {
-        // Evaluate with the faulted pin forced.  The pin is identified by
-        // position, not node id (one driver may feed several pins).
-        const auto fanins = c.fanins(n);
-        const auto fp = static_cast<std::size_t>(f->pin);
-        const V3 pin_v =
-            gate_transition(vals[fanins[fp]], f->stuck_at ? V3::k1 : V3::k0,
-                            trans_ ? launch_state(frame) : 1);
-        v = sim::eval_gate_scalar_pos(t, fanins.size(), [&](std::size_t i) {
-          return i == fp ? pin_v : vals[fanins[i]];
-        });
-      } else {
-        v = sim::eval_gate_scalar(t, c.fanins(n),
-                                  [&](NodeId in) { return vals[in]; });
-      }
-      if (f && f->node == n && f->pin == fault::kOutputPin) {
-        v = gate_transition(v, f->stuck_at ? V3::k1 : V3::k0,
-                            trans_ ? launch_state(frame) : 1);
-      }
-      return v;
-    }
-  }
-}
-
-void FrameModel::simulate_plane(std::vector<std::vector<V3>>& plane,
-                                bool inject) {
-  const auto& c = circuit_;
-  for (unsigned t = 0; t < frame_count_; ++t) {
-    auto& vals = plane[t];
-    for (NodeId pi : c.primary_inputs()) {
-      vals[pi] = eval_node(plane, t, pi, inject);
-    }
-    for (NodeId ff : c.flip_flops()) {
-      vals[ff] = eval_node(plane, t, ff, inject);
-    }
-    for (NodeId n = 0; n < c.node_count(); ++n) {
-      if (c.type(n) == GateType::kConst0) vals[n] = V3::k0;
-      if (c.type(n) == GateType::kConst1) vals[n] = V3::k1;
-    }
-    for (NodeId g : c.topo_order()) {
-      vals[g] = eval_node(plane, t, g, inject);
-    }
-  }
-}
-
-// -- Flat-layout evaluation --------------------------------------------------
+// -- Evaluation ---------------------------------------------------------------
 
 std::uint8_t FrameModel::compute_comp(unsigned frame, NodeId n) {
   const auto& c = circuit_;
@@ -371,8 +251,10 @@ std::uint8_t FrameModel::compute_comp(unsigned frame, NodeId n) {
   // The kernel table doubles as the gate test (sources/DFFs/constants hold
   // nullptr), so the hot case needs no GateType load or switch.
   if (const CompGateFn fn = comp_fn_[n]) {
-    // One kernel call evaluates both planes; count per plane exactly like
-    // the legacy path (2 with a faulty plane, 1 without).
+    // One kernel call evaluates both planes, but gate_evals counts per
+    // plane: 2 with a faulty plane, 1 without.  The snapshot counters in
+    // BENCH_detengine.json and EngineCounters::det_gate_evals pin that
+    // count.
     stats_.gate_evals += fault_ ? 2 : 1;
     const auto fanins = c.fanins(n);
     return fn(comp_.data() + cell(frame, 0), fanins.data(), fanins.size());
@@ -435,7 +317,7 @@ std::uint8_t FrameModel::compute_comp_faulted(unsigned frame, NodeId n) {
           g, f.pin == fault::kOutputPin ? gate_transition(g, forced, ls) : g);
     }
     default: {
-      stats_.gate_evals += 2;  // one eval per plane, like the legacy path
+      stats_.gate_evals += 2;  // per plane, as in compute_comp
       const auto fanins = c.fanins(n);
       const std::uint8_t* row = comp_.data() + cell(frame, 0);
       if (f.pin == fault::kOutputPin) {
@@ -460,38 +342,7 @@ std::uint8_t FrameModel::compute_comp_faulted(unsigned frame, NodeId n) {
   }
 }
 
-void FrameModel::simulate_flat() {
-  const auto& c = circuit_;
-  for (unsigned t = 0; t < frame_count_; ++t) {
-    for (NodeId pi : c.primary_inputs()) {
-      comp_[cell(t, pi)] = compute_comp(t, pi);
-    }
-    for (NodeId ff : c.flip_flops()) {
-      comp_[cell(t, ff)] = compute_comp(t, ff);
-    }
-    for (NodeId n = 0; n < c.node_count(); ++n) {
-      const GateType gt = c.type(n);
-      if (gt == GateType::kConst0 || gt == GateType::kConst1) {
-        comp_[cell(t, n)] = compute_comp(t, n);
-      }
-    }
-    for (NodeId g : c.topo_order()) {
-      comp_[cell(t, g)] = compute_comp(t, g);
-    }
-  }
-}
-
-void FrameModel::simulate() {
-  if (config_.incremental) return;  // values are maintained eagerly
-  if (config_.flat) {
-    simulate_flat();
-    return;
-  }
-  simulate_plane(good_, /*inject=*/false);
-  if (fault_) simulate_plane(faulty_, /*inject=*/true);
-}
-
-// -- Incremental engine ------------------------------------------------------
+// -- Event-driven propagation -------------------------------------------------
 
 void FrameModel::enqueue(unsigned frame, NodeId n) {
   const std::size_t cl = cell(frame, n);
@@ -535,93 +386,52 @@ void FrameModel::propagate() {
     for (std::uint32_t i = 0; i < fill; ++i) {
       const NodeId n = qbuf_[base + i];
       in_queue_[cell(t, n)] = 0;
-      reeval_node(t, n, /*schedule=*/true);
+      update_cell(t, n, /*schedule=*/true);
     }
     qfill_[key] = 0;
   }
   queue_cursor_ = qfill_.size();
 }
 
-bool FrameModel::reeval_node(unsigned frame, NodeId n, bool schedule) {
-  if (config_.flat) {
-    std::uint8_t& b = comp_[cell(frame, n)];
-    const std::uint8_t nb = compute_comp(frame, n);
-    if (nb == b) return false;
-    const std::uint8_t before = b;
-    // Trail per plane in good-then-faulty order so marks and undo replay
-    // match the legacy layout entry for entry.
-    const V3 og = compbits::good(before);
-    if (compbits::good(nb) != og) {
-      trail_.push_back({TrailEntry::kGood, og, frame, n});
-    }
-    if (fault_) {
-      const V3 of = compbits::faulty(before);
-      if (compbits::faulty(nb) != of) {
-        trail_.push_back({TrailEntry::kFaulty, of, frame, n});
-      }
-    }
-    b = nb;
-    if (fault_) note_composite_change(frame, n, before, nb);
-    // Transition faults add one cross-frame dependency the fanout graph
-    // does not carry: the fault site's forcing at frame f reads the good
-    // plane of the launch line at f - skew.  When that anchor moves,
-    // re-derive the injection at the capture frame.  During frame
-    // activation (recompute_frame) the capture frame is outside the window,
-    // so the guard keeps the queue empty there; during propagate() the key
-    // is strictly deeper than the bucket being drained (skew >= 1).
-    if (trans_ && n == launch_line_ && compbits::good(nb) != og &&
-        frame + launch_skew_ < frame_count_) {
-      enqueue(frame + launch_skew_, fault_node_);
-    }
-    if (schedule) schedule_fanouts(frame, n);
-    return true;
+void FrameModel::update_cell(unsigned frame, NodeId n, bool schedule) {
+  std::uint8_t& b = comp_[cell(frame, n)];
+  const std::uint8_t nb = compute_comp(frame, n);
+  if (nb == b) return;
+  const std::uint8_t before = b;
+  trail_.push_back({TrailEntry::kCell, before, frame, n});
+  b = nb;
+  if (fault_) note_composite_change(frame, n, before, nb);
+  // Transition faults add one cross-frame dependency the fanout graph does
+  // not carry: the fault site's forcing at frame f reads the good plane of
+  // the launch line at f - skew.  When that anchor moves, re-derive the
+  // injection at the capture frame.  During frame activation
+  // (recompute_frame) the capture frame is outside the window, so the guard
+  // keeps the queue empty there; during propagate() the key is strictly
+  // deeper than the bucket being drained (skew >= 1).
+  if (trans_ && n == launch_line_ &&
+      compbits::good(nb) != compbits::good(before) &&
+      frame + launch_skew_ < frame_count_) {
+    enqueue(frame + launch_skew_, fault_node_);
   }
-  V3& g = good_[frame][n];
-  const V3 ng = eval_node(good_, frame, n, /*inject=*/false);
-  if (!fault_) {
-    if (ng == g) return false;
-    trail_.push_back({TrailEntry::kGood, g, frame, n});
-    g = ng;
-    if (schedule) schedule_fanouts(frame, n);
-    return true;
-  }
-  V3& fy = faulty_[frame][n];
-  const V3 nf = eval_node(faulty_, frame, n, /*inject=*/true);
-  if (ng == g && nf == fy) return false;
-  const std::uint8_t before = compbits::pack(g, fy);
-  if (ng != g) {
-    trail_.push_back({TrailEntry::kGood, g, frame, n});
-    g = ng;
-    // Launch-line hook — see the flat branch above for the invariants.
-    if (trans_ && n == launch_line_ && frame + launch_skew_ < frame_count_) {
-      enqueue(frame + launch_skew_, fault_node_);
-    }
-  }
-  if (nf != fy) {
-    trail_.push_back({TrailEntry::kFaulty, fy, frame, n});
-    fy = nf;
-  }
-  note_composite_change(frame, n, before, compbits::pack(ng, nf));
   if (schedule) schedule_fanouts(frame, n);
-  return true;
 }
 
 void FrameModel::recompute_frame(unsigned frame) {
   const auto& c = circuit_;
   for (NodeId pi : c.primary_inputs()) {
-    reeval_node(frame, pi, /*schedule=*/false);
+    update_cell(frame, pi, /*schedule=*/false);
   }
   for (NodeId ff : c.flip_flops()) {
-    reeval_node(frame, ff, /*schedule=*/false);
+    update_cell(frame, ff, /*schedule=*/false);
   }
   for (NodeId n = 0; n < c.node_count(); ++n) {
     const GateType t = c.type(n);
     if (t == GateType::kConst0 || t == GateType::kConst1) {
-      reeval_node(frame, n, /*schedule=*/false);
+      update_cell(frame, n, /*schedule=*/false);
     }
   }
   for (NodeId g : c.topo_order()) {
-    reeval_node(frame, g, /*schedule=*/false);
+    update_cell(frame, g, /*schedule=*/false);
   }
 }
 
@@ -651,20 +461,10 @@ void FrameModel::note_composite_change(unsigned frame, NodeId n,
 
 void FrameModel::refresh_frontier(unsigned frame, NodeId gate) const {
   bool member = false;
-  if (config_.flat) {
-    // Byte-table membership test straight off the composite row.
-    const std::uint8_t* row = comp_.data() + cell(frame, 0);
-    if (compbits::kAnyX[row[gate] & 0x0F]) {
-      for (NodeId in : circuit_.fanins(gate)) {
-        if (compbits::kIsD[row[in] & 0x0F]) {
-          member = true;
-          break;
-        }
-      }
-    }
-  } else if (composite(frame, gate).any_x()) {
+  const std::uint8_t* row = comp_.data() + cell(frame, 0);
+  if (compbits::kAnyX[row[gate] & 0x0F]) {
     for (NodeId in : circuit_.fanins(gate)) {
-      if (composite(frame, in).is_d()) {
+      if (compbits::kIsD[row[in] & 0x0F]) {
         member = true;
         break;
       }
@@ -681,127 +481,67 @@ void FrameModel::refresh_frontier(unsigned frame, NodeId gate) const {
 }
 
 void FrameModel::undo_to(std::size_t mark) {
-  if (!config_.incremental) return;  // trail is always empty
   assert(mark <= trail_.size());
   while (trail_.size() > mark) {
     const TrailEntry e = trail_.back();
     trail_.pop_back();
     switch (e.kind) {
       case TrailEntry::kPi:
-        pi_assign_[pi_cell(e.frame, e.index)] = e.old_value;
+        pi_assign_[pi_cell(e.frame, e.index)] = static_cast<V3>(e.old);
         break;
       case TrailEntry::kState:
-        state_assign_[e.index] = e.old_value;
+        state_assign_[e.index] = static_cast<V3>(e.old);
         break;
-      case TrailEntry::kGood: {
-        if (config_.flat) {
-          std::uint8_t& b = comp_[cell(e.frame, e.index)];
-          if (fault_) {
-            const std::uint8_t before = b;
-            b = static_cast<std::uint8_t>((b & 0x0C) |
-                                          compbits::bits(e.old_value));
-            note_composite_change(e.frame, e.index, before, b);
-          } else {
-            b = compbits::pack_same(e.old_value);
-          }
-          break;
-        }
-        V3& g = good_[e.frame][e.index];
-        if (fault_) {
-          const V3 fy = faulty_[e.frame][e.index];
-          const std::uint8_t before = compbits::pack(g, fy);
-          g = e.old_value;
-          note_composite_change(e.frame, e.index, before,
-                                compbits::pack(g, fy));
-        } else {
-          g = e.old_value;
-        }
-        break;
-      }
-      case TrailEntry::kFaulty: {
-        if (config_.flat) {
-          std::uint8_t& b = comp_[cell(e.frame, e.index)];
-          const std::uint8_t before = b;
-          b = static_cast<std::uint8_t>((b & 0x03) |
-                                        (compbits::bits(e.old_value) << 2));
-          note_composite_change(e.frame, e.index, before, b);
-          break;
-        }
-        V3& fy = faulty_[e.frame][e.index];
-        const std::uint8_t before = compbits::pack(good_[e.frame][e.index], fy);
-        fy = e.old_value;
-        note_composite_change(e.frame, e.index, before,
-                              compbits::pack(good_[e.frame][e.index], fy));
+      case TrailEntry::kCell: {
+        std::uint8_t& b = comp_[cell(e.frame, e.index)];
+        const std::uint8_t before = b;
+        b = e.old;
+        if (fault_) note_composite_change(e.frame, e.index, before, b);
         break;
       }
     }
   }
 }
 
-// -- Queries -----------------------------------------------------------------
+// -- Queries ------------------------------------------------------------------
 
 bool FrameModel::po_has_d() const {
   if (!fault_) return false;
-  if (config_.incremental) {
-    for (unsigned t = 0; t < frame_count_; ++t) {
-      if (po_d_count_[t] > 0) return true;
-    }
-    return false;
-  }
   for (unsigned t = 0; t < frame_count_; ++t) {
-    for (NodeId po : circuit_.primary_outputs()) {
-      if (composite(t, po).is_d()) return true;
-    }
+    if (po_d_count_[t] > 0) return true;
   }
   return false;
 }
 
 bool FrameModel::d_reaches_ff_input(unsigned frame) const {
-  if (!fault_) return false;
-  if (config_.incremental) return ffin_d_count_[frame] > 0;
-  for (NodeId ff : circuit_.flip_flops()) {
-    if (composite(frame, circuit_.fanins(ff)[0]).is_d()) return true;
-  }
-  return false;
+  return fault_ && ffin_d_count_[frame] > 0;
 }
 
 const std::vector<FrameModel::FrontierGate>& FrameModel::d_frontier() const {
   frontier_out_.clear();
   if (!fault_) return frontier_out_;
-  if (config_.incremental) {
-    const std::size_t nc = circuit_.node_count();
-    for (unsigned t = 0; t < frame_count_; ++t) {
-      NodeId* members = frontier_arena_.data() + static_cast<std::size_t>(t) * nc;
-      std::uint32_t kept = 0;
-      for (std::uint32_t i = 0; i < frontier_fill_[t]; ++i) {
-        const NodeId g = members[i];
-        if (in_frontier_[cell(t, g)]) {
-          members[kept++] = g;
-        } else {
-          listed_[cell(t, g)] = 0;
-        }
-      }
-      frontier_fill_[t] = kept;
-      // Topological order reproduces the oblivious scan order exactly, so
-      // objective selection is bit-identical across the two engines.
-      std::sort(members, members + kept, [&](NodeId a, NodeId b) {
-        return topo_pos_[a] < topo_pos_[b];
-      });
-      for (std::uint32_t i = 0; i < kept; ++i) {
-        frontier_out_.push_back({t, members[i]});
+  const std::size_t nc = circuit_.node_count();
+  for (unsigned t = 0; t < frame_count_; ++t) {
+    NodeId* members = frontier_arena_.data() + static_cast<std::size_t>(t) * nc;
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < frontier_fill_[t]; ++i) {
+      const NodeId g = members[i];
+      if (in_frontier_[cell(t, g)]) {
+        members[kept++] = g;
+      } else {
+        listed_[cell(t, g)] = 0;
       }
     }
-    return frontier_out_;
-  }
-  for (unsigned t = 0; t < frame_count_; ++t) {
-    for (NodeId g : circuit_.topo_order()) {
-      if (!composite(t, g).any_x()) continue;
-      for (NodeId in : circuit_.fanins(g)) {
-        if (composite(t, in).is_d()) {
-          frontier_out_.push_back({t, g});
-          break;
-        }
-      }
+    frontier_fill_[t] = kept;
+    // The arena holds members in join order, which depends on the search
+    // history.  Callers rank the frontier with unstable sorts, so the order
+    // is part of determinism: topological order makes it a function of the
+    // current values alone.
+    std::sort(members, members + kept, [&](NodeId a, NodeId b) {
+      return topo_pos_[a] < topo_pos_[b];
+    });
+    for (std::uint32_t i = 0; i < kept; ++i) {
+      frontier_out_.push_back({t, members[i]});
     }
   }
   return frontier_out_;

@@ -20,39 +20,29 @@
 // frame later).  An X launch merges the forced and fault-free values
 // (agreeing values survive, disagreement decays to X) — a sound
 // over-approximation of "maybe forced"; frames before the skew horizon are
-// unconditionally fault-free (power-up cannot launch).  The incremental
-// engine tracks the extra cross-frame dependency with an explicit
-// launch-line hook in reeval_node.
+// unconditionally fault-free (power-up cannot launch).  Propagation tracks
+// the extra cross-frame dependency with an explicit launch-line hook in
+// update_cell.
 //
-// Two evaluation engines produce bit-identical values:
+// Every assignment propagates through a levelized event queue: only nodes
+// whose value actually changes are re-evaluated, fanouts are scheduled at
+// (frame, level) keys, and changes cross DFF boundaries into later frames.
+// Each changed cell is recorded on a trail, so DecisionStack backtracking
+// restores the exact previous state by popping trail entries instead of
+// re-simulating the window.  The D-frontier, po_has_d() and
+// d_reaches_ff_input() are maintained as side effects of propagation.  Cost
+// per decision is O(affected cone).
 //
-// * Oblivious (FrameModelConfig{.incremental = false}, the retained
-//   reference): assignments only record themselves; simulate() recomputes
-//   both planes of every active frame in topological order.  Trivially
-//   correct; O(frames × gates) per PODEM decision.
-// * Incremental (the default): every assignment propagates through a
-//   levelized event queue — only nodes whose value actually changes are
-//   re-evaluated, fanouts are scheduled at (frame, level) keys, and changes
-//   cross DFF boundaries into later frames.  Each changed value is recorded
-//   on a trail, so DecisionStack backtracking restores the exact previous
-//   state by popping trail entries instead of re-simulating the window.
-//   The D-frontier, po_has_d() and d_reaches_ff_input() are maintained as
-//   side effects of propagation.  Cost per decision is O(affected cone).
+// Both planes live in one flat byte buffer indexed by cell(frame, node) —
+// good in bits 0..1, faulty in bits 2..3 — so composite() and the
+// D-detection summaries are single loads, and combinational gates evaluate
+// both planes at once through a per-gate-type branchless kernel table.
+// Fault-free models mirror the good pair into the faulty pair so the decode
+// is branch-free.
 //
-// Orthogonally, two storage layouts produce bit-identical values (see
-// DESIGN.md §4h):
-//
-// * Flat (FrameModelConfig{.flat = true}, the default): both planes live in
-//   one flat byte buffer indexed by cell(frame, node) — good in bits 0..1,
-//   faulty in bits 2..3 — so composite() and the D-detection summaries are
-//   single loads, and combinational gates evaluate both planes at once
-//   through a per-gate-type branchless kernel table.  Fault-free models
-//   mirror the good pair into the faulty pair so the decode is branch-free.
-// * Legacy (.flat = false, the retained reference): the original nested
-//   vector<vector<V3>> plane-per-frame layout.
-//
-// tests/test_frame_model_incr.cpp differential-tests the engines and the
-// layouts on randomized operation sequences over every registry circuit.
+// tests/test_frame_model_incr.cpp checks the model against a naive
+// recompute-everything oracle (tests/helpers/reference_frames.h) after every
+// step of randomized push/backtrack sessions over every registry circuit.
 #pragma once
 
 #include <array>
@@ -68,23 +58,17 @@
 
 namespace gatpg::atpg {
 
-struct FrameModelConfig {
-  /// Event-driven implication with trail-based backtracking (default) vs
-  /// the oblivious full re-simulation reference.
-  bool incremental = true;
-  /// Flat composite-byte cell storage + kernel-table dispatch (default) vs
-  /// the legacy nested-vector plane layout (the retained reference).
-  bool flat = true;
-};
-
 /// Implication-effort counters, accumulated over the model's lifetime
-/// (reset() zeroes them; clear_stats() lets owners fold them elsewhere).
+/// (reset() zeroes them).
 struct FrameModelStats {
-  std::uint64_t gate_evals = 0;  // combinational gate evaluations (per plane)
-  std::uint64_t events = 0;      // event-queue pops (incremental mode only)
+  // Combinational gate evaluations, counted per plane: 2 per evaluation in
+  // a model with a fault, 1 without.
+  std::uint64_t gate_evals = 0;
+  // Event-queue pops; frame activation evaluates directly and pops none.
+  std::uint64_t events = 0;
 };
 
-// -- Composite-byte cell encoding (flat layout) ------------------------------
+// -- Composite-byte cell encoding ---------------------------------------------
 //
 // One byte per (frame, node) cell holds both planes as two (v1, v0) bit
 // pairs: bit0 = good.v1, bit1 = good.v0, bit2 = faulty.v1, bit3 = faulty.v0.
@@ -140,25 +124,19 @@ class FrameModel {
  public:
   /// `fault` may be empty (justification mode: good plane only).
   FrameModel(const netlist::Circuit& c, std::optional<fault::Fault> fault,
-             unsigned max_frames, FrameModelConfig config = {});
+             unsigned max_frames);
 
   /// Reinitializes the model to the exact post-construction state for a
-  /// (possibly different) fault / window cap / config, reusing every buffer
+  /// (possibly different) fault / window cap, reusing every buffer
   /// whose capacity suffices.  Bit-identical to constructing a fresh model;
   /// the pool below relies on this.  Stats are zeroed (buffer_grows() is
   /// not — it counts allocations over the object's whole lifetime).
-  void reset(std::optional<fault::Fault> fault, unsigned max_frames,
-             FrameModelConfig config = {});
+  void reset(std::optional<fault::Fault> fault, unsigned max_frames);
 
   const netlist::Circuit& circuit() const { return circuit_; }
   bool has_fault() const { return fault_.has_value(); }
   const fault::Fault& fault() const { return *fault_; }
-  bool incremental() const { return config_.incremental; }
-  bool flat() const { return config_.flat; }
   const FrameModelStats& stats() const { return stats_; }
-  /// Zeroes the lifetime counters (owners fold them into retired tallies
-  /// before reusing a model so totals stay exact across reset()).
-  void clear_stats() { stats_ = {}; }
   /// Number of times a value/queue/frontier buffer actually had to grow —
   /// stays flat across reset() and window shrink/grow cycles once a model
   /// has seen its largest window (capacity is retained, never released).
@@ -173,7 +151,6 @@ class FrameModel {
 
   // -- Assignable variables ---------------------------------------------
   void assign_pi(unsigned frame, std::size_t pi_index, sim::V3 v);
-  void clear_pi(unsigned frame, std::size_t pi_index);
   sim::V3 pi_value(unsigned frame, std::size_t pi_index) const {
     return pi_assign_[pi_cell(frame, pi_index)];
   }
@@ -184,38 +161,28 @@ class FrameModel {
     return state_assign_[ff_index];
   }
 
-  // -- Trail (incremental mode) ------------------------------------------
+  // -- Trail ---------------------------------------------------------------
   /// Position marker into the change trail.  Record a mark before a batch
   /// of assignments, then undo_to(mark) restores values *and* assignments
   /// to exactly the marked state without re-simulation.  Mark 0 is the
-  /// post-construction (all-unassigned) state.  In oblivious mode the trail
-  /// is empty: trail_mark() is always 0 and undo_to is a no-op (callers
-  /// must clear assignments themselves and re-simulate).
+  /// post-construction (all-unassigned) state.
   std::size_t trail_mark() const { return trail_.size(); }
   void undo_to(std::size_t mark);
 
   // -- Values --------------------------------------------------------------
+  // Values are maintained eagerly: every query reflects all assignments.
   sim::V3 good(unsigned frame, netlist::NodeId n) const {
-    return config_.flat ? compbits::good(comp_[cell(frame, n)])
-                        : good_[frame][n];
+    return compbits::good(comp_[cell(frame, n)]);
   }
+  /// Fault-free models mirror the good pair into the faulty bits, so this
+  /// equals good() there.
   sim::V3 faulty(unsigned frame, netlist::NodeId n) const {
-    if (config_.flat) return compbits::faulty(comp_[cell(frame, n)]);
-    return fault_ ? faulty_[frame][n] : good_[frame][n];
+    return compbits::faulty(comp_[cell(frame, n)]);
   }
   Composite composite(unsigned frame, netlist::NodeId n) const {
-    if (config_.flat) {
-      // Fault-free models mirror the good pair into the faulty bits, so
-      // this is one load in every configuration.
-      const std::uint8_t b = comp_[cell(frame, n)];
-      return {compbits::good(b), compbits::faulty(b)};
-    }
-    return {good(frame, n), faulty(frame, n)};
+    const std::uint8_t b = comp_[cell(frame, n)];
+    return {compbits::good(b), compbits::faulty(b)};
   }
-
-  /// Oblivious mode: recomputes both planes for all active frames.
-  /// Incremental mode: no-op (values are maintained eagerly); safe to call.
-  void simulate();
 
   // -- Fault-effect queries --------------------------------------------------
   /// True if some primary output in some active frame carries D/D̄.
@@ -225,7 +192,9 @@ class FrameModel {
 
   /// D-frontier: gates with composite-X output and at least one D/D̄ fanin,
   /// over all active frames.  Returned as (frame, node) pairs in (frame,
-  /// topological-position) order — identical in both modes.  The returned
+  /// topological-position) order, independent of the order in which gates
+  /// joined the frontier: callers sort it with unstable sorts, so any other
+  /// order would make objective selection history-dependent.  The returned
   /// reference aliases a member buffer that the next d_frontier() call
   /// overwrites; copy it if it must survive further model mutation.
   struct FrontierGate {
@@ -241,45 +210,45 @@ class FrameModel {
   sim::State3 extract_state() const;
 
  private:
+  /// One undoable change: a value cell (kCell: `old` is its previous
+  /// composite byte) or an assignment (kPi/kState: `old` is the previous
+  /// V3).
   struct TrailEntry {
-    enum Kind : std::uint8_t { kGood, kFaulty, kPi, kState };
+    enum Kind : std::uint8_t { kCell, kPi, kState };
     Kind kind;
-    sim::V3 old_value;
+    std::uint8_t old;
     unsigned frame;
-    std::uint32_t index;  // node id (kGood/kFaulty) or PI/FF index
+    std::uint32_t index;  // node id (kCell) or PI/FF index
   };
 
-  void simulate_plane(std::vector<std::vector<sim::V3>>& plane, bool inject);
-  /// Evaluates one node of one plane in the legacy layout (sources,
-  /// constants, gates; fault injection applied when `inject`).
-  sim::V3 eval_node(const std::vector<std::vector<sim::V3>>& plane,
-                    unsigned frame, netlist::NodeId n, bool inject);
-
-  // Flat-layout evaluation.
   /// Computes the composite byte of (frame, node) from current assignments
-  /// and fanin cells; bumps gate_evals exactly like the per-plane path.
+  /// and fanin cells.  Adds to gate_evals once per plane evaluated (2 per
+  /// combinational gate with a fault, 1 without), whatever the number of
+  /// kernel calls.
   std::uint8_t compute_comp(unsigned frame, netlist::NodeId n);
-  /// Slow path for the fault-site node (pin forcing, per-plane eval).
+  /// compute_comp for the fault-site node: applies the (possibly
+  /// launch-gated) forcing at the faulted pin or output; the faulty plane
+  /// of an input-pin fault is evaluated with that pin replaced.
   std::uint8_t compute_comp_faulted(unsigned frame, netlist::NodeId n);
-  void simulate_flat();
 
-  // Incremental machinery.
-  void init_incremental();
+  // Propagation machinery.
+  void init_propagation();
   void enqueue(unsigned frame, netlist::NodeId n);
   void schedule_fanouts(unsigned frame, netlist::NodeId n);
   void propagate();
-  /// Re-evaluates both planes of (frame, node); trails and applies changes,
-  /// maintains summaries, and (when `schedule`) enqueues fanouts on change.
-  /// Returns true if any plane changed.
-  bool reeval_node(unsigned frame, netlist::NodeId n, bool schedule);
+  /// Re-evaluates both planes of (frame, node).  On a change it trails the
+  /// old byte, updates the summaries and (when `schedule`) enqueues the
+  /// fanouts, so every cell write is undoable and reflected in po_has_d(),
+  /// d_reaches_ff_input() and d_frontier().
+  void update_cell(unsigned frame, netlist::NodeId n, bool schedule);
   /// Directly recomputes every node of one (newly activated) frame.
   void recompute_frame(unsigned frame);
   /// Transition-fault launch test for a forcing applied in `frame`:
   /// 0 = inactive (fault-free value), 1 = active (forced value),
   /// 2 = X launch (merge the forced and fault-free values).
   int launch_state(unsigned frame) const;
-  /// `before`/`after` are composite bytes (compbits encoding) — the flat
-  /// path passes its cells straight through; the legacy path packs.
+  /// Updates the fault-effect summaries and frontier membership for one
+  /// cell's transition between composite bytes `before` and `after`.
   void note_composite_change(unsigned frame, netlist::NodeId n,
                              std::uint8_t before, std::uint8_t after);
   void refresh_frontier(unsigned frame, netlist::NodeId gate) const;
@@ -314,27 +283,22 @@ class FrameModel {
   std::size_t node_stride_ = 0;
   std::size_t pi_stride_ = 0;
   unsigned max_frames_ = 1;
-  FrameModelConfig config_;
   unsigned frame_count_ = 1;
   FrameModelStats stats_;
   std::uint64_t buffer_grows_ = 0;
 
-  // Assignments (flat: [frame × pi]).
-  std::vector<sim::V3> pi_assign_;
+  // Assignments.
+  std::vector<sim::V3> pi_assign_;     // [frame × pi]
   std::vector<sim::V3> state_assign_;  // [ff]
 
-  // Flat layout: one composite byte per cell(frame, node).
+  // One composite byte per cell(frame, node).
   std::vector<std::uint8_t> comp_;
-  // Per-node both-plane gate kernels (flat layout; circuit-static).
+  // Per-node both-plane gate kernels (circuit-static).
   using CompGateFn = std::uint8_t (*)(const std::uint8_t*,
                                       const netlist::NodeId*, std::size_t);
   std::vector<CompGateFn> comp_fn_;
 
-  // Legacy layout: simulated planes [frame][node].
-  std::vector<std::vector<sim::V3>> good_;
-  std::vector<std::vector<sim::V3>> faulty_;
-
-  // Change trail (incremental mode).
+  // Change trail.
   std::vector<TrailEntry> trail_;
 
   // Event queue: a bump-allocated CSR bucket arena keyed by
@@ -421,28 +385,27 @@ class FrameModelPool {
   explicit FrameModelPool(const netlist::Circuit& c) : circuit_(c) {}
 
   FrameModelHandle acquire(std::optional<fault::Fault> fault,
-                           unsigned max_frames, FrameModelConfig config = {}) {
+                           unsigned max_frames) {
     ++acquires_;
     ++outstanding_;
     if (outstanding_ > peak_outstanding_) peak_outstanding_ = outstanding_;
     if (free_.empty()) {
       ++constructions_;
       all_.push_back(std::make_unique<FrameModel>(circuit_, std::move(fault),
-                                                  max_frames, config));
+                                                  max_frames));
       return {all_.back().get(), this};
     }
     FrameModel* m = free_.back();
     free_.pop_back();
-    m->reset(std::move(fault), max_frames, config);
+    m->reset(std::move(fault), max_frames);
     return {m, this};
   }
 
   /// Pool-less fallback: a handle that owns a freshly built model.
   static FrameModelHandle standalone(const netlist::Circuit& c,
                                      std::optional<fault::Fault> fault,
-                                     unsigned max_frames,
-                                     FrameModelConfig config = {}) {
-    return {new FrameModel(c, std::move(fault), max_frames, config), nullptr};
+                                     unsigned max_frames) {
+    return {new FrameModel(c, std::move(fault), max_frames), nullptr};
   }
 
   const netlist::Circuit& circuit() const { return circuit_; }
@@ -471,9 +434,7 @@ class FrameModelPool {
   /// rebuilds are not new work.
   void prewarm(std::size_t inventory) {
     while (all_.size() < inventory) {
-      all_.push_back(
-          std::make_unique<FrameModel>(circuit_, std::nullopt, 1u,
-                                       FrameModelConfig{}));
+      all_.push_back(std::make_unique<FrameModel>(circuit_, std::nullopt, 1u));
       free_.push_back(all_.back().get());
     }
   }

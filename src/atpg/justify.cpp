@@ -9,10 +9,10 @@ using sim::V3;
 
 FrameGoalSearch::FrameGoalSearch(const netlist::Circuit& c,
                                  std::vector<Objective> goals,
-                                 FrameModelConfig config, FrameModelPool* pool)
+                                 FrameModelPool* pool)
     : pool_(pool),
-      model_h_(pool ? pool->acquire(std::nullopt, 1, config)
-                    : FrameModelPool::standalone(c, std::nullopt, 1, config)),
+      model_h_(pool ? pool->acquire(std::nullopt, 1)
+                    : FrameModelPool::standalone(c, std::nullopt, 1)),
       model_(*model_h_),
       stack_(model_),
       goals_(std::move(goals)) {}
@@ -41,8 +41,8 @@ bool FrameGoalSearch::pick_objective(Objective& obj) const {
 }
 
 void FrameGoalSearch::flush_stats(SearchStats& stats) {
-  std::uint64_t gate_evals = model_.stats().gate_evals + retired_gate_evals_;
-  std::uint64_t events = model_.stats().events + retired_events_;
+  std::uint64_t gate_evals = model_.stats().gate_evals;
+  std::uint64_t events = model_.stats().events;
   if (scratch_) {
     gate_evals += scratch_->stats().gate_evals;
     events += scratch_->stats().events;
@@ -64,12 +64,8 @@ FrameGoalSearch::Step FrameGoalSearch::next(const util::Deadline& deadline,
 FrameGoalSearch::Step FrameGoalSearch::advance(const util::Deadline& deadline,
                                                long max_backtracks,
                                                SearchStats& stats) {
-  if (started_) {
-    if (!stack_.backtrack(stats)) return Step::kExhausted;
-  } else {
-    started_ = true;
-    model_.simulate();
-  }
+  if (started_ && !stack_.backtrack(stats)) return Step::kExhausted;
+  started_ = true;
   for (;;) {
     if (deadline.expired() || stats.backtracks > max_backtracks) {
       stats.clipped = true;
@@ -100,58 +96,12 @@ FrameGoalSearch::Step FrameGoalSearch::advance(const util::Deadline& deadline,
 sim::State3 FrameGoalSearch::minimized_state() const {
   const auto& c = model_.circuit();
   // Rebuild the solution on a scratch model, then greedily clear state
-  // assignments whose removal keeps every goal satisfied.
-  if (!model_.incremental()) {
-    const FrameModelConfig sc_config{/*incremental=*/false, model_.flat()};
-    if (scratch_) {
-      // Reuse the scratch model across minimization calls: fold its effort
-      // into the retired tally (reset() is about to zero it) and reset
-      // instead of constructing a fresh model per call.
-      retired_gate_evals_ += scratch_->stats().gate_evals;
-      retired_events_ += scratch_->stats().events;
-      scratch_->reset(std::nullopt, 1, sc_config);
-    } else {
-      scratch_ = pool_ ? pool_->acquire(std::nullopt, 1, sc_config)
-                       : FrameModelPool::standalone(c, std::nullopt, 1,
-                                                    sc_config);
-    }
-    FrameModel& scratch = *scratch_;
-    const auto pis = c.primary_inputs();
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      scratch.assign_pi(0, i, model_.pi_value(0, i));
-    }
-    const std::size_t nff = c.flip_flops().size();
-    for (std::size_t i = 0; i < nff; ++i) {
-      scratch.assign_state(i, model_.state_value(i));
-    }
-    scratch.simulate();
-    auto holds = [&] {
-      return std::all_of(goals_.begin(), goals_.end(),
-                         [&](const Objective& g) {
-                           return scratch.good(0, g.node) == g.value;
-                         });
-    };
-    for (std::size_t i = 0; i < nff; ++i) {
-      const V3 saved = scratch.state_value(i);
-      if (saved == V3::kX) continue;
-      scratch.clear_state(i);
-      scratch.simulate();
-      if (!holds()) {
-        scratch.assign_state(i, saved);
-        scratch.simulate();
-      }
-    }
-    // The live scratch's stats are folded in by flush_stats; the retired
-    // tally only collects effort about to be wiped by reset().
-    return scratch.extract_state();
-  }
-  // Incremental: reuse one scratch model, reset through the trail; each
-  // greedy probe is a trailed clear_state undone when a goal breaks.
+  // assignments whose removal keeps every goal satisfied.  One scratch
+  // model is reused across calls, reset through the trail; each greedy
+  // probe is a trailed clear_state undone when a goal breaks.
   if (!scratch_) {
-    const FrameModelConfig sc_config{/*incremental=*/true, model_.flat()};
-    scratch_ = pool_ ? pool_->acquire(std::nullopt, 1, sc_config)
-                     : FrameModelPool::standalone(c, std::nullopt, 1,
-                                                  sc_config);
+    scratch_ = pool_ ? pool_->acquire(std::nullopt, 1)
+                     : FrameModelPool::standalone(c, std::nullopt, 1);
   }
   FrameModel& sc = *scratch_;
   sc.undo_to(0);  // single-frame model: construction state is consistent
@@ -240,9 +190,7 @@ DeterministicJustifier::Outcome DeterministicJustifier::justify_rec(
     }
   }
 
-  FrameGoalSearch search(
-      c_, std::move(goals),
-      FrameModelConfig{limits_.incremental_model, limits_.flat_model}, pool_);
+  FrameGoalSearch search(c_, std::move(goals), pool_);
   bool any_aborted = false;
   for (;;) {
     const auto step = search.next(deadline, limits_.max_backtracks, stats_);

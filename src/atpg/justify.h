@@ -40,7 +40,6 @@ class FrameGoalSearch {
   /// scratch across searches — the justifier builds one FrameGoalSearch per
   /// recursion level per fault, so pooling turns that into a reset.
   FrameGoalSearch(const netlist::Circuit& c, std::vector<Objective> goals,
-                  FrameModelConfig config = {},
                   FrameModelPool* pool = nullptr);
 
   /// Advances to the next satisfying assignment.  `stats` accumulates
@@ -75,12 +74,8 @@ class FrameGoalSearch {
   FrameModel& model_;
   DecisionStack stack_;
   std::vector<Objective> goals_;
-  /// Scratch model reused by minimized_state (both modes; pooled).
+  /// Scratch model reused by minimized_state (pooled when pool_ is set).
   mutable FrameModelHandle scratch_;
-  /// Effort of already-destroyed oblivious minimized_state scratch models,
-  /// folded into flush_stats so both modes account minimization identically.
-  mutable std::uint64_t retired_gate_evals_ = 0;
-  mutable std::uint64_t retired_events_ = 0;
   std::uint64_t synced_gate_evals_ = 0;
   std::uint64_t synced_events_ = 0;
   bool started_ = false;

@@ -15,12 +15,6 @@ struct SearchLimits {
   long max_backtracks = 10000;      // per targeted fault
   unsigned max_forward_frames = 16; // propagation window
   unsigned max_justify_depth = 32;  // reverse-time frames
-  /// Event-driven incremental implication (default) vs the oblivious
-  /// re-simulation reference engine; results are bit-identical.
-  bool incremental_model = true;
-  /// Flat composite-byte FrameModel storage (default) vs the legacy
-  /// nested-vector layout; results are bit-identical.
-  bool flat_model = true;
 };
 
 }  // namespace gatpg::atpg

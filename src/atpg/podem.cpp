@@ -114,14 +114,6 @@ void DecisionStack::apply(const InputAssignment& a) {
   }
 }
 
-void DecisionStack::undo(const InputAssignment& a) {
-  if (a.is_state) {
-    model_.clear_state(a.index);
-  } else {
-    model_.clear_pi(a.frame, a.index);
-  }
-}
-
 void DecisionStack::push(const InputAssignment& a) {
   Entry e;
   e.assignment = a;
@@ -129,47 +121,31 @@ void DecisionStack::push(const InputAssignment& a) {
   e.mark = model_.trail_mark();
   stack_.push_back(e);
   apply(a);
-  model_.simulate();  // incremental models already implied during apply
 }
 
 bool DecisionStack::backtrack(SearchStats& stats) {
-  const bool incremental = model_.incremental();
   while (!stack_.empty()) {
     Entry& top = stack_.back();
-    if (incremental) {
-      // Restore the exact pre-decision state (values, summaries, and the
-      // decision's own assignment) from the trail, then shrink the window.
-      model_.undo_to(top.mark);
-    }
+    // Restore the exact pre-decision state (values, summaries, and the
+    // decision's own assignment) from the trail, then shrink the window.
+    model_.undo_to(top.mark);
     model_.set_frame_count(top.frames_at_push);
     if (!top.flipped) {
       top.flipped = true;
       top.assignment.value = sim::v3_not(top.assignment.value);
       apply(top.assignment);
       ++stats.backtracks;
-      model_.simulate();
       return true;
     }
-    if (!incremental) undo(top.assignment);
     stack_.pop_back();
   }
-  model_.simulate();
   return false;
 }
 
 void DecisionStack::unwind_all() {
-  if (model_.incremental()) {
-    if (!stack_.empty()) model_.undo_to(stack_.front().mark);
-    stack_.clear();
-    model_.set_frame_count(1);
-    return;
-  }
-  while (!stack_.empty()) {
-    undo(stack_.back().assignment);
-    stack_.pop_back();
-  }
+  if (!stack_.empty()) model_.undo_to(stack_.front().mark);
+  stack_.clear();
   model_.set_frame_count(1);
-  model_.simulate();
 }
 
 }  // namespace gatpg::atpg

@@ -1,13 +1,13 @@
 // PODEM-style decision machinery over a FrameModel.
 //
 // Decisions are made only on assignable variables (frame PIs and the frame-0
-// pseudo state), values are derived by forward implication
-// (FrameModel::simulate), and conflicts are resolved by chronological
-// backtracking: flip the most recent unflipped decision, or pop it if both
-// values failed.  The same machinery drives the forward
-// excitation/propagation engine and the per-frame goal searches of the
-// deterministic justifier; each supplies its own objective selection and
-// conflict predicate.
+// pseudo state), values are derived by forward implication (the
+// FrameModel's event-driven propagation), and conflicts are resolved by
+// chronological backtracking: undo the most recent decision through the
+// model's trail and flip it, or pop it if both values failed.  The same
+// machinery drives the forward excitation/propagation engine and the
+// per-frame goal searches of the deterministic justifier; each supplies its
+// own objective selection and conflict predicate.
 #pragma once
 
 #include <optional>
@@ -46,7 +46,7 @@ struct SearchStats {
   long decisions = 0;
   long backtracks = 0;
   long gate_evals = 0;  // implication effort: gate evaluations (both planes)
-  long events = 0;      // event-queue pops (incremental implication only)
+  long events = 0;      // implication event-queue pops
   bool clipped = false;  // some limit clipped the search (no proofs possible)
 };
 
@@ -74,13 +74,12 @@ class DecisionStack {
     InputAssignment assignment;
     bool flipped = false;
     unsigned frames_at_push = 1;
-    /// Trail mark taken just before the decision was applied (incremental
-    /// models): undoing to it restores the exact pre-decision state.
+    /// Trail mark taken just before the decision was applied: undoing to it
+    /// restores the exact pre-decision state.
     std::size_t mark = 0;
   };
 
   void apply(const InputAssignment& a);
-  void undo(const InputAssignment& a);
 
   FrameModel& model_;
   std::vector<Entry> stack_;

@@ -61,8 +61,6 @@ TargetResult HybridEngine::solve_target(const fault::Fault& f,
       config_.max_justify_depth
           ? config_.max_justify_depth
           : std::clamp(4 * std::max(1u, depth_), 8u, 64u);
-  limits.incremental_model = config_.incremental_model;
-  limits.flat_model = config_.flat_model;
 
   ForwardEngine forward(c_, f, limits, obs_dist_, fx.pool);
   const GaStateJustifier ga_justifier(c_);
@@ -454,8 +452,6 @@ AtpgResult HybridAtpg::run(session::ProgressObserver* observer) {
     pre.time_limit_s = config_.prefilter_time_s;
     pre.max_backtracks = config_.prefilter_backtracks;
     pre.max_forward_frames = 4;
-    pre.incremental_model = config_.incremental_model;
-    pre.flat_model = config_.flat_model;
     const auto obs_dist = atpg::share_observation_distances(c_);
     atpg::FrameModelPool pre_pool(c_);
     for (std::size_t i = 0; i < faults_.size(); ++i) {

@@ -79,14 +79,6 @@ struct HybridConfig {
   bool prefilter_untestable = false;
   double prefilter_time_s = 0.02;
   long prefilter_backtracks = 200;
-  /// Deterministic-engine implication mode: event-driven incremental
-  /// (default) vs the oblivious re-simulation reference.  Results are
-  /// bit-identical; this knob exists for benchmarking and debugging.
-  bool incremental_model = true;
-  /// Deterministic-engine FrameModel storage: flat composite-byte cells
-  /// (default) vs the legacy nested-vector layout.  Results are
-  /// bit-identical; this knob exists for benchmarking and debugging.
-  bool flat_model = true;
   /// Cross-fault state-knowledge layer (justified-sequence cache,
   /// unjustifiable-cube proofs, GA seeding, forward-solution reuse).
   /// Disabled by default; disabled runs are bit-identical to the

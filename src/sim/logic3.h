@@ -238,8 +238,8 @@ V3 eval_gate_scalar_pos(netlist::GateType type, std::size_t fanin_count,
   }
 }
 
-/// Scalar gate evaluation (used by the reference/oblivious simulators and
-/// property tests).
+/// Scalar gate evaluation (used at the fault site of the deterministic
+/// engine's frame model and by property tests).
 template <typename Fetch>
 V3 eval_gate_scalar(netlist::GateType type,
                     std::span<const netlist::NodeId> fanins, Fetch&& value) {

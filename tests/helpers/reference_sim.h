@@ -14,6 +14,59 @@
 
 namespace gatpg::test {
 
+/// Scalar 3-valued evaluation of one combinational gate over its fanin
+/// values (in pin order).  Non-combinational types yield X.
+inline sim::V3 reference_gate(netlist::GateType t,
+                              const std::vector<sim::V3>& in) {
+  using netlist::GateType;
+  using sim::V3;
+  auto all = [&](V3 want) {
+    for (V3 v : in) {
+      if (v != want) return false;
+    }
+    return true;
+  };
+  auto any = [&](V3 want) {
+    for (V3 v : in) {
+      if (v == want) return true;
+    }
+    return false;
+  };
+  V3 out = V3::kX;
+  switch (t) {
+    case GateType::kBuf:
+      out = in[0];
+      break;
+    case GateType::kNot:
+      out = sim::v3_not(in[0]);
+      break;
+    case GateType::kAnd:
+    case GateType::kNand:
+      out = any(V3::k0) ? V3::k0 : (all(V3::k1) ? V3::k1 : V3::kX);
+      if (t == GateType::kNand) out = sim::v3_not(out);
+      break;
+    case GateType::kOr:
+    case GateType::kNor:
+      out = any(V3::k1) ? V3::k1 : (all(V3::k0) ? V3::k0 : V3::kX);
+      if (t == GateType::kNor) out = sim::v3_not(out);
+      break;
+    case GateType::kXor:
+    case GateType::kXnor: {
+      bool parity = false, has_x = false;
+      for (V3 v : in) {
+        if (v == V3::kX) has_x = true;
+        if (v == V3::k1) parity = !parity;
+      }
+      out = has_x ? V3::kX : (parity ? V3::k1 : V3::k0);
+      if (t == GateType::kXnor) out = sim::v3_not(out);
+      break;
+    }
+    default:
+      break;
+  }
+  return out;
+}
+
 /// Scalar 3-valued oblivious sequence simulator with optional fault
 /// injection.  Returns per-cycle PO values and leaves the final state in
 /// `final_state`.
@@ -91,7 +144,6 @@ class ReferenceSimulator {
   }
 
   sim::V3 eval(netlist::NodeId g) const {
-    using netlist::GateType;
     using sim::V3;
     std::vector<V3> in;
     const auto fanins = c_.fanins(g);
@@ -103,51 +155,7 @@ class ReferenceSimulator {
       }
       in.push_back(v);
     }
-    V3 out = V3::kX;
-    auto all = [&](V3 want) {
-      for (V3 v : in) {
-        if (v != want) return false;
-      }
-      return true;
-    };
-    auto any = [&](V3 want) {
-      for (V3 v : in) {
-        if (v == want) return true;
-      }
-      return false;
-    };
-    switch (c_.type(g)) {
-      case GateType::kBuf:
-        out = in[0];
-        break;
-      case GateType::kNot:
-        out = sim::v3_not(in[0]);
-        break;
-      case GateType::kAnd:
-      case GateType::kNand:
-        out = any(V3::k0) ? V3::k0 : (all(V3::k1) ? V3::k1 : V3::kX);
-        if (c_.type(g) == GateType::kNand) out = sim::v3_not(out);
-        break;
-      case GateType::kOr:
-      case GateType::kNor:
-        out = any(V3::k1) ? V3::k1 : (all(V3::k0) ? V3::k0 : V3::kX);
-        if (c_.type(g) == GateType::kNor) out = sim::v3_not(out);
-        break;
-      case GateType::kXor:
-      case GateType::kXnor: {
-        bool parity = false, has_x = false;
-        for (V3 v : in) {
-          if (v == V3::kX) has_x = true;
-          if (v == V3::k1) parity = !parity;
-        }
-        out = has_x ? V3::kX : (parity ? V3::k1 : V3::k0);
-        if (c_.type(g) == GateType::kXnor) out = sim::v3_not(out);
-        break;
-      }
-      default:
-        out = V3::kX;
-        break;
-    }
+    V3 out = reference_gate(c_.type(g), in);
     if (fault_ && fault_->node == g && fault_->pin == fault::kOutputPin &&
         active_) {
       out = stuck_value();

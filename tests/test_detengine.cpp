@@ -6,6 +6,7 @@
 #include "gen/s27.h"
 #include "helpers/exhaustive.h"
 #include "helpers/random_circuit.h"
+#include "helpers/reference_frames.h"
 
 namespace gatpg::atpg {
 namespace {
@@ -56,6 +57,26 @@ bool solution_detects(const netlist::Circuit& c, const Fault& f,
   return false;
 }
 
+/// Checks a forward solution's required state on the frame-model oracle:
+/// the state keeps D/D̄ on some primary output under the solution's
+/// vectors, and clearing any single assigned flip-flop loses it.  Greedy
+/// clearing guarantees this 1-minimality by three-valued monotonicity (a
+/// flip-flop kept because clearing it lost the D would lose it again from
+/// the final, less defined state).
+void expect_one_minimal(const netlist::Circuit& c, const Fault& f,
+                        const sim::State3& state,
+                        const sim::Sequence& vectors) {
+  ASSERT_TRUE(test::reference_frames(c, f, vectors, state).po_has_d)
+      << fault::to_string(c, f);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    if (state[i] == V3::kX) continue;
+    sim::State3 cleared = state;
+    cleared[i] = V3::kX;
+    EXPECT_FALSE(test::reference_frames(c, f, vectors, cleared).po_has_d)
+        << fault::to_string(c, f) << " keeps D without flip-flop " << i;
+  }
+}
+
 TEST(ForwardEngine, SolvesEasyS27Fault) {
   const auto c = gen::make_s27();
   // G17 is the only PO; its stem s-a-0 is detectable within one frame.
@@ -76,7 +97,22 @@ TEST(ForwardEngine, EverySolutionDetectsUnderRequiredState) {
     EXPECT_TRUE(solution_detects(c, f, engine.required_state(),
                                  engine.vectors()))
         << fault::to_string(c, f);
+    expect_one_minimal(c, f, engine.required_state(), engine.vectors());
   }
+  // Transition faults minimize through the same greedy loop; their launch
+  // gating is checked on the oracle alone.
+  int transition_solved = 0;
+  for (const Fault& f :
+       fault::collapse(c, fault::FaultUniverse::kTransition).faults) {
+    ForwardEngine engine(c, f, quick_limits());
+    if (engine.next_solution(util::Deadline::unlimited()) !=
+        ForwardStatus::kSolved) {
+      continue;
+    }
+    ++transition_solved;
+    expect_one_minimal(c, f, engine.required_state(), engine.vectors());
+  }
+  EXPECT_GT(transition_solved, 0);
 }
 
 TEST(ForwardEngine, AlternativeSolutionsAreAllValid) {

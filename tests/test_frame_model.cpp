@@ -41,7 +41,7 @@ TEST(FrameModel, GoodPlaneMatchesReferenceSimulation) {
   m.extend();
   m.extend();
   util::Rng rng(3);
-  // Assign all PIs in all frames, simulate, compare frame by frame with a
+  // Assign all PIs in all frames, then compare frame by frame with a
   // reference run starting from the all-X state.
   std::vector<sim::Vector3> vectors(3);
   for (unsigned t = 0; t < 3; ++t) {
@@ -50,7 +50,6 @@ TEST(FrameModel, GoodPlaneMatchesReferenceSimulation) {
       m.assign_pi(t, i, vectors[t][i]);
     }
   }
-  m.simulate();
   test::ReferenceSimulator ref(c);
   for (unsigned t = 0; t < 3; ++t) {
     ref.apply(vectors[t]);
@@ -65,10 +64,8 @@ TEST(FrameModel, StateAssignmentSeedsFrameZero) {
   const auto c = gen::make_s27();
   FrameModel m(c, std::nullopt, 2);
   m.assign_state(1, V3::k1);
-  m.simulate();
   EXPECT_EQ(m.good(0, c.flip_flops()[1]), V3::k1);
   m.clear_state(1);
-  m.simulate();
   EXPECT_EQ(m.good(0, c.flip_flops()[1]), V3::kX);
 }
 
@@ -80,7 +77,6 @@ TEST(FrameModel, FaultInjectionCreatesD) {
   // Drive G11 to 0 so good(G17) = 1 while faulty is stuck 0.
   // G11 = NOR(G5, G9); set state G5=1 -> G11=0 -> G17 good = 1.
   m.assign_state(0, V3::k1);  // G5 is the first flip-flop
-  m.simulate();
   EXPECT_EQ(m.good(0, c.find("G17")), V3::k1);
   EXPECT_EQ(m.faulty(0, c.find("G17")), V3::k0);
   EXPECT_TRUE(m.composite(0, c.find("G17")).is_d());
@@ -99,7 +95,6 @@ TEST(FrameModel, BranchFaultOnlyAffectsOneBranch) {
   const Fault f{g1, 0, true};  // g1 input s-a-1
   FrameModel m(c, f, 1);
   m.assign_pi(0, 0, V3::k0);
-  m.simulate();
   EXPECT_EQ(m.faulty(0, g1), V3::k1) << "faulted branch";
   EXPECT_EQ(m.faulty(0, g2), V3::k0) << "other branch must stay clean";
   EXPECT_EQ(m.good(0, g1), V3::k0);
@@ -111,7 +106,6 @@ TEST(FrameModel, DffPinFaultLatchesStuckValue) {
   const Fault f{ff, 0, true};  // D input s-a-1
   FrameModel m(c, f, 2);
   m.extend();
-  m.simulate();
   // Whatever the D cone computes, the faulty machine latches 1 into frame 1.
   EXPECT_EQ(m.faulty(1, ff), V3::k1);
 }
@@ -123,7 +117,6 @@ TEST(FrameModel, FrameLinkingCarriesState) {
   util::Rng rng(9);
   const auto v = test::random_vector(c, rng);
   for (std::size_t i = 0; i < v.size(); ++i) m.assign_pi(0, i, v[i]);
-  m.simulate();
   for (netlist::NodeId ff : c.flip_flops()) {
     EXPECT_EQ(m.good(1, ff), m.good(0, c.fanins(ff)[0])) << c.name(ff);
   }
@@ -134,14 +127,12 @@ TEST(FrameModel, DFrontierTracksFaultEffects) {
   // An internal fault with everything X: no D anywhere -> empty frontier.
   const Fault f{c.find("G10"), fault::kOutputPin, true};
   FrameModel m(c, f, 2);
-  m.simulate();
   EXPECT_FALSE(m.po_has_d());
   // Excite: G10 = NOR(G14, G11) must be 0 in the good machine; set
   // G0 = 0 -> G14 = 1 -> G10 good = 0, faulty = 1 (stuck).  The frontier
   // then contains G10's fanout consumers... G10 feeds only DFF G5, so the
   // D sits on a flip-flop input instead.
   m.assign_pi(0, 0, V3::k0);
-  m.simulate();
   EXPECT_TRUE(m.composite(0, c.find("G10")).is_d());
   EXPECT_TRUE(m.d_reaches_ff_input(0));
 }

@@ -1,14 +1,13 @@
-// Differential tests for the FrameModel implication engines and storage
-// layouts: the event-driven incremental engine (default) must agree
-// bit-for-bit with the oblivious full re-simulation reference, and the flat
-// composite-byte layout (default) must agree bit-for-bit — values, trail
-// marks, D-frontier contents and order, and effort stats — with the legacy
-// nested-vector layout, on randomized operation sequences (assignments,
-// clears, window extensions, trail-based backtracking) over every registry
-// circuit; the deterministic search built on top must make identical
-// decisions in every mode/layout combination.  FrameModelPool reuse
-// (reset-and-reuse instead of per-fault construction) must also be
-// bit-identical and must retain buffer capacity across shrink/grow cycles.
+// Differential tests for the FrameModel implication engine: after every
+// step of randomized operation sequences (assignments, clears, window
+// extensions, trail-based backtracking) over every registry circuit — fault
+// free, with stuck-at faults, and with transition faults of both launch
+// skews — the model must agree with the naive recompute-everything oracle
+// of tests/helpers/reference_frames.h on both value planes of every active
+// frame, the fault-effect summaries, and the D-frontier contents *and*
+// order.  FrameModelPool reuse (reset-and-reuse instead of per-fault
+// construction) must be bit-identical and must retain buffer capacity
+// across shrink/grow cycles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,9 +17,9 @@
 
 #include "atpg/detengine.h"
 #include "atpg/frame_model.h"
-#include "atpg/justify.h"
 #include "fault/faultlist.h"
 #include "gen/registry.h"
+#include "helpers/reference_frames.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -32,148 +31,143 @@ using sim::V3;
 
 constexpr unsigned kMaxFrames = 5;
 
-/// Asserts that every observable of the two models matches: window size,
-/// both value planes of every active frame, the fault-effect summaries, the
-/// D-frontier (contents *and* order), and the extracted vectors/state.
-void expect_agree(const netlist::Circuit& c, FrameModel& incr,
-                  FrameModel& obl, const std::string& context) {
-  ASSERT_EQ(incr.frame_count(), obl.frame_count()) << context;
-  for (unsigned t = 0; t < incr.frame_count(); ++t) {
+/// The assignments a session has made, tracked independently of the model
+/// under test: PI values of every frame up to the cap, the frame-0 state,
+/// and the window size.
+struct Assignments {
+  sim::Sequence pis;
+  sim::State3 state;
+  unsigned frames = 1;
+};
+
+/// Asserts that every observable of `m` equals the oracle's recomputation
+/// from `a`: window size, both value planes of every active frame, the
+/// fault-effect summaries, the D-frontier (contents *and* order), and the
+/// extracted vectors/state.
+void expect_matches_oracle(const netlist::Circuit& c,
+                           const std::optional<Fault>& fault,
+                           const FrameModel& m, const Assignments& a,
+                           const std::string& context) {
+  ASSERT_EQ(m.frame_count(), a.frames) << context;
+  const sim::Sequence active(a.pis.begin(), a.pis.begin() + a.frames);
+  const test::ReferenceFrames ref =
+      test::reference_frames(c, fault, active, a.state);
+  for (unsigned t = 0; t < a.frames; ++t) {
     for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
-      ASSERT_EQ(incr.good(t, n), obl.good(t, n))
+      ASSERT_EQ(m.good(t, n), ref.good[t][n])
           << context << " good frame " << t << " node " << c.name(n);
-      if (incr.has_fault()) {
-        ASSERT_EQ(incr.faulty(t, n), obl.faulty(t, n))
-            << context << " faulty frame " << t << " node " << c.name(n);
-      }
+      ASSERT_EQ(m.faulty(t, n), ref.faulty[t][n])
+          << context << " faulty frame " << t << " node " << c.name(n);
     }
-    ASSERT_EQ(incr.d_reaches_ff_input(t), obl.d_reaches_ff_input(t))
+    ASSERT_EQ(m.d_reaches_ff_input(t), ref.d_at_ff_input[t])
         << context << " d_reaches_ff_input frame " << t;
   }
-  ASSERT_EQ(incr.po_has_d(), obl.po_has_d()) << context;
-  const auto fi = incr.d_frontier();
-  const auto fo = obl.d_frontier();
-  ASSERT_EQ(fi.size(), fo.size()) << context << " d_frontier size";
-  for (std::size_t k = 0; k < fi.size(); ++k) {
-    ASSERT_EQ(fi[k].frame, fo[k].frame) << context << " d_frontier[" << k
-                                        << "]";
-    ASSERT_EQ(fi[k].node, fo[k].node) << context << " d_frontier[" << k
-                                      << "]";
+  ASSERT_EQ(m.po_has_d(), ref.po_has_d) << context;
+  const auto& frontier = m.d_frontier();
+  ASSERT_EQ(frontier.size(), ref.d_frontier.size())
+      << context << " d_frontier size";
+  for (std::size_t k = 0; k < frontier.size(); ++k) {
+    ASSERT_EQ(frontier[k].frame, ref.d_frontier[k].first)
+        << context << " d_frontier[" << k << "]";
+    ASSERT_EQ(frontier[k].node, ref.d_frontier[k].second)
+        << context << " d_frontier[" << k << "]";
   }
-  ASSERT_EQ(incr.extract_vectors(), obl.extract_vectors()) << context;
-  ASSERT_EQ(incr.extract_state(), obl.extract_state()) << context;
+  ASSERT_EQ(m.extract_vectors(), active) << context;
+  ASSERT_EQ(m.extract_state(), a.state) << context;
 }
 
-/// One randomized push/backtrack session against both engines.  Pushed ops
-/// mirror DecisionStack usage: a trail mark + frame count are recorded
-/// before each op so backtracking can restore the incremental model via
-/// undo_to while the oblivious model reverse-applies the recorded
-/// assignments and re-simulates.
+/// Asserts that two models agree on every observable (pool-reuse tests).
+void expect_agree(const netlist::Circuit& c, const FrameModel& x,
+                  const FrameModel& y, const std::string& context) {
+  ASSERT_EQ(x.frame_count(), y.frame_count()) << context;
+  for (unsigned t = 0; t < x.frame_count(); ++t) {
+    for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+      ASSERT_EQ(x.good(t, n), y.good(t, n)) << context << " " << c.name(n);
+      ASSERT_EQ(x.faulty(t, n), y.faulty(t, n)) << context << " " << c.name(n);
+    }
+    ASSERT_EQ(x.d_reaches_ff_input(t), y.d_reaches_ff_input(t)) << context;
+  }
+  ASSERT_EQ(x.po_has_d(), y.po_has_d()) << context;
+  const auto fx = x.d_frontier();  // copy: the next call reuses the buffer
+  const auto& fy = y.d_frontier();
+  ASSERT_EQ(fx.size(), fy.size()) << context;
+  for (std::size_t k = 0; k < fx.size(); ++k) {
+    ASSERT_EQ(fx[k].frame, fy[k].frame) << context;
+    ASSERT_EQ(fx[k].node, fy[k].node) << context;
+  }
+  ASSERT_EQ(x.extract_vectors(), y.extract_vectors()) << context;
+  ASSERT_EQ(x.extract_state(), y.extract_state()) << context;
+}
+
+/// One randomized push/backtrack session.  Pushed ops mirror DecisionStack
+/// usage: a trail mark and the assignments are recorded before each op, so
+/// backtracking restores the model via undo_to + set_frame_count and the
+/// oracle's inputs from the saved copy.
 void run_random_session(const netlist::Circuit& c,
                         const std::optional<Fault>& fault, unsigned ops,
                         std::uint64_t seed) {
-  FrameModel incr(c, fault, kMaxFrames);  // incremental is the default
-  FrameModel obl(c, fault, kMaxFrames, FrameModelConfig{false});
-  ASSERT_TRUE(incr.incremental());
-  ASSERT_FALSE(obl.incremental());
+  FrameModel m(c, fault, kMaxFrames);
+  const std::size_t npi = c.primary_inputs().size();
+  const std::size_t nff = c.flip_flops().size();
+  Assignments a{sim::Sequence(kMaxFrames, sim::Vector3(npi, V3::kX)),
+                sim::State3(nff, V3::kX), 1};
 
-  struct Undo {
-    bool is_pi = false;
-    bool is_state = false;
-    unsigned frame = 0;
-    std::size_t index = 0;
-    V3 old_value = V3::kX;
-  };
   struct PushedOp {
     std::size_t mark = 0;
-    unsigned frames_at_push = 1;
-    std::vector<Undo> undos;
+    Assignments before;
   };
   std::vector<PushedOp> stack;
 
   util::Rng rng(seed);
-  const std::size_t npi = c.primary_inputs().size();
-  const std::size_t nff = c.flip_flops().size();
   const V3 values[3] = {V3::k0, V3::k1, V3::kX};
-
   const std::string base =
-      c.name() + (fault ? " fault@" + c.name(fault->node) : " no-fault");
+      c.name() + (fault ? " fault " + fault::to_string(c, *fault)
+                        : " no-fault");
+  expect_matches_oracle(c, fault, m, a, base + " construction");
   for (unsigned op = 0; op < ops; ++op) {
     const std::string context = base + " op " + std::to_string(op);
     const std::uint64_t kind = rng.below(10);
     if (kind < 3 && !stack.empty()) {
       // Backtrack: restore to the state before the most recent push.
-      const PushedOp popped = stack.back();
+      const PushedOp popped = std::move(stack.back());
       stack.pop_back();
-      incr.undo_to(popped.mark);
-      incr.set_frame_count(popped.frames_at_push);
-      for (auto it = popped.undos.rbegin(); it != popped.undos.rend(); ++it) {
-        if (it->is_pi) {
-          obl.assign_pi(it->frame, it->index, it->old_value);
-        } else if (it->is_state) {
-          obl.assign_state(it->index, it->old_value);
-        }
-      }
-      obl.set_frame_count(popped.frames_at_push);
-      obl.simulate();
+      m.undo_to(popped.mark);
+      m.set_frame_count(popped.before.frames);
+      a = popped.before;
     } else {
-      PushedOp pushed;
-      pushed.mark = incr.trail_mark();
-      pushed.frames_at_push = incr.frame_count();
-      if (kind < 5 && incr.frame_count() < kMaxFrames) {
-        ASSERT_TRUE(incr.extend()) << context;
-        ASSERT_TRUE(obl.extend()) << context;
+      stack.push_back({m.trail_mark(), a});
+      if (kind < 5 && a.frames < kMaxFrames) {
+        ASSERT_TRUE(m.extend()) << context;
+        ++a.frames;
       } else if (nff > 0 && kind < 7) {
-        Undo u;
-        u.is_state = true;
-        u.index = rng.below(nff);
-        u.old_value = incr.state_value(u.index);
+        const std::size_t ff = rng.below(nff);
         const V3 v = values[rng.below(3)];
-        incr.assign_state(u.index, v);
-        obl.assign_state(u.index, v);
-        pushed.undos.push_back(u);
+        m.assign_state(ff, v);
+        a.state[ff] = v;
       } else if (npi > 0) {
-        Undo u;
-        u.is_pi = true;
-        u.frame = static_cast<unsigned>(rng.below(incr.frame_count()));
-        u.index = rng.below(npi);
-        u.old_value = incr.pi_value(u.frame, u.index);
+        const auto frame = static_cast<unsigned>(rng.below(a.frames));
+        const std::size_t pi = rng.below(npi);
         const V3 v = values[rng.below(3)];
-        incr.assign_pi(u.frame, u.index, v);
-        obl.assign_pi(u.frame, u.index, v);
-        pushed.undos.push_back(u);
+        m.assign_pi(frame, pi, v);
+        a.pis[frame][pi] = v;
       }
-      obl.simulate();
-      stack.push_back(std::move(pushed));
     }
-    incr.simulate();  // must be a safe no-op in incremental mode
-    expect_agree(c, incr, obl, context);
+    expect_matches_oracle(c, fault, m, a, context);
   }
 
   // Full unwind: the trail must restore the exact post-construction state.
-  if (!stack.empty()) incr.undo_to(stack.front().mark);
-  incr.set_frame_count(1);
-  FrameModel fresh(c, fault, kMaxFrames);
-  for (std::size_t i = 0; i < npi; ++i) {
-    ASSERT_EQ(incr.pi_value(0, i), V3::kX) << base;
-  }
-  for (std::size_t i = 0; i < nff; ++i) {
-    ASSERT_EQ(incr.state_value(i), V3::kX) << base;
-  }
-  for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
-    ASSERT_EQ(incr.good(0, n), fresh.good(0, n)) << base << " " << c.name(n);
-    if (fault) {
-      ASSERT_EQ(incr.faulty(0, n), fresh.faulty(0, n))
-          << base << " " << c.name(n);
-    }
-  }
+  if (!stack.empty()) m.undo_to(stack.front().mark);
+  m.set_frame_count(1);
+  const FrameModel fresh(c, fault, kMaxFrames);
+  expect_agree(c, m, fresh, base + " unwound");
 }
 
-/// A spread of faults across the collapsed list (first, last, evenly
-/// spaced), bounded by `count`.
-std::vector<Fault> sample_faults(const netlist::Circuit& c,
-                                 std::size_t count) {
-  const auto all = fault::collapse(c).faults;
+/// A spread of faults across the collapsed list of `universe` (first and
+/// evenly spaced), bounded by `count`.
+std::vector<Fault> sample_faults(
+    const netlist::Circuit& c, std::size_t count,
+    fault::FaultUniverse universe = fault::FaultUniverse::kStuckAt) {
+  const auto all = fault::collapse(c, universe).faults;
   std::vector<Fault> picked;
   if (all.empty() || count == 0) return picked;
   const std::size_t stride = std::max<std::size_t>(1, all.size() / count);
@@ -184,34 +178,40 @@ std::vector<Fault> sample_faults(const netlist::Circuit& c,
   return picked;
 }
 
+/// A transition fault on a flip-flop D pin (launch skew 2): the first one
+/// of the collapsed list, else one built on the first flip-flop (collapsing
+/// may fold every D-pin fault into its driver's stem).  Nullopt for
+/// combinational circuits.
+std::optional<Fault> dff_pin_transition(const netlist::Circuit& c) {
+  if (c.flip_flops().empty()) return std::nullopt;
+  for (const Fault& f :
+       fault::collapse(c, fault::FaultUniverse::kTransition).faults) {
+    if (f.pin == 0 && c.type(f.node) == netlist::GateType::kDff) return f;
+  }
+  return fault::make_transition(c.flip_flops()[0], 0, true);
+}
+
 TEST(FrameModelIncr, RandomizedOpsAgreeOnAllRegistryCircuits) {
   for (const std::string& name : gen::registry_names()) {
     const auto c = gen::make_circuit(name);
     const bool large = c.node_count() > 1500;
     const unsigned ops = large ? 12 : 48;
     run_random_session(c, std::nullopt, ops, 0xabc0 + c.node_count());
-    const std::size_t fault_count = large ? 1 : 3;
-    std::uint64_t seed = 17;
-    for (const Fault& f : sample_faults(c, fault_count)) {
-      run_random_session(c, f, ops, seed++);
+    // Stuck-at faults, then transition faults of both launch skews.
+    std::vector<Fault> faults = sample_faults(c, large ? 1 : 3);
+    for (const Fault& f : sample_faults(c, large ? 1 : 3,
+                                        fault::FaultUniverse::kTransition)) {
+      faults.push_back(f);
     }
+    if (const auto f = dff_pin_transition(c)) faults.push_back(*f);
+    std::uint64_t seed = 17;
+    for (const Fault& f : faults) run_random_session(c, f, ops, seed++);
   }
 }
 
-TEST(FrameModelIncr, ObliviousTrailIsInertButDocumented) {
-  const auto c = gen::make_circuit("s27");
-  FrameModel m(c, std::nullopt, 3, FrameModelConfig{false});
-  EXPECT_EQ(m.trail_mark(), 0u);
-  m.assign_pi(0, 0, V3::k1);
-  m.simulate();
-  EXPECT_EQ(m.trail_mark(), 0u);
-  m.undo_to(0);  // documented no-op
-  EXPECT_EQ(m.pi_value(0, 0), V3::k1);
-}
-
-/// Runs one fault through ForwardEngine in the given mode and records every
-/// observable of the search: per-solution status, vectors, minimized state,
-/// and the final decision/backtrack counts.
+/// Runs one fault through ForwardEngine and records every observable of the
+/// search: per-solution status, vectors, minimized state, and the final
+/// decision/backtrack counts.
 struct SearchRecord {
   std::vector<ForwardStatus> statuses;
   std::vector<sim::Sequence> vectors;
@@ -223,16 +223,13 @@ struct SearchRecord {
 };
 
 SearchRecord run_search(const netlist::Circuit& c, const Fault& f,
-                        bool incremental, const ObsDistances& obs,
-                        bool flat = true, FrameModelPool* pool = nullptr) {
+                        const ObsDistances& obs, FrameModelPool* pool) {
   SearchLimits limits;
   limits.max_backtracks = 150;
   limits.max_forward_frames = 6;
-  limits.incremental_model = incremental;
-  limits.flat_model = flat;
   ForwardEngine engine(c, f, limits, obs, pool);
-  // The unlimited deadline keeps the comparison deterministic: both modes
-  // clip on the backtrack budget, never on wall clock.
+  // The unlimited deadline keeps the comparison deterministic: every run
+  // clips on the backtrack budget, never on wall clock.
   const auto deadline = util::Deadline::unlimited();
   SearchRecord r;
   for (unsigned s = 0; s < 3; ++s) {
@@ -244,251 +241,8 @@ SearchRecord run_search(const netlist::Circuit& c, const Fault& f,
   }
   r.decisions = engine.stats().decisions;
   r.backtracks = engine.stats().backtracks;
-  // Both modes must report implication effort through the same counters
-  // (event pops exist only in incremental mode; a search that dies on an
-  // immediate excitation conflict may legitimately pop none).
   EXPECT_GT(engine.stats().gate_evals, 0);
-  if (!incremental) EXPECT_EQ(engine.stats().events, 0);
   return r;
-}
-
-TEST(FrameModelIncr, ForwardEngineIsModeDeterministic) {
-  for (const std::string& name : gen::registry_names()) {
-    const auto c = gen::make_circuit(name);
-    const bool large = c.node_count() > 1500;
-    const auto obs = share_observation_distances(c);
-    for (const Fault& f : sample_faults(c, large ? 2 : 6)) {
-      const SearchRecord oblivious = run_search(c, f, false, obs);
-      const SearchRecord incremental = run_search(c, f, true, obs);
-      EXPECT_EQ(oblivious, incremental)
-          << name << " fault at " << c.name(f.node) << " pin " << f.pin
-          << " sa" << int(f.stuck_at);
-    }
-  }
-}
-
-TEST(FrameModelIncr, JustifierIsModeDeterministic) {
-  for (const std::string& name :
-       {std::string("s27"), std::string("g298"), std::string("g526")}) {
-    const auto c = gen::make_circuit(name);
-    const auto obs = share_observation_distances(c);
-    const std::size_t nff = c.flip_flops().size();
-    util::Rng rng(7);
-    for (int trial = 0; trial < 4; ++trial) {
-      // Target states come from forward solutions so that a mix of
-      // justifiable and unjustifiable goals is exercised.
-      sim::State3 target(nff, V3::kX);
-      for (std::size_t i = 0; i < nff; ++i) {
-        const V3 values[3] = {V3::k0, V3::k1, V3::kX};
-        target[i] = values[rng.below(3)];
-      }
-      SearchLimits limits;
-      limits.max_backtracks = 100;
-      limits.max_justify_depth = 6;
-      limits.time_limit_s = 3600.0;  // determinism: clip on backtracks only
-
-      limits.incremental_model = false;
-      DeterministicJustifier obl(c, limits);
-      const auto ro = obl.justify(target, util::Deadline::unlimited());
-
-      limits.incremental_model = true;
-      DeterministicJustifier incr(c, limits);
-      const auto ri = incr.justify(target, util::Deadline::unlimited());
-
-      EXPECT_EQ(static_cast<int>(ro.status), static_cast<int>(ri.status))
-          << name << " trial " << trial;
-      EXPECT_EQ(ro.sequence, ri.sequence) << name << " trial " << trial;
-      EXPECT_EQ(obl.stats().decisions, incr.stats().decisions)
-          << name << " trial " << trial;
-      EXPECT_EQ(obl.stats().backtracks, incr.stats().backtracks)
-          << name << " trial " << trial;
-    }
-  }
-}
-
-// -- Flat vs legacy layout ---------------------------------------------------
-
-/// One randomized session driven identically against both storage layouts
-/// under the same implication engine.  Beyond the value/frontier agreement
-/// of expect_agree, the layouts must also agree on trail marks (entry for
-/// entry — DecisionStack marks recorded on one layout must mean the same
-/// thing on the other) and on the effort stats (gate_evals, events).
-void run_layout_session(const netlist::Circuit& c,
-                        const std::optional<Fault>& fault, bool incremental,
-                        unsigned ops, std::uint64_t seed) {
-  FrameModel flat(c, fault, kMaxFrames, FrameModelConfig{incremental, true});
-  FrameModel legacy(c, fault, kMaxFrames,
-                    FrameModelConfig{incremental, false});
-  ASSERT_TRUE(flat.flat());
-  ASSERT_FALSE(legacy.flat());
-
-  struct Undo {
-    bool is_pi = false;
-    unsigned frame = 0;
-    std::size_t index = 0;
-    V3 old_value = V3::kX;
-  };
-  struct PushedOp {
-    std::size_t mark = 0;
-    unsigned frames_at_push = 1;
-    std::vector<Undo> undos;
-  };
-  std::vector<PushedOp> stack;
-
-  util::Rng rng(seed);
-  const std::size_t npi = c.primary_inputs().size();
-  const std::size_t nff = c.flip_flops().size();
-  const V3 values[3] = {V3::k0, V3::k1, V3::kX};
-  const std::string base = c.name() +
-                           (fault ? " fault@" + c.name(fault->node)
-                                  : " no-fault") +
-                           (incremental ? " incr" : " obl");
-  for (unsigned op = 0; op < ops; ++op) {
-    const std::string context = base + " op " + std::to_string(op);
-    const std::uint64_t kind = rng.below(10);
-    if (kind < 3 && !stack.empty()) {
-      const PushedOp popped = stack.back();
-      stack.pop_back();
-      if (incremental) {
-        flat.undo_to(popped.mark);
-        legacy.undo_to(popped.mark);
-      } else {
-        for (auto it = popped.undos.rbegin(); it != popped.undos.rend();
-             ++it) {
-          if (it->is_pi) {
-            flat.assign_pi(it->frame, it->index, it->old_value);
-            legacy.assign_pi(it->frame, it->index, it->old_value);
-          } else {
-            flat.assign_state(it->index, it->old_value);
-            legacy.assign_state(it->index, it->old_value);
-          }
-        }
-      }
-      flat.set_frame_count(popped.frames_at_push);
-      legacy.set_frame_count(popped.frames_at_push);
-    } else {
-      PushedOp pushed;
-      pushed.mark = flat.trail_mark();
-      pushed.frames_at_push = flat.frame_count();
-      if (kind < 5 && flat.frame_count() < kMaxFrames) {
-        ASSERT_TRUE(flat.extend()) << context;
-        ASSERT_TRUE(legacy.extend()) << context;
-      } else if (nff > 0 && kind < 7) {
-        Undo u;
-        u.index = rng.below(nff);
-        u.old_value = flat.state_value(u.index);
-        const V3 v = values[rng.below(3)];
-        flat.assign_state(u.index, v);
-        legacy.assign_state(u.index, v);
-        pushed.undos.push_back(u);
-      } else if (npi > 0) {
-        Undo u;
-        u.is_pi = true;
-        u.frame = static_cast<unsigned>(rng.below(flat.frame_count()));
-        u.index = rng.below(npi);
-        u.old_value = flat.pi_value(u.frame, u.index);
-        const V3 v = values[rng.below(3)];
-        flat.assign_pi(u.frame, u.index, v);
-        legacy.assign_pi(u.frame, u.index, v);
-        pushed.undos.push_back(u);
-      }
-      stack.push_back(std::move(pushed));
-    }
-    flat.simulate();
-    legacy.simulate();
-    expect_agree(c, flat, legacy, context);
-    ASSERT_EQ(flat.trail_mark(), legacy.trail_mark()) << context;
-    ASSERT_EQ(flat.stats().gate_evals, legacy.stats().gate_evals) << context;
-    ASSERT_EQ(flat.stats().events, legacy.stats().events) << context;
-  }
-}
-
-TEST(FrameModelLayout, RandomizedOpsAgreeOnAllRegistryCircuits) {
-  for (const std::string& name : gen::registry_names()) {
-    const auto c = gen::make_circuit(name);
-    const bool large = c.node_count() > 1500;
-    const unsigned ops = large ? 10 : 36;
-    for (const bool incremental : {true, false}) {
-      run_layout_session(c, std::nullopt, incremental, ops,
-                         0xf1a7 + c.node_count());
-      std::uint64_t seed = 23;
-      for (const Fault& f : sample_faults(c, large ? 1 : 2)) {
-        run_layout_session(c, f, incremental, ops, seed++);
-      }
-    }
-  }
-}
-
-TEST(FrameModelLayout, ForwardEngineIsLayoutDeterministic) {
-  for (const std::string& name : gen::registry_names()) {
-    const auto c = gen::make_circuit(name);
-    const bool large = c.node_count() > 1500;
-    const auto obs = share_observation_distances(c);
-    for (const Fault& f : sample_faults(c, large ? 2 : 4)) {
-      const SearchRecord flat = run_search(c, f, true, obs, true);
-      const SearchRecord legacy = run_search(c, f, true, obs, false);
-      EXPECT_EQ(flat, legacy)
-          << name << " fault at " << c.name(f.node) << " pin " << f.pin
-          << " sa" << int(f.stuck_at);
-    }
-  }
-}
-
-TEST(FrameModelLayout, ObliviousSearchIsLayoutDeterministic) {
-  for (const std::string& name :
-       {std::string("s27"), std::string("g298")}) {
-    const auto c = gen::make_circuit(name);
-    const auto obs = share_observation_distances(c);
-    for (const Fault& f : sample_faults(c, 4)) {
-      const SearchRecord flat = run_search(c, f, false, obs, true);
-      const SearchRecord legacy = run_search(c, f, false, obs, false);
-      EXPECT_EQ(flat, legacy)
-          << name << " fault at " << c.name(f.node) << " pin " << f.pin;
-    }
-  }
-}
-
-TEST(FrameModelLayout, JustifierIsLayoutDeterministic) {
-  for (const std::string& name :
-       {std::string("s27"), std::string("g298"), std::string("g526")}) {
-    const auto c = gen::make_circuit(name);
-    const std::size_t nff = c.flip_flops().size();
-    util::Rng rng(11);
-    for (int trial = 0; trial < 4; ++trial) {
-      sim::State3 target(nff, V3::kX);
-      for (std::size_t i = 0; i < nff; ++i) {
-        const V3 values[3] = {V3::k0, V3::k1, V3::kX};
-        target[i] = values[rng.below(3)];
-      }
-      SearchLimits limits;
-      limits.max_backtracks = 100;
-      limits.max_justify_depth = 6;
-      limits.time_limit_s = 3600.0;  // determinism: clip on backtracks only
-
-      limits.flat_model = true;
-      DeterministicJustifier flat(c, limits);
-      const auto rf = flat.justify(target, util::Deadline::unlimited());
-
-      limits.flat_model = false;
-      DeterministicJustifier legacy(c, limits);
-      const auto rl = legacy.justify(target, util::Deadline::unlimited());
-
-      EXPECT_EQ(static_cast<int>(rf.status), static_cast<int>(rl.status))
-          << name << " trial " << trial;
-      EXPECT_EQ(rf.sequence, rl.sequence) << name << " trial " << trial;
-      // Across layouts (same engine) the effort counters match exactly —
-      // the flat path evaluates precisely the same gates and pops
-      // precisely the same events as the legacy path.
-      EXPECT_EQ(flat.stats().decisions, legacy.stats().decisions)
-          << name << " trial " << trial;
-      EXPECT_EQ(flat.stats().backtracks, legacy.stats().backtracks)
-          << name << " trial " << trial;
-      EXPECT_EQ(flat.stats().gate_evals, legacy.stats().gate_evals)
-          << name << " trial " << trial;
-      EXPECT_EQ(flat.stats().events, legacy.stats().events)
-          << name << " trial " << trial;
-    }
-  }
 }
 
 // -- Model pooling -----------------------------------------------------------
@@ -521,33 +275,25 @@ TEST(FrameModelPool, ResetIsBitIdenticalToFreshConstruction) {
   const auto faults = sample_faults(c, 4);
   ASSERT_GE(faults.size(), 2u);
   const std::size_t npi = c.primary_inputs().size();
-  for (const bool flat : {true, false}) {
-    for (const bool incremental : {true, false}) {
-      const FrameModelConfig config{incremental, flat};
-      // Dirty a model thoroughly: fault A, assignments, window growth.
-      FrameModel reused(c, faults[0], 4, config);
-      util::Rng rng(31);
-      reused.extend();
-      for (int i = 0; i < 6; ++i) {
-        reused.assign_pi(static_cast<unsigned>(rng.below(2)), rng.below(npi),
-                         rng.bit() ? V3::k1 : V3::k0);
-      }
-      reused.simulate();
-      // Reset to fault B must equal a fresh fault-B model everywhere.
-      reused.reset(faults[1], 3, config);
-      FrameModel fresh(c, faults[1], 3, config);
-      expect_agree(c, reused, fresh, "reset-vs-fresh");
-      EXPECT_EQ(reused.trail_mark(), 0u);
-      EXPECT_EQ(reused.stats().gate_evals, fresh.stats().gate_evals);
-      EXPECT_EQ(reused.stats().events, fresh.stats().events);
-      // And it must behave identically from here on.
-      reused.assign_pi(0, 0, V3::k1);
-      fresh.assign_pi(0, 0, V3::k1);
-      reused.simulate();
-      fresh.simulate();
-      expect_agree(c, reused, fresh, "reset-vs-fresh after assign");
-    }
+  // Dirty a model thoroughly: fault A, assignments, window growth.
+  FrameModel reused(c, faults[0], 4);
+  util::Rng rng(31);
+  reused.extend();
+  for (int i = 0; i < 6; ++i) {
+    reused.assign_pi(static_cast<unsigned>(rng.below(2)), rng.below(npi),
+                     rng.bit() ? V3::k1 : V3::k0);
   }
+  // Reset to fault B must equal a fresh fault-B model everywhere.
+  reused.reset(faults[1], 3);
+  FrameModel fresh(c, faults[1], 3);
+  expect_agree(c, reused, fresh, "reset-vs-fresh");
+  EXPECT_EQ(reused.trail_mark(), 0u);
+  EXPECT_EQ(reused.stats().gate_evals, fresh.stats().gate_evals);
+  EXPECT_EQ(reused.stats().events, fresh.stats().events);
+  // And it must behave identically from here on.
+  reused.assign_pi(0, 0, V3::k1);
+  fresh.assign_pi(0, 0, V3::k1);
+  expect_agree(c, reused, fresh, "reset-vs-fresh after assign");
 }
 
 TEST(FrameModelPool, BufferCapacityRetainedAcrossShrinkGrowCycles) {
@@ -576,8 +322,8 @@ TEST(FrameModelPool, SharedPoolSearchesAreBitIdentical) {
   const auto faults = sample_faults(c, 6);
   FrameModelPool pool(c);
   for (const Fault& f : faults) {
-    const SearchRecord pooled = run_search(c, f, true, obs, true, &pool);
-    const SearchRecord solo = run_search(c, f, true, obs, true, nullptr);
+    const SearchRecord pooled = run_search(c, f, obs, &pool);
+    const SearchRecord solo = run_search(c, f, obs, nullptr);
     EXPECT_EQ(pooled, solo) << c.name(f.node) << " pin " << f.pin;
   }
   // One model + one required_state scratch serve the whole fault list.

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "atpg/justify.h"
 #include "gen/s27.h"
 #include "helpers/random_circuit.h"
+#include "helpers/reference_frames.h"
 #include "helpers/reference_sim.h"
 #include "sim/seqsim.h"
 
@@ -42,6 +45,50 @@ void expect_justifies(const netlist::Circuit& c, const State3& target,
   }
 }
 
+/// Checks the first reverse-time frame of justifying `target` on the
+/// frame-model oracle: for each of up to `max_solutions` frame solutions,
+/// the minimized previous-state requirement keeps every flip-flop goal
+/// under the solution's PI values, and clearing any single assigned
+/// flip-flop breaks some goal.  Greedy clearing guarantees this
+/// 1-minimality by three-valued monotonicity.  Returns the number of
+/// solutions checked.
+int expect_one_minimal_frames(const netlist::Circuit& c, const State3& target,
+                              int max_solutions = 4) {
+  std::vector<Objective> goals;
+  const auto ffs = c.flip_flops();
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    if (target[i] != V3::kX) {
+      goals.push_back({0, c.fanins(ffs[i])[0], target[i]});
+    }
+  }
+  auto goals_hold = [&](const sim::Sequence& pis, const State3& state) {
+    const auto ref = test::reference_frames(c, std::nullopt, pis, state);
+    return std::all_of(goals.begin(), goals.end(), [&](const Objective& g) {
+      return ref.good[0][g.node] == g.value;
+    });
+  };
+  FrameGoalSearch search(c, goals);
+  SearchStats stats;
+  int solutions = 0;
+  while (solutions < max_solutions &&
+         search.next(util::Deadline::unlimited(), 50000, stats) ==
+             FrameGoalSearch::Step::kSolution) {
+    ++solutions;
+    const sim::Sequence pis = search.model().extract_vectors();
+    const State3 state = search.minimized_state();
+    EXPECT_TRUE(goals_hold(pis, state)) << "solution " << solutions;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      if (state[i] == V3::kX) continue;
+      State3 cleared = state;
+      cleared[i] = V3::kX;
+      EXPECT_FALSE(goals_hold(pis, cleared))
+          << "solution " << solutions << " keeps every goal without "
+          << "flip-flop " << i;
+    }
+  }
+  return solutions;
+}
+
 TEST(DeterministicJustifier, AllXTargetIsTrivial) {
   const auto c = gen::make_s27();
   DeterministicJustifier j(c, limits());
@@ -60,6 +107,7 @@ TEST(DeterministicJustifier, JustifiesSingleBitTargets) {
       const auto out = j.justify(target, util::Deadline::unlimited());
       if (out.status == DeterministicJustifier::Status::kJustified) {
         expect_justifies(c, target, out.sequence);
+        EXPECT_GT(expect_one_minimal_frames(c, target), 0);
       } else {
         // s27 state bits are all individually reachable; only full search
         // exhaustion may say otherwise, and it must not on this circuit.
@@ -89,6 +137,7 @@ TEST(DeterministicJustifier, ProvesUnreachableStateUnjustifiable) {
   const auto ok = j.justify({V3::k1, V3::k1}, util::Deadline::unlimited());
   ASSERT_EQ(ok.status, DeterministicJustifier::Status::kJustified);
   expect_justifies(c, {V3::k1, V3::k1}, ok.sequence);
+  EXPECT_GT(expect_one_minimal_frames(c, {V3::k1, V3::k1}), 0);
 }
 
 TEST(DeterministicJustifier, MultiFrameChainNeedsDeepSequence) {
@@ -109,6 +158,7 @@ TEST(DeterministicJustifier, MultiFrameChainNeedsDeepSequence) {
   ASSERT_EQ(out.status, DeterministicJustifier::Status::kJustified);
   EXPECT_EQ(out.sequence.size(), 3u);
   expect_justifies(c, {V3::kX, V3::kX, V3::k1}, out.sequence);
+  EXPECT_GT(expect_one_minimal_frames(c, {V3::kX, V3::kX, V3::k1}), 0);
 }
 
 TEST(DeterministicJustifier, DepthLimitAbortsInsteadOfLying) {
@@ -170,6 +220,7 @@ TEST_P(JustifyReachable, ReachedStatesAreJustified) {
   ASSERT_EQ(out.status, DeterministicJustifier::Status::kJustified)
       << "reached state must be justifiable (seed " << GetParam() << ")";
   expect_justifies(c, reached, out.sequence);
+  EXPECT_GT(expect_one_minimal_frames(c, reached), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCircuits, JustifyReachable,

@@ -48,7 +48,6 @@ TEST(Backtrace, FollowsXPathPastAssignedInputs) {
   const auto c = std::move(b).build("and2b");
   FrameModel m(c, std::nullopt, 1);
   m.assign_pi(0, 0, V3::k1);
-  m.simulate();
   const auto r = backtrace(m, {0, y, V3::k1});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->index, 1u);
@@ -112,7 +111,6 @@ TEST(Backtrace, XorTargetsParityConsistentValue) {
   const auto c = std::move(b).build("xor2");
   FrameModel m(c, std::nullopt, 1);
   m.assign_pi(0, 0, V3::k1);
-  m.simulate();
   const auto r = backtrace(m, {0, y, V3::k1});
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->index, 1u);

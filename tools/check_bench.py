@@ -25,8 +25,7 @@ gates never downgrade — determinism must hold at any core count.
 Supported benches:
 
   detengine   BENCH_detengine.json — deterministic-engine search counters,
-              FrameModel pool-reuse regression guard, flat-layout speedup
-              floor (overall_flat_speedup >= 1.15), speculative-targeting
+              FrameModel pool-reuse regression guard, speculative-targeting
               serial-vs-lanes identity gate plus speedup floor
               (target_speedup >= 1.5 at --threads lanes, thread-scaling).
   faultsim    BENCH_faultsim.json — fault-simulator gate-eval/grouping
@@ -42,7 +41,7 @@ Supported benches:
 
 Usage:
   check_bench.py --bench detengine --fresh build/BENCH_detengine.json \
-      --snapshot BENCH_detengine.json [--min-ratio 1.15]
+      --snapshot BENCH_detengine.json
   check_bench.py --bench faultsim --fresh build/BENCH_faultsim.json \
       --snapshot BENCH_faultsim.json [--min-ratio 1.5]
 
@@ -113,21 +112,15 @@ BENCH_SPECS = {
         "args": ("max_faults", "backtracks", "solutions", "repeat",
                  "threads"),
         "invariants": {
-            "identical_across_modes":
-                "a mode/layout changed the search result",
-            "counters_unchanged":
-                "the flat layout's gate_evals/events diverged from the "
-                "legacy layout",
             "targeting_identical":
                 "the speculative lane run diverged from the serial run",
         },
-        # One result row per engine mode within a circuit.
+        # One result row per circuit, keyed by its engine label.
         "row_key": lambda r: r["engine"],
         "counters": ("decisions", "backtracks", "gate_evals", "events",
                      "solved", "untestable"),
         "row_guards": {"incremental-flat-pooled": detengine_pool_guard},
         "ratios": (
-            {"key": "overall_flat_speedup", "floor": 1.15},
             {"key": "target_speedup", "floor": 1.5, "needs_threads": True},
         ),
         "extra": detengine_targeting,
