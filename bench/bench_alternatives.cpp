@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   bench::JsonReport* json_ptr = options.json_path.empty() ? nullptr : &json;
   auto table = bench::make_engine_table();
   for (const auto& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     const std::size_t total = fault::collapse(c).size();
     auto emit = [&](const std::string& engine,
                     const session::SessionResult& r, double time_s) {

@@ -35,7 +35,6 @@
 #include "atpg/detengine.h"
 #include "common.h"
 #include "fault/faultlist.h"
-#include "gen/registry.h"
 #include "hybrid/hybrid_atpg.h"
 #include "netlist/depth.h"
 #include "session/session.h"
@@ -222,7 +221,7 @@ int main(int argc, char** argv) {
 
   std::vector<CircuitResult> results;
   for (const std::string& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     const auto faults = fault::collapse(c).faults;
     CircuitResult cr;
     cr.name = name;
@@ -290,7 +289,7 @@ int main(int argc, char** argv) {
   double serial_wall_total = 0.0;
   double lanes_wall_total = 0.0;
   for (const std::string& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     fault::FaultList tf = fault::collapse(c);
     if (tf.size() > max_faults) {
       tf.faults.resize(max_faults);

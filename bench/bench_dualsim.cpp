@@ -4,7 +4,7 @@
 // Compares one packed batch against 64 scalar broadcast runs.
 #include <benchmark/benchmark.h>
 
-#include "gen/registry.h"
+#include "common.h"
 #include "helpers_bench.h"
 #include "sim/seqsim.h"
 
@@ -13,7 +13,7 @@ namespace {
 using namespace gatpg;
 
 void BM_PackedBatch64(benchmark::State& state, const char* name) {
-  const auto c = gen::make_circuit(name);
+  const auto c = bench::load_circuit(name);
   util::Rng rng(7);
   const std::size_t npi = c.primary_inputs().size();
   const unsigned len = 32;
@@ -39,7 +39,7 @@ void BM_PackedBatch64(benchmark::State& state, const char* name) {
 }
 
 void BM_ScalarRuns64(benchmark::State& state, const char* name) {
-  const auto c = gen::make_circuit(name);
+  const auto c = bench::load_circuit(name);
   util::Rng rng(7);
   const unsigned len = 32;
   std::vector<sim::Sequence> seqs(64);

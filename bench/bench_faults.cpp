@@ -22,7 +22,6 @@
 
 #include "common.h"
 #include "fault/faultlist.h"
-#include "gen/registry.h"
 #include "hybrid/hybrid_atpg.h"
 #include "netlist/depth.h"
 #include "session/session.h"
@@ -153,7 +152,7 @@ int main(int argc, char** argv) {
   double min_coverage_transition = 1.0;
   std::vector<CircuitResult> results;
   for (const std::string& name : names) {
-    const netlist::Circuit c = gen::make_circuit(name);
+    const netlist::Circuit c = bench::load_circuit(name);
     CircuitResult cr;
     cr.name = name;
 

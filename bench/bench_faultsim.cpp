@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   std::uint64_t diff_evals_total = 0;
   std::vector<CircuitResult> results;
   for (const std::string& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     const auto faults = fault::collapse(c).faults;
     CircuitResult cr;
     cr.name = name;

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"Circuit", "Problems", "9:1 solved", "5:5 solved",
                             "9:1 len", "5:5 len"});
   for (const auto& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     const auto problems = harvest_problems(c, 60);
     const hybrid::GaStateJustifier justifier(c);
     const sim::State3 all_x(c.flip_flops().size(), sim::V3::kX);

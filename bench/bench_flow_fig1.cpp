@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                             "GAcall", "GAwin", "DetJust", "DetWin",
                             "VerifyRej", "Det", "Unt"});
   for (const auto& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     hybrid::HybridConfig cfg;
     cfg.schedule = hybrid::PassSchedule::ga_hitec(options.time_scale);
     for (auto& pass : cfg.schedule.passes) {

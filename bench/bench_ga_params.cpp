@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const bench::BenchOptions options =
       bench::parse_options(argc, argv, &names);
   const std::string name = names.empty() ? "g526" : names.front();
-  const auto c = gen::make_circuit(name);
+  const auto c = bench::load_circuit(name);
 
   std::printf("Table I rationale: single GA pass on %s, parameter sweep\n",
               c.name().c_str());

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   bool consistent = true;
   std::vector<CircuitResult> results;
   for (const std::string& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     const auto faults = fault::collapse(c).faults;
     CircuitResult cr;
     cr.name = name;

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"Circuit", "Prefilter", "Det", "Unt", "GA calls",
                             "Time", "Speedup"});
   for (const auto& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     double base_time = 0.0;
     for (const bool prefilter : {false, true}) {
       hybrid::HybridConfig cfg;

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
                             "prop", "prop^2", "tourn==tourn^2"});
 
   for (const auto& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     // Harvest justification problems from the deterministic front end.
     struct Problem {
       fault::Fault fault;

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common.h"
-#include "gen/registry.h"
 #include "hybrid/hybrid_atpg.h"
 #include "util/stopwatch.h"
 
@@ -172,7 +171,7 @@ int main(int argc, char** argv) {
   bool identical = true;
   std::vector<std::string> golden_rows;
   for (const GoldenCase& g : kGolden) {
-    const auto c = gen::make_circuit(g.circuit);
+    const auto c = bench::load_circuit(g.circuit);
     hybrid::HybridConfig cfg =
         g.bounded ? bounded_config(g.ga, g.seed, 300, 4)
                   : hybrid::HybridConfig{};
@@ -212,7 +211,7 @@ int main(int argc, char** argv) {
       backtracks, solutions);
   std::vector<SweepRow> rows;
   for (const std::string& name : names) {
-    const auto c = gen::make_circuit(name);
+    const auto c = bench::load_circuit(name);
     for (const bool ga : {true, false}) {
       SweepRow row;
       row.circuit = name;

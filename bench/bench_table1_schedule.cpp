@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   }
   schedule.print();
 
-  const auto c = gen::make_circuit(name);
+  const auto c = bench::load_circuit(name);
   const auto row = bench::run_comparison(c, options);
   std::printf("\nPer-pass yield on %s (%zu collapsed faults):\n",
               c.name().c_str(), row.total_faults);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   bench::JsonReport* json_ptr = options.json_path.empty() ? nullptr : &json;
   auto table = bench::make_comparison_table();
   for (const std::string& name : names) {
-    const auto circuit = gen::make_circuit(name);
+    const auto circuit = bench::load_circuit(name);
     // The paper used sequence lengths of 1/4 and 1/2 of the sequential depth
     // for the two deepest circuits, 4x/8x otherwise; our analogs are all in
     // the "4x/8x" regime.

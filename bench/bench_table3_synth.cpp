@@ -38,17 +38,17 @@ int main(int argc, char** argv) {
   };
 
   if (!names.empty()) {
-    for (const auto& name : names) run_named(gen::make_circuit(name));
+    for (const auto& name : names) run_named(bench::load_circuit(name));
   } else {
-    run_named(gen::make_circuit("am2910"));
+    run_named(bench::load_circuit("am2910"));
     if (options.full) {
-      run_named(gen::make_circuit("div16"));
-      run_named(gen::make_circuit("mult16"));
+      run_named(bench::load_circuit("div16"));
+      run_named(bench::load_circuit("mult16"));
     } else {
       run_named(gen::make_divider(8, "div8"));
       run_named(gen::make_multiplier(8, "mult8"));
     }
-    run_named(gen::make_circuit("pcont2"));
+    run_named(bench::load_circuit("pcont2"));
   }
   table.print();
   std::printf(

@@ -3,11 +3,27 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
+#include "gen/registry.h"
 #include "util/json_writer.h"
 
 namespace gatpg::bench {
+
+netlist::Circuit load_circuit(const std::string& name) {
+  try {
+    return gen::make_circuit(name);
+  } catch (const std::out_of_range&) {
+    std::fprintf(stderr, "unknown circuit '%s'; valid circuits:",
+                 name.c_str());
+    for (const std::string& n : gen::registry_names()) {
+      std::fprintf(stderr, " %s", n.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    std::exit(2);
+  }
+}
 
 BenchOptions parse_options(int argc, char** argv,
                            std::vector<std::string>* positional) {

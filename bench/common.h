@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "fault/grading.h"
-#include "gen/registry.h"
 #include "hybrid/hybrid_atpg.h"
+#include "netlist/circuit.h"
 #include "netlist/depth.h"
 #include "session/observer.h"
 #include "util/tableprint.h"
@@ -38,6 +38,10 @@ struct BenchOptions {
   /// When non-empty, the bench writes machine-readable results here.
   std::string json_path;
 };
+
+/// Builds a circuit by name through gen::make_circuit.  An unknown name
+/// prints the valid registry names to stderr and exits with status 2.
+netlist::Circuit load_circuit(const std::string& name);
 
 /// Parses --time-scale=X, --pass-budget=X, --full, --seed=N, --threads=N,
 /// --json=FILE; everything else is returned as a positional arg (circuit

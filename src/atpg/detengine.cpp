@@ -55,9 +55,9 @@ ForwardEngine::ForwardEngine(const netlist::Circuit& c, const fault::Fault& f,
     : c_(c),
       fault_(f),
       limits_(limits),
-      own_pool_(pool ? nullptr : std::make_unique<FrameModelPool>(c)),
-      pool_(pool ? pool : own_pool_.get()),
-      model_h_(pool_->acquire(f, std::max(1u, limits.max_forward_frames))),
+      model_h_(pool ? pool->acquire(f, std::max(1u, limits.max_forward_frames))
+                    : FrameModelPool::standalone(
+                          c, f, std::max(1u, limits.max_forward_frames))),
       model_(*model_h_),
       stack_(model_),
       obs_dist_(obs_dist ? std::move(obs_dist)
@@ -68,13 +68,8 @@ ForwardEngine::ForwardEngine(const netlist::Circuit& c, const fault::Fault& f,
 }
 
 const SearchStats& ForwardEngine::stats() const {
-  FrameModelStats total = model_.stats();
-  if (scratch_) {
-    total.gate_evals += scratch_->stats().gate_evals;
-    total.events += scratch_->stats().events;
-  }
-  stats_.gate_evals = static_cast<long>(total.gate_evals);
-  stats_.events = static_cast<long>(total.events);
+  stats_.gate_evals = static_cast<long>(model_.stats().gate_evals);
+  stats_.events = static_cast<long>(model_.stats().events);
   return stats_;
 }
 
@@ -213,41 +208,10 @@ bool ForwardEngine::pick_objective(Objective& obj) {
   return false;
 }
 
-sim::State3 ForwardEngine::required_state() const {
-  // Rebuild the solution on a scratch model and greedily clear state
-  // assignments whose removal keeps a fault effect on some primary output.
-  // One scratch model is reused across calls, reset through the trail; each
-  // greedy probe is a trailed clear_state undone on failure.
-  if (!scratch_) scratch_ = pool_->acquire(fault_, model_.max_frames());
-  FrameModel& sc = *scratch_;
-  sc.undo_to(0);  // back to the all-unassigned construction state
-  // Frames beyond 0 reverted to their raw pre-activation contents; shrink
-  // and regrow so the window is rebuilt before any assignment lands.
-  sc.set_frame_count(1);
-  sc.set_frame_count(model_.frame_count());
-  const auto pis = c_.primary_inputs();
-  for (unsigned t = 0; t < model_.frame_count(); ++t) {
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      const V3 v = model_.pi_value(t, i);
-      if (v != V3::kX) sc.assign_pi(t, i, v);
-    }
-  }
-  const std::size_t nff = c_.flip_flops().size();
-  for (std::size_t i = 0; i < nff; ++i) {
-    const V3 v = model_.state_value(i);
-    if (v != V3::kX) sc.assign_state(i, v);
-  }
-  if (!sc.po_has_d()) {
-    // Not currently at a solution; report the raw assignment.
-    return model_.extract_state();
-  }
-  for (std::size_t i = 0; i < nff; ++i) {
-    if (sc.state_value(i) == V3::kX) continue;
-    const std::size_t mark = sc.trail_mark();
-    sc.clear_state(i);
-    if (!sc.po_has_d()) sc.undo_to(mark);
-  }
-  return sc.extract_state();
+sim::State3 ForwardEngine::required_state() {
+  // Not currently at a solution; report the raw assignment.
+  if (!model_.po_has_d()) return model_.extract_state();
+  return model_.minimized_state([&] { return model_.po_has_d(); });
 }
 
 ForwardStatus ForwardEngine::next_solution(const util::Deadline& deadline) {

@@ -53,8 +53,8 @@ class ForwardEngine {
   /// (share_observation_distances); when null the engine computes its own.
   /// `pool` optionally recycles FrameModels across per-fault engines
   /// (sessions build one ForwardEngine per target; the pool makes that a
-  /// reset instead of a reallocation); when null the engine owns a private
-  /// pool so behavior is identical either way.
+  /// reset instead of a reallocation); when null the engine builds its own
+  /// model, which is bit-identical to a pooled one.
   ForwardEngine(const netlist::Circuit& c, const fault::Fault& f,
                 const SearchLimits& limits, ObsDistances obs_dist = nullptr,
                 FrameModelPool* pool = nullptr);
@@ -69,12 +69,14 @@ class ForwardEngine {
   /// output is dropped back to X (PODEM decisions binarize state variables
   /// even when the detection does not need them; a weaker requirement is
   /// strictly easier to justify and — by 3-valued monotonicity — still
-  /// yields a valid test).
+  /// yields a valid test).  The greedy probes run on the search model
+  /// under a trail mark and are undone before returning, so the search
+  /// resumes exactly where it stood.
   sim::Sequence vectors() const { return model_.extract_vectors(); }
-  sim::State3 required_state() const;
+  sim::State3 required_state();
 
-  /// Search statistics; gate_evals/events are synced from the model (and
-  /// the required_state scratch model) on access.
+  /// Search statistics; gate_evals/events are synced from the model on
+  /// access.
   const SearchStats& stats() const;
   const FrameModel& model() const { return model_; }
 
@@ -93,17 +95,12 @@ class ForwardEngine {
   const netlist::Circuit& c_;
   fault::Fault fault_;
   SearchLimits limits_;
-  std::unique_ptr<FrameModelPool> own_pool_;  // pool-less fallback
-  FrameModelPool* pool_;                      // never null after construction
   FrameModelHandle model_h_;
   FrameModel& model_;
   DecisionStack stack_;
   mutable SearchStats stats_;
   netlist::NodeId driver_;  // node whose good value excites the fault
   ObsDistances obs_dist_;   // static distance-to-observation (shared)
-  /// Lazily acquired scratch model reused across required_state() calls,
-  /// reset through the trail instead of reconstruction.
-  mutable FrameModelHandle scratch_;
   mutable std::vector<FrameModel::FrontierGate> frontier_scratch_;
   bool started_ = false;
   bool any_solution_ = false;

@@ -209,6 +209,25 @@ class FrameModel {
   /// Extracts the frame-0 pseudo-input requirements.
   sim::State3 extract_state() const;
 
+  /// The frame-0 state with every assignment dropped back to X whose
+  /// removal keeps `holds()` true, probed greedily in flip-flop index
+  /// order.  Each probe is a trailed clear_state undone when `holds()`
+  /// fails, and the model ends exactly as it began (same trail position),
+  /// so a search running on it resumes unaffected.
+  template <typename Holds>
+  sim::State3 minimized_state(Holds&& holds) {
+    const std::size_t base = trail_mark();
+    for (std::size_t i = 0; i < state_assign_.size(); ++i) {
+      if (state_assign_[i] == sim::V3::kX) continue;
+      const std::size_t mark = trail_mark();
+      clear_state(i);
+      if (!holds()) undo_to(mark);
+    }
+    sim::State3 state = extract_state();
+    undo_to(base);
+    return state;
+  }
+
  private:
   /// One undoable change: a value cell (kCell: `old` is its previous
   /// composite byte) or an assignment (kPi/kState: `old` is the previous

@@ -10,8 +10,7 @@ using sim::V3;
 FrameGoalSearch::FrameGoalSearch(const netlist::Circuit& c,
                                  std::vector<Objective> goals,
                                  FrameModelPool* pool)
-    : pool_(pool),
-      model_h_(pool ? pool->acquire(std::nullopt, 1)
+    : model_h_(pool ? pool->acquire(std::nullopt, 1)
                     : FrameModelPool::standalone(c, std::nullopt, 1)),
       model_(*model_h_),
       stack_(model_),
@@ -41,12 +40,8 @@ bool FrameGoalSearch::pick_objective(Objective& obj) const {
 }
 
 void FrameGoalSearch::flush_stats(SearchStats& stats) {
-  std::uint64_t gate_evals = model_.stats().gate_evals;
-  std::uint64_t events = model_.stats().events;
-  if (scratch_) {
-    gate_evals += scratch_->stats().gate_evals;
-    events += scratch_->stats().events;
-  }
+  const std::uint64_t gate_evals = model_.stats().gate_evals;
+  const std::uint64_t events = model_.stats().events;
   stats.gate_evals += static_cast<long>(gate_evals - synced_gate_evals_);
   stats.events += static_cast<long>(events - synced_events_);
   synced_gate_evals_ = gate_evals;
@@ -93,40 +88,8 @@ FrameGoalSearch::Step FrameGoalSearch::advance(const util::Deadline& deadline,
   }
 }
 
-sim::State3 FrameGoalSearch::minimized_state() const {
-  const auto& c = model_.circuit();
-  // Rebuild the solution on a scratch model, then greedily clear state
-  // assignments whose removal keeps every goal satisfied.  One scratch
-  // model is reused across calls, reset through the trail; each greedy
-  // probe is a trailed clear_state undone when a goal breaks.
-  if (!scratch_) {
-    scratch_ = pool_ ? pool_->acquire(std::nullopt, 1)
-                     : FrameModelPool::standalone(c, std::nullopt, 1);
-  }
-  FrameModel& sc = *scratch_;
-  sc.undo_to(0);  // single-frame model: construction state is consistent
-  const auto pis = c.primary_inputs();
-  for (std::size_t i = 0; i < pis.size(); ++i) {
-    const V3 v = model_.pi_value(0, i);
-    if (v != V3::kX) sc.assign_pi(0, i, v);
-  }
-  const std::size_t nff = c.flip_flops().size();
-  for (std::size_t i = 0; i < nff; ++i) {
-    const V3 v = model_.state_value(i);
-    if (v != V3::kX) sc.assign_state(i, v);
-  }
-  auto holds = [&] {
-    return std::all_of(goals_.begin(), goals_.end(), [&](const Objective& g) {
-      return sc.good(0, g.node) == g.value;
-    });
-  };
-  for (std::size_t i = 0; i < nff; ++i) {
-    if (sc.state_value(i) == V3::kX) continue;
-    const std::size_t mark = sc.trail_mark();
-    sc.clear_state(i);
-    if (!holds()) sc.undo_to(mark);
-  }
-  return sc.extract_state();
+sim::State3 FrameGoalSearch::minimized_state() {
+  return model_.minimized_state([&] { return satisfied(); });
 }
 
 DeterministicJustifier::DeterministicJustifier(const netlist::Circuit& c,

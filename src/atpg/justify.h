@@ -36,9 +36,9 @@ class FrameGoalSearch {
  public:
   enum class Step { kSolution, kExhausted, kAborted };
 
-  /// `pool` (optional) recycles the frame model and the minimization
-  /// scratch across searches — the justifier builds one FrameGoalSearch per
-  /// recursion level per fault, so pooling turns that into a reset.
+  /// `pool` (optional) recycles the frame model across searches — the
+  /// justifier builds one FrameGoalSearch per recursion level per fault, so
+  /// pooling turns that into a reset.
   FrameGoalSearch(const netlist::Circuit& c, std::vector<Objective> goals,
                   FrameModelPool* pool = nullptr);
 
@@ -57,8 +57,10 @@ class FrameGoalSearch {
   /// solution, and the weaker requirement is strictly easier (and sometimes
   /// uniquely possible) to justify.  Without this minimization the
   /// justifier is incomplete: it can reject states whose only witnesses
-  /// leave flip-flops unknown.
-  sim::State3 minimized_state() const;
+  /// leave flip-flops unknown.  The greedy probes run on the search model
+  /// under a trail mark and are undone before returning, so next() resumes
+  /// exactly where the search stood.
+  sim::State3 minimized_state();
 
  private:
   bool conflict() const;
@@ -69,13 +71,10 @@ class FrameGoalSearch {
   /// Adds the model-side effort accrued since the last flush to `stats`.
   void flush_stats(SearchStats& stats);
 
-  FrameModelPool* pool_ = nullptr;  // may be null (standalone models)
   FrameModelHandle model_h_;
   FrameModel& model_;
   DecisionStack stack_;
   std::vector<Objective> goals_;
-  /// Scratch model reused by minimized_state (pooled when pool_ is set).
-  mutable FrameModelHandle scratch_;
   std::uint64_t synced_gate_evals_ = 0;
   std::uint64_t synced_events_ = 0;
   bool started_ = false;

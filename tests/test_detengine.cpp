@@ -5,8 +5,8 @@
 #include "fault/faultsim.h"
 #include "gen/s27.h"
 #include "helpers/exhaustive.h"
+#include "helpers/model_checks.h"
 #include "helpers/random_circuit.h"
-#include "helpers/reference_frames.h"
 
 namespace gatpg::atpg {
 namespace {
@@ -129,6 +129,60 @@ TEST(ForwardEngine, AlternativeSolutionsAreAllValid) {
         << "solution " << i;
   }
   EXPECT_GE(solutions, 2) << "expected alternative solutions to exist";
+}
+
+/// Everything a forward search reports, solution by solution: statuses,
+/// vectors and the final decision/backtrack counts.
+struct ForwardRun {
+  std::vector<ForwardStatus> statuses;
+  std::vector<sim::Sequence> vectors;
+  long decisions = 0;
+  long backtracks = 0;
+
+  bool operator==(const ForwardRun&) const = default;
+};
+
+/// Enumerates up to `max_solutions` solutions of `f`.  With `minimize`,
+/// required_state() runs after every solution and is checked to leave the
+/// model untouched and to equal the oracle's greedy clearing.
+ForwardRun enumerate_forward(const netlist::Circuit& c, const Fault& f,
+                             bool minimize, int max_solutions = 6) {
+  ForwardEngine engine(c, f, quick_limits());
+  ForwardRun r;
+  for (int s = 0; s < max_solutions; ++s) {
+    const ForwardStatus status =
+        engine.next_solution(util::Deadline::unlimited());
+    r.statuses.push_back(status);
+    if (status != ForwardStatus::kSolved) break;
+    r.vectors.push_back(engine.vectors());
+    if (minimize) {
+      test::expect_minimizes_in_place(
+          c, f, engine.model(), [&] { return engine.required_state(); },
+          [](const test::ReferenceFrames& ref) { return ref.po_has_d; },
+          fault::to_string(c, f) + " solution " + std::to_string(s));
+    }
+  }
+  r.decisions = engine.stats().decisions;
+  r.backtracks = engine.stats().backtracks;
+  return r;
+}
+
+TEST(ForwardEngine, InPlaceMinimizationIsInvisibleToTheSearch) {
+  // required_state() probes the search model itself; the search that
+  // minimizes after every solution must enumerate exactly what one that
+  // never minimizes does.
+  const auto c = gen::make_s27();
+  for (const auto universe :
+       {fault::FaultUniverse::kStuckAt, fault::FaultUniverse::kTransition}) {
+    int solved = 0;
+    for (const Fault& f : fault::collapse(c, universe).faults) {
+      const ForwardRun minimized = enumerate_forward(c, f, true);
+      EXPECT_EQ(minimized, enumerate_forward(c, f, false))
+          << fault::to_string(c, f);
+      solved += static_cast<int>(minimized.vectors.size());
+    }
+    EXPECT_GT(solved, 0);
+  }
 }
 
 TEST(ForwardEngine, CombinationallyRedundantFaultIsUntestable) {

@@ -3,9 +3,10 @@
 #include <algorithm>
 
 #include "atpg/justify.h"
+#include "gen/registry.h"
 #include "gen/s27.h"
 #include "helpers/random_circuit.h"
-#include "helpers/reference_frames.h"
+#include "helpers/model_checks.h"
 #include "helpers/reference_sim.h"
 #include "sim/seqsim.h"
 
@@ -21,6 +22,19 @@ SearchLimits limits() {
   l.max_backtracks = 50000;
   l.max_justify_depth = 16;
   return l;
+}
+
+/// The flip-flop D-input goals of justifying `target` one frame back.
+std::vector<Objective> frame_goals(const netlist::Circuit& c,
+                                   const State3& target) {
+  std::vector<Objective> goals;
+  const auto ffs = c.flip_flops();
+  for (std::size_t i = 0; i < ffs.size(); ++i) {
+    if (target[i] != V3::kX) {
+      goals.push_back({0, c.fanins(ffs[i])[0], target[i]});
+    }
+  }
+  return goals;
 }
 
 /// Verifies a justification sequence: from the all-X state, after applying
@@ -54,13 +68,7 @@ void expect_justifies(const netlist::Circuit& c, const State3& target,
 /// solutions checked.
 int expect_one_minimal_frames(const netlist::Circuit& c, const State3& target,
                               int max_solutions = 4) {
-  std::vector<Objective> goals;
-  const auto ffs = c.flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (target[i] != V3::kX) {
-      goals.push_back({0, c.fanins(ffs[i])[0], target[i]});
-    }
-  }
+  const std::vector<Objective> goals = frame_goals(c, target);
   auto goals_hold = [&](const sim::Sequence& pis, const State3& state) {
     const auto ref = test::reference_frames(c, std::nullopt, pis, state);
     return std::all_of(goals.begin(), goals.end(), [&](const Objective& g) {
@@ -87,6 +95,114 @@ int expect_one_minimal_frames(const netlist::Circuit& c, const State3& target,
     }
   }
   return solutions;
+}
+
+/// Everything a FrameGoalSearch reports, solution by solution: steps,
+/// solution vectors and the final decision/backtrack counts.
+struct GoalRun {
+  std::vector<FrameGoalSearch::Step> steps;
+  std::vector<sim::Sequence> vectors;
+  long decisions = 0;
+  long backtracks = 0;
+
+  bool operator==(const GoalRun&) const = default;
+};
+
+/// Enumerates up to `max_solutions` solutions of `target`'s frame goals.
+/// With `minimize`, minimized_state() runs after every solution and is
+/// checked to leave the model untouched and to equal the oracle's greedy
+/// clearing.
+GoalRun enumerate_goals(const netlist::Circuit& c, const State3& target,
+                        bool minimize, int max_solutions = 6) {
+  const std::vector<Objective> goals = frame_goals(c, target);
+  FrameGoalSearch search(c, goals);
+  SearchStats stats;
+  GoalRun r;
+  for (int s = 0; s < max_solutions; ++s) {
+    const auto step = search.next(util::Deadline::unlimited(), 50000, stats);
+    r.steps.push_back(step);
+    if (step != FrameGoalSearch::Step::kSolution) break;
+    r.vectors.push_back(search.model().extract_vectors());
+    if (minimize) {
+      test::expect_minimizes_in_place(
+          c, std::nullopt, search.model(),
+          [&] { return search.minimized_state(); },
+          [&](const test::ReferenceFrames& ref) {
+            return std::all_of(goals.begin(), goals.end(),
+                               [&](const Objective& g) {
+                                 return ref.good[0][g.node] == g.value;
+                               });
+          },
+          c.name() + " solution " + std::to_string(s));
+    }
+  }
+  r.decisions = stats.decisions;
+  r.backtracks = stats.backtracks;
+  return r;
+}
+
+TEST(FrameGoalSearch, InPlaceMinimizationIsInvisibleToTheSearch) {
+  // minimized_state() probes the search model itself; the search that
+  // minimizes after every solution must enumerate exactly what one that
+  // never minimizes does.  s27: every non-trivial target cube.
+  const auto s27 = gen::make_s27();
+  int solutions = 0;
+  for (int code = 1; code < 27; ++code) {
+    State3 target(3, V3::kX);
+    for (int i = 0, k = code; i < 3; ++i, k /= 3) {
+      target[i] = k % 3 == 0 ? V3::kX : (k % 3 == 1 ? V3::k0 : V3::k1);
+    }
+    const GoalRun minimized = enumerate_goals(s27, target, true);
+    EXPECT_EQ(minimized, enumerate_goals(s27, target, false));
+    solutions += static_cast<int>(minimized.vectors.size());
+  }
+  EXPECT_GT(solutions, 0);
+
+  // g298: states reached by random simulation, plus random cubes (some
+  // unsatisfiable, which must exhaust identically too).
+  const auto c = gen::make_circuit("g298");
+  util::Rng rng(11);
+  const std::size_t nff = c.flip_flops().size();
+  solutions = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    State3 target(nff, V3::kX);
+    if (trial % 2 == 0) {
+      test::ReferenceSimulator ref(c);
+      for (const auto& v : test::random_sequence(c, rng, 6)) {
+        ref.apply(v);
+        ref.clock();
+      }
+      target = ref.state();
+    } else {
+      for (auto& v : target) {
+        const auto pick = rng.below(4);
+        v = pick == 0 ? V3::k0 : (pick == 1 ? V3::k1 : V3::kX);
+      }
+    }
+    const GoalRun minimized = enumerate_goals(c, target, true);
+    EXPECT_EQ(minimized, enumerate_goals(c, target, false))
+        << "trial " << trial;
+    solutions += static_cast<int>(minimized.vectors.size());
+  }
+  EXPECT_GT(solutions, 0);
+}
+
+TEST(FrameGoalSearch, PooledSearchDrawsOneModel) {
+  // Minimization needs no second model: a pooled search draws exactly one
+  // across repeated next() + minimized_state() calls.
+  const auto c = gen::make_s27();
+  FrameModelPool pool(c);
+  FrameGoalSearch search(c, frame_goals(c, {V3::k1, V3::kX, V3::k0}), &pool);
+  SearchStats stats;
+  int solutions = 0;
+  while (search.next(util::Deadline::unlimited(), 50000, stats) ==
+         FrameGoalSearch::Step::kSolution) {
+    (void)search.minimized_state();
+    ++solutions;
+  }
+  EXPECT_GE(solutions, 2);
+  EXPECT_EQ(pool.acquires(), 1u);
+  EXPECT_EQ(pool.constructions(), 1u);
 }
 
 TEST(DeterministicJustifier, AllXTargetIsTrivial) {
