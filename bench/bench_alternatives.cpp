@@ -74,8 +74,9 @@ int main(int argc, char** argv) {
     }
     for (const bool use_ga : {false, true}) {
       hybrid::HybridConfig cfg;
-      cfg.schedule = use_ga ? hybrid::PassSchedule::ga_hitec(options.time_scale)
-                            : hybrid::PassSchedule::hitec(options.time_scale);
+      cfg.schedule =
+          use_ga ? session::PassSchedule::ga_hitec(options.time_scale)
+                 : session::PassSchedule::hitec(options.time_scale);
       for (auto& pass : cfg.schedule.passes) {
         pass.pass_budget_s = options.pass_budget_s;
       }

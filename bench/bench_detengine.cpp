@@ -147,11 +147,7 @@ TargetSample run_targeting(const netlist::Circuit& c,
                            const fault::FaultList& faults, unsigned lanes,
                            std::uint64_t seed, long backtracks, int repeat) {
   const hybrid::HybridConfig cfg = targeting_config(lanes, seed, backtracks);
-  session::SessionConfig scfg;
-  scfg.faultsim = cfg.faultsim;
-  scfg.faultsim.parallel = cfg.parallel;
-  scfg.state_store = cfg.state_store;
-  scfg.target_parallel = cfg.target_parallel;
+  const session::SessionConfig scfg = cfg.session_config();
   TargetSample out;
   out.lanes = lanes;
   for (int rep = 0; rep < repeat; ++rep) {

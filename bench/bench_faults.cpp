@@ -73,13 +73,7 @@ hybrid::HybridConfig base_config(fault::FaultUniverse universe,
 session::SessionResult run_hybrid(const netlist::Circuit& c,
                                   const fault::FaultList& faults,
                                   const hybrid::HybridConfig& cfg) {
-  session::SessionConfig scfg;
-  scfg.fault_model = cfg.fault_model;
-  scfg.faultsim = cfg.faultsim;
-  scfg.faultsim.parallel = cfg.parallel;
-  scfg.state_store = cfg.state_store;
-  scfg.target_parallel = cfg.target_parallel;
-  session::Session s(c, faults, scfg);
+  session::Session s(c, faults, cfg.session_config());
   util::Rng rng(cfg.seed);
   hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
   return s.run(engine, cfg.schedule);

@@ -1,28 +1,30 @@
-// Differential-vs-full-sweep fault-simulation bench (the tentpole metric of
-// the PROOFS rework): the Table-II session workload (several run()
-// extensions with fault dropping) plus the what_if fitness kernel, for both
-// engines at 1 and 4 threads.
+// Differential-vs-full-sweep fault-simulation bench: the Table-II session
+// workload (several run() extensions with fault dropping) plus the what_if
+// fitness kernel, for the production differential engine at 1 and 4 threads
+// and, once and serially, for the full-sweep oracle of
+// tests/helpers/full_sweep_faultsim.h as the baseline.
 //
 // Emits BENCH_faultsim.json with wall-clock, gate-evaluation counts, skip
 // rates, and repack counts per configuration, plus the gate-eval reduction
-// and wall-clock speedup of the differential engine over the full-sweep
-// baseline at equal thread count.  Verifies on the way that every
-// configuration produces identical detection counts and what_if results
-// (the engines' bit-identity contract); exit status is nonzero on any
-// mismatch.
+// and wall-clock speedup of each differential configuration over the
+// full-sweep baseline.  Verifies on the way that every configuration
+// produces identical detection counts and what_if results (the engines'
+// bit-identity contract); exit status is nonzero on any mismatch.
 //
 // Usage: bench_faultsim [--seed=N] [--full] [--vectors=N] [--repeat=N]
-//                       [names...]
+//                       [--window=N] [names...]
 //   --full adds the largest analog (g5378).
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common.h"
 #include "fault/faultlist.h"
 #include "fault/faultsim.h"
+#include "helpers/full_sweep_faultsim.h"
 #include "helpers_bench.h"
 #include "util/json_writer.h"
 #include "util/parallel.h"
@@ -52,15 +54,49 @@ struct CircuitResult {
   std::size_t faults = 0;
   std::vector<Sample> samples;
 
-  /// The full-sweep sample at the same thread count (the baseline each
-  /// differential sample is judged against).
-  const Sample* baseline_for(const Sample& s) const {
-    for (const Sample& b : samples) {
-      if (!b.differential && b.threads == s.threads) return &b;
-    }
-    return nullptr;
-  }
+  /// The full-sweep sample: the baseline every sample is judged against.
+  const Sample& baseline() const { return samples.front(); }
 };
+
+/// Runs the session workload and the what_if kernel on `fs` (either engine)
+/// and records the results into `sample`.
+template <typename Sim>
+void measure(Sim& fs, const netlist::Circuit& c,
+             std::span<const std::size_t> all_indices, std::size_t vectors,
+             int repeat, std::uint64_t seed, Sample& sample) {
+  // Session sweep: fresh session per repeat, several run() extensions so
+  // persistent faulty state, fault dropping, and (differentially) screening
+  // and repacking are exercised.
+  double run_s = 0.0;
+  for (int rep = 0; rep < repeat; ++rep) {
+    fs.reset_all();
+    fs.reset_stats();
+    util::Rng rng(seed);
+    const util::Stopwatch sw;
+    for (int chunk = 0; chunk < 4; ++chunk) {
+      fs.run(bench::random_sequence(c, rng, vectors / 4));
+    }
+    run_s += sw.seconds();
+    sample.detected = fs.detected_count();
+    sample.run_stats = fs.stats();
+  }
+  sample.run_s = run_s / repeat;
+
+  // Fitness kernel: what_if over the full fault list from the power-up
+  // session state (the GA's per-candidate grading workload).
+  fs.reset_all();
+  util::Rng rng(seed + 7);
+  const auto probe = bench::random_sequence(c, rng, vectors / 4);
+  double what_if_s = 0.0;
+  for (int rep = 0; rep < repeat; ++rep) {
+    const util::Stopwatch sw;
+    const auto w = fs.what_if(all_indices, probe);
+    what_if_s += sw.seconds();
+    sample.what_if_detected = w.detected;
+    sample.what_if_effects = w.state_effects;
+  }
+  sample.what_if_s = what_if_s / repeat;
+}
 
 }  // namespace
 
@@ -108,54 +144,26 @@ int main(int argc, char** argv) {
     std::vector<std::size_t> all_indices(faults.size());
     std::iota(all_indices.begin(), all_indices.end(), 0);
 
-    for (const bool differential : {false, true}) {
-      for (const unsigned threads : thread_counts) {
-        Sample sample;
-        sample.differential = differential;
-        sample.threads = threads;
-        fault::FaultSimConfig config;
-        config.parallel.threads = threads;
-        config.differential = differential;
-        config.window = window;
-        fault::FaultSimulator fs(c, faults, config);
-
-        // Session sweep: fresh session per repeat, several run() extensions
-        // so persistent faulty state, fault dropping, and (differentially)
-        // screening and repacking are exercised.
-        double run_s = 0.0;
-        for (int rep = 0; rep < repeat; ++rep) {
-          fs.reset_all();
-          fs.reset_stats();
-          util::Rng rng(options.seed);
-          const util::Stopwatch sw;
-          for (int chunk = 0; chunk < 4; ++chunk) {
-            fs.run(bench::random_sequence(c, rng, vectors / 4));
-          }
-          run_s += sw.seconds();
-          sample.detected = fs.detected_count();
-          sample.run_stats = fs.stats();
-        }
-        sample.run_s = run_s / repeat;
-
-        // Fitness kernel: what_if over the full fault list from the
-        // power-up session state (the GA's per-candidate grading workload).
-        fs.reset_all();
-        util::Rng rng(options.seed + 7);
-        const auto probe = bench::random_sequence(c, rng, vectors / 4);
-        double what_if_s = 0.0;
-        for (int rep = 0; rep < repeat; ++rep) {
-          const util::Stopwatch sw;
-          const auto w = fs.what_if(all_indices, probe);
-          what_if_s += sw.seconds();
-          sample.what_if_detected = w.detected;
-          sample.what_if_effects = w.state_effects;
-        }
-        sample.what_if_s = what_if_s / repeat;
-        cr.samples.push_back(sample);
-      }
+    {
+      Sample sample;
+      sample.threads = 1;
+      test::FullSweepFaultSim oracle(c, faults);
+      measure(oracle, c, all_indices, vectors, repeat, options.seed, sample);
+      cr.samples.push_back(sample);
+    }
+    for (const unsigned threads : thread_counts) {
+      Sample sample;
+      sample.differential = true;
+      sample.threads = threads;
+      fault::FaultSimConfig config;
+      config.parallel.threads = threads;
+      config.window = window;
+      fault::FaultSimulator fs(c, faults, config);
+      measure(fs, c, all_indices, vectors, repeat, options.seed, sample);
+      cr.samples.push_back(sample);
     }
 
-    const Sample& base = cr.samples.front();
+    const Sample& base = cr.baseline();
     for (const Sample& s : cr.samples) {
       if (s.detected != base.detected ||
           s.what_if_detected != base.what_if_detected ||
@@ -168,13 +176,11 @@ int main(int argc, char** argv) {
                     base.what_if_effects);
         consistent = false;
       }
-      const Sample* b = cr.baseline_for(s);
-      const double speedup = b && s.run_s > 0 ? b->run_s / s.run_s : 0.0;
+      const double speedup = s.run_s > 0 ? base.run_s / s.run_s : 0.0;
       const double eval_ratio =
-          b && s.total_evals() > 0
-              ? static_cast<double>(b->total_evals()) /
-                    static_cast<double>(s.total_evals())
-              : 0.0;
+          s.total_evals() > 0 ? static_cast<double>(base.total_evals()) /
+                                    static_cast<double>(s.total_evals())
+                              : 0.0;
       if (s.differential && eval_ratio < worst_eval_reduction) {
         worst_eval_reduction = eval_ratio;
       }
@@ -215,8 +221,8 @@ int main(int argc, char** argv) {
     json.field("name", cr.name);
     json.field("faults", cr.faults);
     json.key("results").begin_array();
+    const Sample& base = cr.baseline();
     for (const Sample& s : cr.samples) {
-      const Sample* b = cr.baseline_for(s);
       json.begin_object();
       json.field("engine", s.differential ? "differential" : "full_sweep");
       json.field("threads", s.threads);
@@ -230,10 +236,10 @@ int main(int argc, char** argv) {
       json.field("groups_repacked", s.run_stats.groups_repacked);
       json.field("detected", s.detected);
       json.field("speedup_vs_full_sweep",
-                 b && s.run_s > 0 ? b->run_s / s.run_s : 0.0);
+                 s.run_s > 0 ? base.run_s / s.run_s : 0.0);
       json.field("gate_eval_reduction",
-                 b && s.total_evals() > 0
-                     ? static_cast<double>(b->total_evals()) /
+                 s.total_evals() > 0
+                     ? static_cast<double>(base.total_evals()) /
                            static_cast<double>(s.total_evals())
                      : 0.0);
       json.end_object();

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   for (const auto& name : names) {
     const auto c = bench::load_circuit(name);
     hybrid::HybridConfig cfg;
-    cfg.schedule = hybrid::PassSchedule::ga_hitec(options.time_scale);
+    cfg.schedule = session::PassSchedule::ga_hitec(options.time_scale);
     for (auto& pass : cfg.schedule.passes) {
       pass.pass_budget_s = options.pass_budget_s;
     }

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
       for (const double multiplier : {2.0, 4.0, 8.0}) {
         hybrid::HybridConfig cfg;
         cfg.seed = options.seed;
-        hybrid::PassConfig pass;
-        pass.mode = hybrid::JustifyMode::kGenetic;
+        session::PassConfig pass;
+        pass.mode = session::JustifyMode::kGenetic;
         pass.pass_budget_s = options.pass_budget_s;
         pass.time_limit_s = 1.0 * options.time_scale;
         pass.max_backtracks = 10000;

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     double base_time = 0.0;
     for (const bool prefilter : {false, true}) {
       hybrid::HybridConfig cfg;
-      cfg.schedule = hybrid::PassSchedule::ga_hitec(options.time_scale);
+      cfg.schedule = session::PassSchedule::ga_hitec(options.time_scale);
       for (auto& pass : cfg.schedule.passes) {
         pass.pass_budget_s = options.pass_budget_s;
       }

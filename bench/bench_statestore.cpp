@@ -62,8 +62,8 @@ std::uint64_t hash_state(const std::vector<session::FaultStatus>& state) {
 hybrid::HybridConfig bounded_config(bool ga, std::uint64_t seed,
                                     long backtracks, unsigned solutions) {
   hybrid::HybridConfig cfg;
-  cfg.schedule = ga ? hybrid::PassSchedule::ga_hitec(1.0)
-                    : hybrid::PassSchedule::hitec(1.0);
+  cfg.schedule = ga ? session::PassSchedule::ga_hitec(1.0)
+                    : session::PassSchedule::hitec(1.0);
   for (auto& p : cfg.schedule.passes) {
     p.time_limit_s = 1000.0;
     p.max_backtracks = backtracks;
@@ -176,8 +176,8 @@ int main(int argc, char** argv) {
         g.bounded ? bounded_config(g.ga, g.seed, 300, 4)
                   : hybrid::HybridConfig{};
     if (!g.bounded) {
-      cfg.schedule = g.ga ? hybrid::PassSchedule::ga_hitec(1.0)
-                          : hybrid::PassSchedule::hitec(1.0);
+      cfg.schedule = g.ga ? session::PassSchedule::ga_hitec(1.0)
+                          : session::PassSchedule::hitec(1.0);
       cfg.seed = g.seed;
     }
     cfg.state_store.enabled = false;

@@ -19,10 +19,10 @@ int main(int argc, char** argv) {
               options.time_scale);
   util::TablePrinter schedule({"Pass", "Approach", "Time/fault", "Backtracks",
                                "Population", "Generations", "SeqLen"});
-  const auto ga = hybrid::PassSchedule::ga_hitec(options.time_scale);
+  const auto ga = session::PassSchedule::ga_hitec(options.time_scale);
   for (std::size_t p = 0; p < ga.passes.size(); ++p) {
     const auto& pass = ga.passes[p];
-    const bool genetic = pass.mode == hybrid::JustifyMode::kGenetic;
+    const bool genetic = pass.mode == session::JustifyMode::kGenetic;
     schedule.add_row(
         {std::to_string(p + 1), genetic ? "GA" : "deterministic",
          util::format_duration(pass.time_limit_s),

@@ -126,7 +126,7 @@ ComparisonRow run_comparison(
   row.depth = netlist::sequential_depth(c);
 
   hybrid::HybridConfig ga_config;
-  ga_config.schedule = hybrid::PassSchedule::ga_hitec(options.time_scale);
+  ga_config.schedule = session::PassSchedule::ga_hitec(options.time_scale);
   if (seq_len_override) {
     ga_config.schedule.passes[0].seq_len_override = seq_len_override->first;
     ga_config.schedule.passes[1].seq_len_override = seq_len_override->second;
@@ -143,7 +143,7 @@ ComparisonRow run_comparison(
   row.ga_hitec = ga_engine.run(&ga_observer);
 
   hybrid::HybridConfig hitec_config;
-  hitec_config.schedule = hybrid::PassSchedule::hitec(options.time_scale);
+  hitec_config.schedule = session::PassSchedule::hitec(options.time_scale);
   for (auto& pass : hitec_config.schedule.passes) {
     pass.pass_budget_s = options.pass_budget_s;
   }

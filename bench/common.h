@@ -102,8 +102,8 @@ struct ComparisonRow {
   std::string circuit;
   unsigned depth = 0;
   std::size_t total_faults = 0;
-  hybrid::AtpgResult ga_hitec;
-  hybrid::AtpgResult hitec;
+  session::SessionResult ga_hitec;
+  session::SessionResult hitec;
 };
 
 /// Runs both engines on one circuit.  `seq_len_override` (pair for passes

@@ -1,5 +1,6 @@
 // Small shared helpers for the microbenchmarks (kept separate from
-// tests/helpers so bench binaries do not depend on test code).
+// tests/helpers; only bench_faultsim includes a test header, the full-sweep
+// oracle it measures against).
 #pragma once
 
 #include "netlist/circuit.h"

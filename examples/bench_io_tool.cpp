@@ -11,9 +11,11 @@
 // `ingest` loads every .bench file in the directory, round-trips it through
 // write_bench -> parse_bench (the canonical writer makes textual equality a
 // structural identity check), and runs a short fault-simulation sanity pass
-// over both fault universes, cross-checking the differential engine against
-// the full-sweep reference.  Exit status is nonzero if any file fails —
-// the CI ingestion smoke runs this over the exported registry circuits.
+// over both fault universes, cross-checking the packed session simulator
+// (FaultSimulator::run) against per-fault single-machine checks
+// (FaultSimulator::would_detect_from from power-up).  Exit status is nonzero
+// if any file fails — the CI ingestion smoke runs this over the exported
+// registry circuits.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -50,19 +52,23 @@ void ingest_one(const std::string& path) {
        {fault::FaultUniverse::kStuckAt, fault::FaultUniverse::kTransition}) {
     std::vector<fault::Fault> faults = fault::collapse(c, universe).faults;
     if (faults.size() > 256) faults.resize(256);  // keep big circuits quick
-    fault::FaultSimulator differential(c, faults);
-    differential.run(seq);
-    fault::FaultSimConfig sweep_cfg;
-    sweep_cfg.differential = false;
-    fault::FaultSimulator sweep(c, faults, sweep_cfg);
-    sweep.run(seq);
-    if (differential.detected() != sweep.detected()) {
-      throw std::runtime_error(std::string("fault-sim engines disagree (") +
-                               fault::universe_name(universe) + ")");
+    fault::FaultSimulator fs(c, faults);
+    fs.run(seq);
+    // Power-up: a fresh good machine, all-X faulty state, no launch pending.
+    const sim::SequenceSimulator power_up(c);
+    const sim::State3 all_x(c.flip_flops().size(), sim::V3::kX);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const bool single = fault::FaultSimulator::would_detect_from(
+          c, power_up, all_x, faults[i], seq);
+      if (single != static_cast<bool>(fs.detected()[i])) {
+        throw std::runtime_error(
+            std::string("fault simulators disagree on fault ") +
+            std::to_string(i) + " (" + fault::universe_name(universe) + ")");
+      }
     }
     std::printf("  %-10s %4zu faults, %4zu detected by %zu random vectors\n",
                 fault::universe_name(universe), faults.size(),
-                differential.detected_count(), seq.size());
+                fs.detected_count(), seq.size());
   }
 }
 

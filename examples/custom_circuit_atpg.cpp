@@ -84,8 +84,8 @@ int main() {
 
   for (const bool use_ga : {true, false}) {
     hybrid::HybridConfig config;
-    config.schedule = use_ga ? hybrid::PassSchedule::ga_hitec(0.05)
-                             : hybrid::PassSchedule::hitec(0.05);
+    config.schedule = use_ga ? session::PassSchedule::ga_hitec(0.05)
+                             : session::PassSchedule::hitec(0.05);
     config.seed = 2024;
     const auto result = hybrid::HybridAtpg(circuit, config).run();
     const auto report = fault::grade_sequence(circuit, result.test_set);

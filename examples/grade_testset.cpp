@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   // Generate a test set.
   hybrid::HybridConfig config;
-  config.schedule = hybrid::PassSchedule::ga_hitec(0.02);
+  config.schedule = session::PassSchedule::ga_hitec(0.02);
   const auto result = hybrid::HybridAtpg(circuit, config).run();
   std::printf("ATPG test set: %zu vectors\n", result.test_set.size());
 

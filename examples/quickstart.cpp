@@ -27,11 +27,11 @@ int main(int argc, char** argv) {
   // GA-HITEC with the Table I pass structure, wall-clock limits scaled for a
   // modern machine.
   hybrid::HybridConfig config;
-  config.schedule = hybrid::PassSchedule::ga_hitec(/*time_scale=*/0.05);
+  config.schedule = session::PassSchedule::ga_hitec(/*time_scale=*/0.05);
   config.seed = 42;
 
   hybrid::HybridAtpg atpg(circuit, config);
-  const hybrid::AtpgResult result = atpg.run();
+  const session::SessionResult result = atpg.run();
 
   std::printf("total faults (collapsed): %zu\n", result.total_faults);
   for (std::size_t p = 0; p < result.passes.size(); ++p) {

@@ -91,23 +91,6 @@ void FaultSimulator::drain_lane_stats(unsigned lanes) const {
   }
 }
 
-std::vector<std::vector<PackedV3>> FaultSimulator::pack_sequence(
-    const Sequence& seq) const {
-  const auto pis = c_.primary_inputs();
-  std::vector<std::vector<PackedV3>> packed(
-      seq.size(), std::vector<PackedV3>(pis.size()));
-  for (std::size_t t = 0; t < seq.size(); ++t) {
-    for (std::size_t p = 0; p < pis.size(); ++p) {
-      packed[t][p] = PackedV3::broadcast(seq[t][p]);
-    }
-  }
-  return packed;
-}
-
-// ---------------------------------------------------------------------------
-// Differential engine
-// ---------------------------------------------------------------------------
-
 void FaultSimulator::simulate_differential(
     sim::SequenceSimulator& good, const std::vector<std::size_t>& fault_indices,
     const Sequence& seq, std::vector<State3>& states, std::vector<V3>& launch,
@@ -390,9 +373,6 @@ void FaultSimulator::simulate_differential(
 }
 
 std::vector<std::size_t> FaultSimulator::run(const Sequence& seq) {
-  if (!config_.differential) {
-    return run_full_sweep(seq);
-  }
   std::vector<std::size_t> newly;
   if (seq.empty()) return newly;
 
@@ -412,9 +392,9 @@ std::vector<std::size_t> FaultSimulator::run(const Sequence& seq) {
   simulate_differential(good_, pending, seq, states, launch, live, dets,
                         good_sink_);
 
-  // Reproduce the full-sweep engine's exact detection order regardless of
-  // windowing and repacking: group-of-origin (pending position / 64) first,
-  // then detection time, then slot.
+  // Report detections in plain group-sweep order regardless of windowing and
+  // repacking: group-of-origin (pending position / 64) first, then detection
+  // time, then slot.
   std::sort(dets.begin(), dets.end(),
             [](const Detection& a, const Detection& b) {
               if ((a.pos >> 6) != (b.pos >> 6)) {
@@ -429,10 +409,9 @@ std::vector<std::size_t> FaultSimulator::run(const Sequence& seq) {
     ++num_detected_;
     newly.push_back(fi);
   }
-  // Persist faulty flip-flop states for still-undetected faults only, like
-  // the full-sweep engine (faults detected during this run keep their
-  // pre-run state).  Launch anchors are good-machine values, so they advance
-  // for every fault uniformly.
+  // Persist faulty flip-flop states for still-undetected faults only (faults
+  // detected during this run keep their pre-run state).  Launch anchors are
+  // good-machine values, so they advance for every fault uniformly.
   for (std::size_t i = 0; i < pending.size(); ++i) {
     if (live[i]) faulty_state_[pending[i]] = std::move(states[i]);
   }
@@ -448,9 +427,6 @@ FaultSimulator::WhatIf FaultSimulator::what_if(
     std::span<const std::size_t> fault_indices, const Sequence& seq) const {
   WhatIf result;
   if (seq.empty() || fault_indices.empty()) return result;
-  if (!config_.differential) {
-    return what_if_full_sweep(fault_indices, seq);
-  }
 
   sim::SequenceSimulator good = good_;  // copy: session state untouched
   good.reset_gate_evals();
@@ -485,192 +461,6 @@ FaultSimulator::WhatIf FaultSimulator::what_if(
     }
   }
   return result;
-}
-
-// ---------------------------------------------------------------------------
-// Full-sweep reference engine
-// ---------------------------------------------------------------------------
-
-std::vector<std::size_t> FaultSimulator::run_full_sweep(const Sequence& seq) {
-  std::vector<std::size_t> newly;
-  if (seq.empty()) return newly;
-
-  const std::uint64_t good_evals_before = good_.gate_evals();
-
-  // Pass 2's fault subset, computed up front so pass 1 can record the good
-  // launch-line values transition faults anchor their activity to.
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < faults_.size(); ++i) {
-    if (!detected_[i]) pending.push_back(i);
-  }
-  std::vector<NodeId> f_line;
-  std::vector<char> f_trans;
-  std::vector<V3> f_init;
-  std::vector<std::vector<V3>> good_launch;
-  if (any_transition_) {
-    f_line.resize(pending.size());
-    f_trans.resize(pending.size());
-    f_init.resize(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const Fault& f = faults_[pending[i]];
-      f_trans[i] = f.is_transition() ? 1 : 0;
-      f_init[i] = f.stuck_at ? V3::k1 : V3::k0;
-      f_line[i] = launch_line(c_, f);
-    }
-    good_launch.assign(seq.size(), std::vector<V3>(pending.size()));
-  }
-
-  // Pass 1: good machine, recording per-vector PO values (slot 0) and, in
-  // transition mode, each fault's settled launch-line value per frame.
-  const auto pos = c_.primary_outputs();
-  std::vector<std::vector<V3>> good_po(seq.size(), std::vector<V3>(pos.size()));
-  for (std::size_t t = 0; t < seq.size(); ++t) {
-    good_.apply_vector(seq[t]);
-    for (std::size_t p = 0; p < pos.size(); ++p) {
-      good_po[t][p] = good_.scalar_value(pos[p]);
-    }
-    if (any_transition_) {
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        good_launch[t][i] = good_.scalar_value(f_line[i]);
-      }
-    }
-    good_.clock();
-    if (good_sink_) good_sink_->push_back(good_.state());
-  }
-  stats_.frames += seq.size();
-  stats_.good_gate_evals += good_.gate_evals() - good_evals_before;
-
-  // Pass 2: undetected faults in groups of 64, groups fanned out across
-  // lanes.  Each group only touches its own faults' faulty_state_ entries
-  // and its own lane's machine; detections are collected per group and
-  // merged in group order below, so the result is schedule-independent.
-  const std::size_t nff = c_.flip_flops().size();
-  const auto packed_seq = pack_sequence(seq);
-
-  const std::size_t n_groups = (pending.size() + 63) / 64;
-  std::vector<std::vector<std::size_t>> group_newly(n_groups);
-  const unsigned lanes = util::max_lanes(config_.parallel, pending.size(), 64);
-  ensure_lanes(lanes);
-
-  util::parallel_for_chunks(
-      config_.parallel, pending.size(), 64,
-      [&](std::size_t g, std::size_t begin, std::size_t end, unsigned lane) {
-        Lane& scratch = lanes_[lane];
-        if (!scratch.machine) {
-          scratch.machine = std::make_unique<sim::SequenceSimulator>(c_);
-        }
-        sim::SequenceSimulator& machine = *scratch.machine;
-        const std::size_t count = end - begin;
-
-        machine.clear_overrides();
-        machine.reset();
-        for (std::size_t s = 0; s < count; ++s) {
-          const Fault& f = faults_[pending[begin + s]];
-          const std::uint64_t mask = 1ULL << s;
-          if (f.pin == kOutputPin) {
-            machine.add_output_override(f.node, f.stuck_at, mask);
-          } else {
-            machine.add_input_override(
-                f.node, static_cast<unsigned>(f.pin), f.stuck_at, mask);
-          }
-        }
-        // Transition slots of this group, with their carried launch anchors.
-        // While the persisted states load, transition slots are held
-        // inactive so the flip-flop output forcing cannot clobber the loaded
-        // values; the frame loop installs the real per-frame activity before
-        // the first apply (which full-evaluates, re-forcing everything).
-        std::uint64_t trans_bits = 0;
-        std::vector<V3> lprev;
-        if (any_transition_) {
-          for (std::size_t s = 0; s < count; ++s) {
-            if (f_trans[begin + s]) trans_bits |= 1ULL << s;
-          }
-          if (trans_bits) {
-            lprev.resize(count);
-            for (std::size_t s = 0; s < count; ++s) {
-              lprev[s] = launch_prev_[pending[begin + s]];
-            }
-            machine.set_override_activity(~trans_bits);
-            machine.set_latch_override_activity(~trans_bits);
-          }
-        }
-        // Load persisted per-fault flip-flop states.
-        for (std::size_t ff = 0; ff < nff; ++ff) {
-          PackedV3 w = PackedV3::all_x();
-          for (std::size_t s = 0; s < count; ++s) {
-            w.set(static_cast<unsigned>(s),
-                  faulty_state_[pending[begin + s]][ff]);
-          }
-          machine.set_ff_packed(ff, w);
-        }
-
-        scratch.stats.group_vectors += seq.size();
-        std::uint64_t live = count == 64 ? ~0ULL : ((1ULL << count) - 1);
-        for (std::size_t t = 0; t < seq.size(); ++t) {
-          if (trans_bits) {
-            std::uint64_t act = ~0ULL;
-            std::uint64_t act_next = ~0ULL;
-            for (std::size_t s = 0; s < count; ++s) {
-              if (!f_trans[begin + s]) continue;
-              if (lprev[s] != f_init[begin + s]) act &= ~(1ULL << s);
-              const V3 nl = good_launch[t][begin + s];
-              if (nl != f_init[begin + s]) act_next &= ~(1ULL << s);
-              lprev[s] = nl;
-            }
-            machine.set_override_activity(act);
-            machine.set_latch_override_activity(act_next);
-          }
-          machine.apply_packed(packed_seq[t]);
-          std::uint64_t hit = 0;
-          for (std::size_t p = 0; p < pos.size(); ++p) {
-            const V3 good_value = good_po[t][p];
-            if (good_value == V3::kX) continue;
-            const PackedV3 w = machine.value(pos[p]);
-            hit |= (good_value == V3::k1) ? w.v0 : w.v1;
-          }
-          hit &= live;
-          while (hit) {
-            const unsigned s = static_cast<unsigned>(__builtin_ctzll(hit));
-            hit &= hit - 1;
-            live &= ~(1ULL << s);
-            group_newly[g].push_back(pending[begin + s]);
-          }
-          machine.clock();
-        }
-
-        // Persist faulty flip-flop states for still-undetected faults
-        // (slots still live).
-        for (std::size_t s = 0; s < count; ++s) {
-          if (!(live & (1ULL << s))) continue;
-          const std::size_t fi = pending[begin + s];
-          for (std::size_t ff = 0; ff < nff; ++ff) {
-            faulty_state_[fi][ff] =
-                machine.value(c_.flip_flops()[ff]).get(
-                    static_cast<unsigned>(s));
-          }
-        }
-      });
-
-  drain_lane_stats(lanes);
-
-  // Launch anchors advance for every fault uniformly (they are good-machine
-  // values) — bit-identical to the differential engine's bookkeeping.
-  if (any_transition_) {
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      launch_prev_[pending[i]] = good_launch[seq.size() - 1][i];
-    }
-  }
-
-  // Deterministic merge: detections land in (group, time, slot) order —
-  // exactly the order the serial sweep produced them in.
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    for (std::size_t fi : group_newly[g]) {
-      detected_[fi] = 1;
-      ++num_detected_;
-      newly.push_back(fi);
-    }
-  }
-  return newly;
 }
 
 bool FaultSimulator::would_detect(std::size_t fault_index,
@@ -731,165 +521,6 @@ bool FaultSimulator::would_detect_from(const netlist::Circuit& c,
     }
   }
   return false;
-}
-
-FaultSimulator::WhatIf FaultSimulator::what_if_full_sweep(
-    std::span<const std::size_t> fault_indices, const Sequence& seq) const {
-  WhatIf result;
-
-  // Transition launch bookkeeping over the what-if fault subset (entry
-  // anchors come from the session's launch_prev_; nothing is written back).
-  std::vector<NodeId> f_line;
-  std::vector<char> f_trans;
-  std::vector<V3> f_init;
-  std::vector<std::vector<V3>> good_launch;
-  if (any_transition_) {
-    f_line.resize(fault_indices.size());
-    f_trans.resize(fault_indices.size());
-    f_init.resize(fault_indices.size());
-    for (std::size_t i = 0; i < fault_indices.size(); ++i) {
-      const Fault& f = faults_[fault_indices[i]];
-      f_trans[i] = f.is_transition() ? 1 : 0;
-      f_init[i] = f.stuck_at ? V3::k1 : V3::k0;
-      f_line[i] = launch_line(c_, f);
-    }
-    good_launch.assign(seq.size(), std::vector<V3>(fault_indices.size()));
-  }
-
-  // Good machine: a copy of the session machine, run once.
-  sim::SequenceSimulator good = good_;
-  good.reset_gate_evals();
-  const auto pos = c_.primary_outputs();
-  std::vector<std::vector<V3>> good_po(seq.size(), std::vector<V3>(pos.size()));
-  for (std::size_t t = 0; t < seq.size(); ++t) {
-    good.apply_vector(seq[t]);
-    for (std::size_t p = 0; p < pos.size(); ++p) {
-      good_po[t][p] = good.scalar_value(pos[p]);
-    }
-    if (any_transition_) {
-      for (std::size_t i = 0; i < fault_indices.size(); ++i) {
-        good_launch[t][i] = good.scalar_value(f_line[i]);
-      }
-    }
-    good.clock();
-  }
-  const State3 good_final = good.state();
-  stats_.frames += seq.size();
-  stats_.good_gate_evals += good.gate_evals();
-
-  const std::size_t nff = c_.flip_flops().size();
-  const auto packed_seq = pack_sequence(seq);
-
-  // Group counts are sums of per-group popcounts — order-independent, but
-  // accumulated per group and reduced serially anyway so the arithmetic is
-  // schedule-independent too.
-  const std::size_t n_groups = (fault_indices.size() + 63) / 64;
-  std::vector<WhatIf> per_group(n_groups);
-  const unsigned lanes =
-      util::max_lanes(config_.parallel, fault_indices.size(), 64);
-  ensure_lanes(lanes);
-
-  util::parallel_for_chunks(
-      config_.parallel, fault_indices.size(), 64,
-      [&](std::size_t g, std::size_t begin, std::size_t end, unsigned lane) {
-        Lane& scratch = lanes_[lane];
-        if (!scratch.machine) {
-          scratch.machine = std::make_unique<sim::SequenceSimulator>(c_);
-        }
-        sim::SequenceSimulator& machine = *scratch.machine;
-        const std::size_t count = end - begin;
-
-        machine.clear_overrides();
-        machine.reset();
-        for (std::size_t s = 0; s < count; ++s) {
-          const Fault& f = faults_[fault_indices[begin + s]];
-          const std::uint64_t mask = 1ULL << s;
-          if (f.pin == kOutputPin) {
-            machine.add_output_override(f.node, f.stuck_at, mask);
-          } else {
-            machine.add_input_override(f.node, static_cast<unsigned>(f.pin),
-                                       f.stuck_at, mask);
-          }
-        }
-        // Transition slots held inactive during the state load; the frame
-        // loop installs the real per-frame activity (cf. run_full_sweep).
-        std::uint64_t trans_bits = 0;
-        std::vector<V3> lprev;
-        if (any_transition_) {
-          for (std::size_t s = 0; s < count; ++s) {
-            if (f_trans[begin + s]) trans_bits |= 1ULL << s;
-          }
-          if (trans_bits) {
-            lprev.resize(count);
-            for (std::size_t s = 0; s < count; ++s) {
-              lprev[s] = launch_prev_[fault_indices[begin + s]];
-            }
-            machine.set_override_activity(~trans_bits);
-            machine.set_latch_override_activity(~trans_bits);
-          }
-        }
-        for (std::size_t ff = 0; ff < nff; ++ff) {
-          PackedV3 w = PackedV3::all_x();
-          for (std::size_t s = 0; s < count; ++s) {
-            w.set(static_cast<unsigned>(s),
-                  faulty_state_[fault_indices[begin + s]][ff]);
-          }
-          machine.set_ff_packed(ff, w);
-        }
-
-        scratch.stats.group_vectors += seq.size();
-        const std::uint64_t live_all =
-            count == 64 ? ~0ULL : ((1ULL << count) - 1);
-        std::uint64_t detected_mask = 0;
-        for (std::size_t t = 0; t < seq.size(); ++t) {
-          if (trans_bits) {
-            std::uint64_t act = ~0ULL;
-            std::uint64_t act_next = ~0ULL;
-            for (std::size_t s = 0; s < count; ++s) {
-              if (!f_trans[begin + s]) continue;
-              if (lprev[s] != f_init[begin + s]) act &= ~(1ULL << s);
-              const V3 nl = good_launch[t][begin + s];
-              if (nl != f_init[begin + s]) act_next &= ~(1ULL << s);
-              lprev[s] = nl;
-            }
-            machine.set_override_activity(act);
-            machine.set_latch_override_activity(act_next);
-          }
-          machine.apply_packed(packed_seq[t]);
-          for (std::size_t p = 0; p < pos.size(); ++p) {
-            const V3 good_value = good_po[t][p];
-            if (good_value == V3::kX) continue;
-            const PackedV3 w = machine.value(pos[p]);
-            detected_mask |= (good_value == V3::k1) ? w.v0 : w.v1;
-          }
-          machine.clock();
-        }
-        detected_mask &= live_all;
-        per_group[g].detected =
-            static_cast<unsigned>(__builtin_popcountll(detected_mask));
-
-        // Fault effects parked in the state at sequence end (undetected
-        // slots whose faulty flip-flop value is defined and differs from
-        // the good machine's).
-        std::uint64_t effect_mask = 0;
-        for (std::size_t ff = 0; ff < nff; ++ff) {
-          const V3 g_v = good_final[ff];
-          if (g_v == V3::kX) continue;
-          const PackedV3 w = machine.value(c_.flip_flops()[ff]);
-          effect_mask |= (g_v == V3::k1) ? w.v0 : w.v1;
-        }
-        effect_mask &= live_all & ~detected_mask;
-        per_group[g].state_effects =
-            static_cast<unsigned>(__builtin_popcountll(effect_mask));
-      });
-
-  drain_lane_stats(lanes);
-
-  for (const WhatIf& g : per_group) {
-    result.detected += g.detected;
-    result.state_effects += g.state_effects;
-  }
-  return result;
 }
 
 bool FaultSimulator::detects(const netlist::Circuit& c, const Fault& f,

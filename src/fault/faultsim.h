@@ -1,4 +1,4 @@
-// PROOFS-style sequential stuck-at fault simulator.
+// PROOFS-style sequential fault simulator (stuck-at and transition faults).
 //
 // Faults are packed 64 to a word (one slot each, cf. Niermann/Cheng/Patel,
 // "PROOFS: a fast, memory-efficient sequential circuit fault simulator");
@@ -9,33 +9,26 @@
 // when a primary output has a defined good value and the opposite defined
 // faulty value (X outputs never detect — the standard pessimistic rule).
 //
-// Two engines produce bit-identical results (tested against each other):
-//
-//  * The *differential* engine (default) is the full PROOFS design.  The
-//    good machine is simulated once per window of vectors, recording its
-//    settled node values per frame; each fault group's machine is then
-//    seeded from the good values every vector and only the fault-site and
-//    state differences are propagated event-driven through their fanout
-//    cones.  Before simulating a group for a vector, a screen checks which
-//    slots are excited at their fault site by the good values or carry
-//    parked fault effects in their persisted state — a group with no such
-//    slot skips the vector entirely (this is where late-ATPG time goes,
-//    when only a handful of hard faults remain).  At every window boundary
-//    the still-undetected faults are repacked into dense 64-slot groups in
-//    stable fault-index order, so grouping, results, and detection order
-//    are deterministic and thread-count-independent.
-//
-//  * The *full-sweep* engine (FaultSimConfig::differential = false) is the
-//    retained reference path: each group resets to all-X and re-evaluates
-//    the whole circuit per sequence.  It exists to differentially test the
-//    differential engine and as the fallback baseline in benches.
+// The engine is the PROOFS differential design.  The good machine is
+// simulated once per window of vectors, recording its settled node values per
+// frame; each fault group's machine is then seeded from the good values every
+// vector and only the fault-site and state differences are propagated
+// event-driven through their fanout cones.  Before simulating a group for a
+// vector, a screen checks which slots are excited at their fault site by the
+// good values or carry parked fault effects in their persisted state — a group
+// with no such slot skips the vector entirely (this is where late-ATPG time
+// goes, when only a handful of hard faults remain).  At every window boundary
+// the still-undetected faults are repacked into dense 64-slot groups in stable
+// fault-index order, so grouping, results, and detection order are
+// deterministic and thread-count-independent.  The naive full-sweep
+// simulator it is tested against is test::FullSweepFaultSim in tests/helpers.
 //
 // The 64-fault groups are independent, so run() and what_if() fan them out
 // across the shared worker pool (util::parallel), one thread-local
 // SequenceSimulator per lane.  Per-group detections are merged serially in
 // group order, so the returned lists and all member state are bit-identical
-// to the serial sweep for any thread count (threads = 1 is the exact legacy
-// code path).
+// to the serial sweep for any thread count (threads = 1 runs the groups
+// inline, in order).
 #pragma once
 
 #include <memory>
@@ -52,10 +45,6 @@ namespace gatpg::fault {
 /// thread count ({4}) keeps meaning "4 threads".
 struct FaultSimConfig {
   util::ParallelConfig parallel;
-  /// true = PROOFS differential engine (good-machine seeding, excitation
-  /// screening, dynamic repacking); false = the retained full-sweep
-  /// reference engine.  Results are bit-identical either way.
-  bool differential = true;
   /// Vectors per differential window: the good machine is recorded and the
   /// group sweep advanced window by window, with detected faults repacked
   /// out of the dense 64-slot groups at every boundary.  Also bounds the
@@ -194,9 +183,9 @@ class FaultSimulator {
 
  private:
   /// One detection event inside a sweep: `pos` indexes the sweep's fault
-  /// list, `t` is the global frame.  Sorting by (pos / 64, t, pos)
-  /// reproduces the full-sweep engine's exact detection order regardless of
-  /// windowing and repacking.
+  /// list, `t` is the global frame.  Sorting by (pos / 64, t, pos) gives the
+  /// order of a plain group-by-group sweep — group of origin, then frame,
+  /// then slot — regardless of windowing and repacking.
   struct Detection {
     std::uint32_t pos = 0;
     std::uint32_t t = 0;
@@ -229,15 +218,6 @@ class FaultSimulator {
                              std::vector<char>& live,
                              std::vector<Detection>& detections,
                              std::vector<sim::State3>* good_sink) const;
-
-  std::vector<std::size_t> run_full_sweep(const sim::Sequence& seq);
-  WhatIf what_if_full_sweep(std::span<const std::size_t> fault_indices,
-                            const sim::Sequence& seq) const;
-
-  /// The input sequence broadcast into packed form once per call (shared
-  /// read-only by every fault group of the full-sweep engine).
-  std::vector<std::vector<sim::PackedV3>> pack_sequence(
-      const sim::Sequence& seq) const;
 
   sim::SequenceSimulator& lane_machine(unsigned lane) const;
   void ensure_lanes(unsigned lanes) const;

@@ -28,7 +28,8 @@ HybridEngine::HybridEngine(const netlist::Circuit& c,
       obs_dist_(atpg::share_observation_distances(c)),
       model_pool_(c) {}
 
-unsigned HybridEngine::ga_sequence_length(const PassConfig& pass) const {
+unsigned HybridEngine::ga_sequence_length(
+    const session::PassConfig& pass) const {
   if (pass.seq_len_override) return pass.seq_len_override;
   const double len = pass.seq_len_multiplier * std::max(1u, depth_);
   // Floor of 4: a structural depth of 1 (datapaths with direct load paths)
@@ -46,7 +47,7 @@ void HybridEngine::fill_x(Sequence& seq, util::Rng& rng) {
 
 TargetResult HybridEngine::solve_target(const fault::Fault& f,
                                         std::size_t fault_index,
-                                        const PassConfig& pass,
+                                        const session::PassConfig& pass,
                                         TargetFacilities& fx) const {
   ++fx.counters->targeted;
 
@@ -90,8 +91,9 @@ TargetResult HybridEngine::solve_target(const fault::Fault& f,
   return result;
 }
 
-TargetOutcome HybridEngine::target_fault(
-    session::Session& s, std::size_t fault_index, const PassConfig& pass) {
+TargetOutcome HybridEngine::target_fault(session::Session& s,
+                                         std::size_t fault_index,
+                                         const session::PassConfig& pass) {
   const auto deadline = util::Deadline::after_seconds(pass.time_limit_s);
 
   TargetFacilities fx;
@@ -125,9 +127,9 @@ TargetOutcome HybridEngine::target_fault(
 }
 
 TargetOutcome HybridEngine::attempt_solutions(
-    const fault::Fault& f, std::size_t fault_index, const PassConfig& pass,
-    TargetFacilities& fx, ForwardEngine& forward,
-    const GaStateJustifier& ga_justifier,
+    const fault::Fault& f, std::size_t fault_index,
+    const session::PassConfig& pass, TargetFacilities& fx,
+    ForwardEngine& forward, const GaStateJustifier& ga_justifier,
     atpg::DeterministicJustifier& det_justifier, atpg::SearchStats& det_total,
     Sequence& candidate_out) const {
   TargetOutcome outcome;
@@ -205,7 +207,7 @@ TargetOutcome HybridEngine::attempt_solutions(
     if (!state_needed) {
       ++fx.counters->no_justification_needed;
       justified = true;
-    } else if (pass.mode == JustifyMode::kGenetic) {
+    } else if (pass.mode == session::JustifyMode::kGenetic) {
       // GA justification from the current good-circuit state; the faulty
       // machine starts all-X, as §IV-A prescribes.  Check first whether the
       // current state already matches (every defined literal of the required
@@ -347,7 +349,7 @@ void HybridEngine::resolve_target(session::Session& s, std::size_t fault_index,
   s.faults().absorb_detections(s.simulator().detected());
 }
 
-void HybridEngine::run(session::Session& s, const PassConfig& pass,
+void HybridEngine::run(session::Session& s, const session::PassConfig& pass,
                        const util::Deadline& pass_deadline) {
   // Speculative lanes only for passes bounded by backtracks alone: a
   // wall-clock limit makes each target's outcome timing-dependent, which
@@ -394,8 +396,8 @@ std::size_t HybridEngine::step(session::Session& s,
     return fm.detected_count() - before;
   }
   // Stepwise targeting uses the schedule's final (hardest-limits) pass.
-  const PassConfig pass = config_.schedule.passes.empty()
-                              ? PassConfig{}
+  const session::PassConfig pass = config_.schedule.passes.empty()
+                              ? session::PassConfig{}
                               : config_.schedule.passes.back();
   (void)deadline;  // per-fault limits come from the pass config
   resolve_target(s, target, target_fault(s, target, pass));
@@ -437,14 +439,18 @@ HybridAtpg::HybridAtpg(const netlist::Circuit& c, HybridConfig config)
                  : netlist::sequential_depth(c)),
       rng_(config_.seed) {}
 
-AtpgResult HybridAtpg::run(session::ProgressObserver* observer) {
-  session::SessionConfig session_config;
-  session_config.fault_model = config_.fault_model;
-  session_config.faultsim = config_.faultsim;
-  session_config.faultsim.parallel = config_.parallel;
-  session_config.state_store = config_.state_store;
-  session_config.target_parallel = config_.target_parallel;
-  session::Session s(c_, faults_, session_config);
+session::SessionConfig HybridConfig::session_config() const {
+  session::SessionConfig s;
+  s.fault_model = fault_model;
+  s.faultsim = faultsim;
+  s.faultsim.parallel = parallel;
+  s.state_store = state_store;
+  s.target_parallel = target_parallel;
+  return s;
+}
+
+session::SessionResult HybridAtpg::run(session::ProgressObserver* observer) {
+  session::Session s(c_, faults_, config_.session_config());
   s.set_observer(observer);
 
   if (config_.prefilter_untestable) {

@@ -33,7 +33,7 @@
 #include "fault/faultlist.h"
 #include "fault/faultsim.h"
 #include "hybrid/ga_justify.h"
-#include "hybrid/pass.h"
+#include "session/pass.h"
 #include "session/session.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -41,14 +41,8 @@
 
 namespace gatpg::hybrid {
 
-// Historical spellings, now provided by the session layer.
-using FaultState = session::FaultStatus;
-using PassOutcome = session::PassOutcome;
-using EngineCounters = session::EngineCounters;
-using AtpgResult = session::SessionResult;
-
 struct HybridConfig {
-  PassSchedule schedule = PassSchedule::ga_hitec(0.05);
+  session::PassSchedule schedule = session::PassSchedule::ga_hitec(0.05);
   /// Fault universe the generator targets (stuck-at by default; transition
   /// faults run the same Fig. 1 loop over two-frame launch/capture tests).
   fault::FaultUniverse fault_model = fault::FaultUniverse::kStuckAt;
@@ -70,9 +64,8 @@ struct HybridConfig {
   /// justifier's batch evaluation (0 = hardware_concurrency, 1 = serial).
   /// Results are bit-identical for any thread count.
   util::ParallelConfig parallel;
-  /// Fault-simulator engine options (differential vs full-sweep, window).
-  /// The `parallel` member above overrides faultsim.parallel so one knob
-  /// sizes every pool.
+  /// Fault-simulator options (window; threads come from `parallel` above,
+  /// which overrides faultsim.parallel so one knob sizes every pool).
   fault::FaultSimConfig faultsim;
   /// Conclusion-section option: cheap combinational-exhaustion prescreen
   /// that marks easy untestables before pass 1 (bench_prefilter).
@@ -89,6 +82,11 @@ struct HybridConfig {
   /// pass_budget_s both <= 0); results are bit-identical to serial at any
   /// lane count.
   util::TargetParallelConfig target_parallel;
+
+  /// The session-layer config a run over this config uses: fault model,
+  /// fault-sim options sized by `parallel`, state store and targeting lanes
+  /// (checkpointing stays inert).
+  session::SessionConfig session_config() const;
 };
 
 /// What one fault target reads and writes while it solves, decoupled from
@@ -150,7 +148,7 @@ class HybridEngine : public session::Engine {
                unsigned depth, util::Rng& rng);
 
   const char* name() const override { return "ga-hitec"; }
-  void run(session::Session& session, const PassConfig& pass,
+  void run(session::Session& session, const session::PassConfig& pass,
            const util::Deadline& deadline) override;
   /// One targeted fault (round-robin over the undetected set).  Returns
   /// newly detected count (incidental detections included).
@@ -169,7 +167,8 @@ class HybridEngine : public session::Engine {
   /// a lane's answer from snapshot state equals the serial answer whenever
   /// the snapshot still matches the committed state.
   TargetResult solve_target(const fault::Fault& f, std::size_t fault_index,
-                            const PassConfig& pass, TargetFacilities& fx) const;
+                            const session::PassConfig& pass,
+                            TargetFacilities& fx) const;
 
   /// Speculation-efficiency counters of the last/current run (cumulative
   /// across passes; zero for serial-only runs).
@@ -177,13 +176,15 @@ class HybridEngine : public session::Engine {
 
  private:
   TargetOutcome target_fault(session::Session& session,
-                             std::size_t fault_index, const PassConfig& pass);
+                             std::size_t fault_index,
+                             const session::PassConfig& pass);
   /// The Fig. 1 attempt loop of solve_target; `det_total` accumulates the
   /// deterministic justifier's per-call SearchStats across attempts and
   /// `candidate` receives the verified test on detection.
   TargetOutcome attempt_solutions(const fault::Fault& f,
                                   std::size_t fault_index,
-                                  const PassConfig& pass, TargetFacilities& fx,
+                                  const session::PassConfig& pass,
+                                  TargetFacilities& fx,
                                   atpg::ForwardEngine& forward,
                                   const GaStateJustifier& ga_justifier,
                                   atpg::DeterministicJustifier& det_justifier,
@@ -194,10 +195,11 @@ class HybridEngine : public session::Engine {
   /// Speculative scheduler (src/hybrid/target_parallel.cpp): lanes solve
   /// faults ahead of the committed frontier; results commit strictly in
   /// fault order and only when their launch epoch is still current.
-  void run_speculative(session::Session& session, const PassConfig& pass,
+  void run_speculative(session::Session& session,
+                       const session::PassConfig& pass,
                        const util::Deadline& pass_deadline, unsigned lanes);
   static void fill_x(sim::Sequence& seq, util::Rng& rng);
-  unsigned ga_sequence_length(const PassConfig& pass) const;
+  unsigned ga_sequence_length(const session::PassConfig& pass) const;
 
   /// Folds one target's pool demand (acquire count and peak concurrently
   /// checked-out models) into the virtual tallies.  In serial mode this
@@ -254,7 +256,7 @@ class HybridAtpg {
 
   /// Runs the full schedule on a fresh session.  An optional observer
   /// receives per-pass reports.
-  AtpgResult run(session::ProgressObserver* observer = nullptr);
+  session::SessionResult run(session::ProgressObserver* observer = nullptr);
 
   const fault::FaultList& fault_list() const { return faults_; }
 

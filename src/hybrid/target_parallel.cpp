@@ -97,7 +97,8 @@ class LanePools {
 
 }  // namespace
 
-void HybridEngine::run_speculative(session::Session& s, const PassConfig& pass,
+void HybridEngine::run_speculative(session::Session& s,
+                                   const session::PassConfig& pass,
                                    const util::Deadline& pass_deadline,
                                    unsigned lanes) {
   session::FaultManager& fm = s.faults();
@@ -144,7 +145,7 @@ void HybridEngine::run_speculative(session::Session& s, const PassConfig& pass,
     const std::shared_ptr<EpochSnapshot> snap_ref = snap;
     const std::shared_ptr<SpecResult> result = t.result;
     LanePools* lane_pools = &pools;
-    const PassConfig* pass_ptr = &pass;
+    const session::PassConfig* pass_ptr = &pass;
     t.done = lane_pool_->submit([this, j, f, faulty_state, launch_prev,
                                  snap_ref, result, lane_pools, pass_ptr]() {
       std::unique_ptr<atpg::FrameModelPool> pool = lane_pools->acquire();

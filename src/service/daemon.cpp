@@ -192,9 +192,9 @@ void Daemon::handle_submit(const Args& args) {
   const std::string engine = arg_s(args, "engine", "ga-hitec");
   const double time_scale = arg_f(args, "time_scale", 0.01);
   if (engine == "ga-hitec") {
-    job.hybrid.schedule = hybrid::PassSchedule::ga_hitec(time_scale);
+    job.hybrid.schedule = session::PassSchedule::ga_hitec(time_scale);
   } else if (engine == "hitec") {
-    job.hybrid.schedule = hybrid::PassSchedule::hitec(time_scale);
+    job.hybrid.schedule = session::PassSchedule::hitec(time_scale);
   } else {
     emit_error("unknown engine: " + engine);
     return;

@@ -211,12 +211,7 @@ ShardedResult run_sharded(const netlist::Circuit& c,
     cfg.target_parallel.lanes = lanes;
     cfg.target_parallel.window = job.hybrid.target_parallel.window;
 
-    session::SessionConfig scfg;
-    scfg.fault_model = cfg.fault_model;
-    scfg.faultsim = cfg.faultsim;
-    scfg.faultsim.parallel = cfg.parallel;
-    scfg.state_store = cfg.state_store;
-    scfg.target_parallel = cfg.target_parallel;
+    session::SessionConfig scfg = cfg.session_config();
     if (!job.checkpoint_path.empty()) {
       scfg.checkpoint.path = shard_snapshot_path(job.checkpoint_path, s);
       scfg.checkpoint.interval_s = job.checkpoint_interval_s;

@@ -34,8 +34,8 @@
 
 namespace gatpg::session {
 
-/// The unified result every session-driven generator produces (the former
-/// AtpgResult / SimGenResult / AlternatingResult, collapsed).
+/// The unified result every session-driven generator produces (hybrid,
+/// simulation-based and alternating alike).
 struct SessionResult {
   /// Cumulative Det/Vec/Unt/Time after each pass (Table II/III rows).
   std::vector<PassOutcome> passes;
@@ -101,7 +101,7 @@ struct SessionConfig {
   /// caller but still records the universe for snapshot identity (a
   /// snapshot taken under one model never resumes under another).
   fault::FaultUniverse fault_model = fault::FaultUniverse::kStuckAt;
-  /// Fault-simulator engine options (threads, differential vs full-sweep).
+  /// Fault-simulator options (threads, window).
   fault::FaultSimConfig faultsim;
   /// State-knowledge layer options (disabled by default; enabling it must
   /// not change which faults are detectable, only how fast they resolve).

@@ -4,7 +4,7 @@
 // Snapshot layout (inside the serialize::Archive payload):
 //
 //   IDNT  circuit name + structural signature, fault-list identity digest,
-//         fault-sim engine shape (differential/window), engine name
+//         fault-sim window, engine name
 //   FMGR  FaultManager (statuses, aborted flags, counters, pass cursor)
 //   TSET  TestSetBuilder (committed segments; flat set rebuilt on load)
 //   STOR  StateStore (all four caches + stamps + stats, config-checked)
@@ -121,7 +121,6 @@ void Session::checkpoint(const std::string& path) const {
   w.u64(circuit_signature(c_));
   w.u8(static_cast<std::uint8_t>(config_.fault_model));
   w.u64(fault::identity_digest(faults_.list()));
-  w.boolean(config_.faultsim.differential);
   w.u32(config_.faultsim.window);
   w.str(running_engine_ ? running_engine_->name() : "");
   w.end_section();
@@ -180,7 +179,6 @@ void Session::resume(const std::string& path, Engine& engine) {
   const std::uint64_t signature = r.u64();
   const auto universe = static_cast<fault::FaultUniverse>(r.u8());
   const std::uint64_t fault_identity = r.u64();
-  const bool differential = r.boolean();
   const std::uint32_t window = r.u32();
   const std::string engine_name = r.str();
   r.leave_section();
@@ -200,13 +198,11 @@ void Session::resume(const std::string& path, Engine& engine) {
         "snapshot fault list does not match this session's fault list");
   }
   // Thread count is free to change (results are thread-count-independent),
-  // but the engine shape must match or the replayed SimStats and grouping
-  // counters would diverge from the uninterrupted run.
-  if (differential != config_.faultsim.differential ||
-      window != config_.faultsim.window) {
+  // but the window must match or the replayed SimStats and grouping counters
+  // would diverge from the uninterrupted run.
+  if (window != config_.faultsim.window) {
     throw serialize::SnapshotError(
-        "snapshot fault-sim engine shape (differential/window) differs from "
-        "this session's config");
+        "snapshot fault-sim window differs from this session's config");
   }
   if (engine_name != engine.name()) {
     throw serialize::SnapshotError("snapshot engine '" + engine_name +

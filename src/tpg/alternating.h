@@ -42,7 +42,7 @@ struct AlternatingConfig {
   unsigned det_failures_to_stop = 8;
   double time_limit_s = 10.0;
   std::uint64_t seed = 1;
-  /// Fault-simulator engine options (threads, differential vs full-sweep).
+  /// Fault-simulator options (threads, window).
   fault::FaultSimConfig faultsim;
 };
 

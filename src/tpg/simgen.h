@@ -39,7 +39,7 @@ struct SimGenConfig {
   unsigned stagnation_rounds = 4;
   double time_limit_s = 10.0;
   std::uint64_t seed = 1;
-  /// Fault-simulator engine options (threads, differential vs full-sweep).
+  /// Fault-simulator options (threads, window).
   fault::FaultSimConfig faultsim;
 };
 

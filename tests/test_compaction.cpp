@@ -49,7 +49,7 @@ TEST(Compaction, RemovesRedundantDuplicates) {
 TEST(Compaction, ShrinksAtpgTestSets) {
   const auto c = gen::make_circuit("g344");
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::ga_hitec(0.01);
+  cfg.schedule = session::PassSchedule::ga_hitec(0.01);
   for (auto& pass : cfg.schedule.passes) pass.pass_budget_s = 1.5;
   cfg.seed = 5;
   const auto result = hybrid::HybridAtpg(c, cfg).run();
@@ -74,7 +74,7 @@ TEST(Compaction, KeepsLoadBearingEarlySegments) {
   // an ATPG set and checking the invariant holds post-compaction.
   const auto c = gen::make_circuit("g298");
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::ga_hitec(0.01);
+  cfg.schedule = session::PassSchedule::ga_hitec(0.01);
   for (auto& pass : cfg.schedule.passes) pass.pass_budget_s = 1.5;
   const auto result = hybrid::HybridAtpg(c, cfg).run();
   if (result.segments.size() < 2) GTEST_SKIP();

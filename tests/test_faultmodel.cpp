@@ -16,6 +16,7 @@
 #include "fault/faultsim.h"
 #include "gen/registry.h"
 #include "gen/s27.h"
+#include "helpers/full_sweep_faultsim.h"
 #include "helpers/random_circuit.h"
 #include "helpers/reference_sim.h"
 #include "netlist/builder.h"
@@ -243,13 +244,10 @@ INSTANTIATE_TEST_SUITE_P(RandomCircuits, TransitionCollapseEquivalence,
                          ::testing::Range<std::uint64_t>(1, 7));
 
 // ---------------------------------------------------------------------------
-// The transition fault simulator vs the naive reference, across engines and
-// thread counts, with persistent state over multiple run()s.
-
-struct SimShape {
-  bool differential;
-  unsigned threads;
-};
+// The transition fault simulator vs the naive reference, across thread
+// counts, with persistent state over multiple run()s.  The full-sweep oracle
+// that FaultSimDiff checks the simulator against is held to the same
+// reference here.
 
 class TransitionSimEquivalence
     : public ::testing::TestWithParam<std::uint64_t> {};
@@ -272,21 +270,26 @@ TEST_P(TransitionSimEquivalence, MatchesTwoFrameReference) {
     expected[i] = test::reference_detects(c, faults[i], all);
   }
 
-  const SimShape shapes[] = {{true, 1}, {true, 4}, {false, 1}};
-  for (const SimShape& shape : shapes) {
-    SCOPED_TRACE(std::string(shape.differential ? "diff" : "sweep") +
-                 " threads " + std::to_string(shape.threads));
+  const auto expect_reference = [&](const std::vector<char>& detected) {
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      EXPECT_EQ(static_cast<bool>(detected[i]), expected[i])
+          << to_string(c, faults[i]) << " seed " << GetParam();
+    }
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
     FaultSimConfig cfg;
-    cfg.differential = shape.differential;
-    cfg.parallel.threads = shape.threads;
+    cfg.parallel.threads = threads;
     FaultSimulator fs(c, faults, cfg);
     fs.run(seq1);
     fs.run(seq2);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      EXPECT_EQ(static_cast<bool>(fs.detected()[i]), expected[i])
-          << to_string(c, faults[i]) << " seed " << GetParam();
-    }
+    expect_reference(fs.detected());
   }
+  SCOPED_TRACE("full-sweep oracle");
+  test::FullSweepFaultSim oracle(c, faults);
+  oracle.run(seq1);
+  oracle.run(seq2);
+  expect_reference(oracle.detected());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomCircuits, TransitionSimEquivalence,

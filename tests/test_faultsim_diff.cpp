@@ -1,12 +1,13 @@
-// Differential-vs-full-sweep equivalence for the PROOFS fault simulator.
+// Differential engine vs the full-sweep oracle.
 //
-// The differential engine (good-machine seeding + excitation screening +
-// dynamic repacking) must be bit-identical to the retained full-sweep
-// reference engine: same detections, same detection *order*, same persisted
-// faulty flip-flop states, same good-machine state — across randomized
-// circuits, random (including partially-X) sequences, multi-run sessions,
-// any window size, and any thread count (the thread-count check also runs
-// on every registry circuit).
+// The production PROOFS engine (good-machine seeding + excitation screening +
+// dynamic repacking) must be bit-identical to the naive full-sweep simulator
+// of helpers/full_sweep_faultsim.h: same detections, same detection *order*,
+// same persisted faulty flip-flop states and transition launch anchors, same
+// good-machine state — across randomized circuits, both fault universes,
+// random (including partially-X) sequences, multi-run sessions, any window
+// size, and any thread count (the thread-count check also runs on every
+// registry circuit).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "fault/faultlist.h"
 #include "fault/faultsim.h"
 #include "gen/registry.h"
+#include "helpers/full_sweep_faultsim.h"
 #include "helpers/random_circuit.h"
 
 namespace {
@@ -26,12 +28,12 @@ namespace {
 using namespace gatpg;
 using fault::FaultSimConfig;
 using fault::FaultSimulator;
+using fault::FaultUniverse;
+using test::FullSweepFaultSim;
 
-FaultSimConfig make_config(bool differential, unsigned threads,
-                           unsigned window = 32) {
+FaultSimConfig make_config(unsigned threads, unsigned window = 32) {
   FaultSimConfig config;
   config.parallel.threads = threads;
-  config.differential = differential;
   config.window = window;
   return config;
 }
@@ -55,12 +57,11 @@ std::vector<sim::Sequence> session_chunks(const netlist::Circuit& c,
           test::random_sequence(c, rng, 41, 0.1)};
 }
 
-void expect_sessions_match(const netlist::Circuit& c,
-                           const std::vector<fault::Fault>& faults,
-                           const std::vector<sim::Sequence>& chunks,
-                           FaultSimConfig config_a, FaultSimConfig config_b) {
-  FaultSimulator a(c, faults, config_a);
-  FaultSimulator b(c, faults, config_b);
+/// Runs `chunks` through both simulators (each a fresh session over the same
+/// `n` faults) and checks every observable the session contract fixes.
+template <typename A, typename B>
+void expect_sessions_match(A& a, B& b, std::size_t n,
+                           const std::vector<sim::Sequence>& chunks) {
   for (std::size_t k = 0; k < chunks.size(); ++k) {
     const auto newly_a = a.run(chunks[k]);
     const auto newly_b = b.run(chunks[k]);
@@ -69,28 +70,59 @@ void expect_sessions_match(const netlist::Circuit& c,
   ASSERT_EQ(a.detected(), b.detected());
   ASSERT_EQ(a.detected_count(), b.detected_count());
   ASSERT_EQ(a.good_state(), b.good_state());
-  for (std::size_t i = 0; i < faults.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(a.fault_state(i), b.fault_state(i))
         << "persisted faulty state differs for fault " << i;
+    ASSERT_EQ(a.launch_prev(i), b.launch_prev(i))
+        << "launch anchor differs for fault " << i;
   }
+}
+
+/// The differential engine under `config` against the oracle.
+void expect_matches_oracle(const netlist::Circuit& c,
+                           const std::vector<fault::Fault>& faults,
+                           const std::vector<sim::Sequence>& chunks,
+                           FaultSimConfig config) {
+  FaultSimulator diff(c, faults, config);
+  FullSweepFaultSim oracle(c, faults);
+  expect_sessions_match(diff, oracle, faults.size(), chunks);
 }
 
 TEST(FaultSimDiff, MatchesFullSweepSerial) {
   for (const auto& spec : specs()) {
     const auto c = test::make_random_circuit(spec);
     const auto faults = fault::collapse(c).faults;
-    expect_sessions_match(c, faults, session_chunks(c, spec.seed),
-                          make_config(true, 1), make_config(false, 1));
+    expect_matches_oracle(c, faults, session_chunks(c, spec.seed),
+                          make_config(1));
   }
 }
 
 TEST(FaultSimDiff, MatchesFullSweepThreaded) {
-  // Strongest cross-check: differential at 4 threads vs full sweep serial.
+  // Strongest cross-check: differential at 4 threads vs the serial oracle.
   for (const auto& spec : specs()) {
     const auto c = test::make_random_circuit(spec);
     const auto faults = fault::collapse(c).faults;
-    expect_sessions_match(c, faults, session_chunks(c, spec.seed),
-                          make_config(true, 4), make_config(false, 1));
+    expect_matches_oracle(c, faults, session_chunks(c, spec.seed),
+                          make_config(4));
+  }
+}
+
+TEST(FaultSimDiff, TransitionSessionMatchesFullSweep) {
+  // The transition universe adds the launch anchor, carried from frame to
+  // frame, across window boundaries and across run() calls; short windows
+  // put boundaries inside every chunk.
+  for (const auto& spec : specs()) {
+    const auto c = test::make_random_circuit(spec);
+    const auto faults = fault::collapse(c, FaultUniverse::kTransition).faults;
+    for (const unsigned threads : {1u, 4u}) {
+      for (const unsigned window : {3u, 32u}) {
+        SCOPED_TRACE("seed " + std::to_string(spec.seed) + " threads " +
+                     std::to_string(threads) + " window " +
+                     std::to_string(window));
+        expect_matches_oracle(c, faults, session_chunks(c, spec.seed),
+                              make_config(threads, window));
+      }
+    }
   }
 }
 
@@ -98,8 +130,10 @@ TEST(FaultSimDiff, ThreadCountIndependent) {
   for (const auto& spec : specs()) {
     const auto c = test::make_random_circuit(spec);
     const auto faults = fault::collapse(c).faults;
-    expect_sessions_match(c, faults, session_chunks(c, spec.seed),
-                          make_config(true, 1), make_config(true, 4));
+    FaultSimulator one(c, faults, make_config(1));
+    FaultSimulator four(c, faults, make_config(4));
+    expect_sessions_match(one, four, faults.size(),
+                          session_chunks(c, spec.seed));
   }
   // Every registry circuit, in one bounded session each: a fault sample of
   // at most 97 (deliberately not a multiple of 64, so the last group's slot
@@ -120,8 +154,9 @@ TEST(FaultSimDiff, ThreadCountIndependent) {
     const std::vector<sim::Sequence> chunks = {
         test::random_sequence(c, rng, 8, 0.0),
         test::random_sequence(c, rng, 6, 0.2)};
-    expect_sessions_match(c, faults, chunks, make_config(true, 4),
-                          make_config(true, 1));
+    FaultSimulator four(c, faults, make_config(4));
+    FaultSimulator one(c, faults, make_config(1));
+    expect_sessions_match(four, one, faults.size(), chunks);
   }
 }
 
@@ -132,48 +167,67 @@ TEST(FaultSimDiff, WindowIndependent) {
   const auto c = test::make_random_circuit(spec);
   const auto faults = fault::collapse(c).faults;
   for (unsigned window : {1u, 2u, 7u, 64u}) {
-    expect_sessions_match(c, faults, session_chunks(c, 99),
-                          make_config(true, 2, window),
-                          make_config(false, 1));
+    expect_matches_oracle(c, faults, session_chunks(c, 99),
+                          make_config(2, window));
   }
+}
+
+/// what_if from a nontrivial session state, over all faults and over a small
+/// subset, against the oracle; afterwards both sessions must continue
+/// identically (what_if is non-mutating).
+void expect_what_if_matches(const netlist::Circuit& c,
+                            const std::vector<fault::Fault>& faults,
+                            FaultSimConfig config, std::uint64_t seed) {
+  FaultSimulator diff(c, faults, config);
+  FullSweepFaultSim full(c, faults);
+
+  // Advance both sessions so what_if starts from a nontrivial state.
+  util::Rng rng(seed);
+  const auto warmup = test::random_sequence(c, rng, 13, 0.1);
+  ASSERT_EQ(diff.run(warmup), full.run(warmup));
+
+  std::vector<std::size_t> all(faults.size());
+  std::iota(all.begin(), all.end(), 0);
+  const auto probe = test::random_sequence(c, rng, 21, 0.15);
+
+  const auto wa = diff.what_if(all, probe);
+  const auto wb = full.what_if(all, probe);
+  EXPECT_EQ(wa.detected, wb.detected);
+  EXPECT_EQ(wa.state_effects, wb.state_effects);
+
+  // Subset query (the GA's sampled-fault fitness shape).
+  const std::vector<std::size_t> subset(
+      all.begin(), all.begin() + std::min<std::size_t>(all.size(), 7));
+  const auto sa = diff.what_if(subset, probe);
+  const auto sb = full.what_if(subset, probe);
+  EXPECT_EQ(sa.detected, sb.detected);
+  EXPECT_EQ(sa.state_effects, sb.state_effects);
+
+  // what_if must not have touched the sessions: continuing them still
+  // yields identical detections, states and launch anchors.
+  expect_sessions_match(diff, full, faults.size(),
+                        {test::random_sequence(c, rng, 11, 0.0)});
 }
 
 TEST(FaultSimDiff, WhatIfMatchesFullSweepAndKeepsSessionIntact) {
   for (const auto& spec : specs()) {
     const auto c = test::make_random_circuit(spec);
-    const auto faults = fault::collapse(c).faults;
-    FaultSimulator diff(c, faults, make_config(true, 4));
-    FaultSimulator full(c, faults, make_config(false, 1));
+    expect_what_if_matches(c, fault::collapse(c).faults, make_config(4),
+                           spec.seed + 5);
+  }
+}
 
-    // Advance both sessions so what_if starts from a nontrivial state.
-    util::Rng rng(spec.seed + 5);
-    const auto warmup = test::random_sequence(c, rng, 13, 0.1);
-    ASSERT_EQ(diff.run(warmup), full.run(warmup));
-
-    std::vector<std::size_t> all(faults.size());
-    std::iota(all.begin(), all.end(), 0);
-    const auto probe = test::random_sequence(c, rng, 21, 0.15);
-
-    const auto wa = diff.what_if(all, probe);
-    const auto wb = full.what_if(all, probe);
-    EXPECT_EQ(wa.detected, wb.detected);
-    EXPECT_EQ(wa.state_effects, wb.state_effects);
-
-    // Subset query (the GA's sampled-fault fitness shape).
-    const std::vector<std::size_t> subset(
-        all.begin(), all.begin() + std::min<std::size_t>(all.size(), 7));
-    const auto sa = diff.what_if(subset, probe);
-    const auto sb = full.what_if(subset, probe);
-    EXPECT_EQ(sa.detected, sb.detected);
-    EXPECT_EQ(sa.state_effects, sb.state_effects);
-
-    // what_if must not have touched the sessions: continuing them still
-    // yields identical detections and states.
-    const auto more = test::random_sequence(c, rng, 11, 0.0);
-    EXPECT_EQ(diff.run(more), full.run(more));
-    EXPECT_EQ(diff.good_state(), full.good_state());
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      EXPECT_EQ(diff.fault_state(i), full.fault_state(i));
+TEST(FaultSimDiff, TransitionWhatIfMatchesFullSweep) {
+  // The what-if starts from the session's launch anchors and carries them
+  // across its own window boundaries (window 4 < probe length).
+  for (const auto& spec : specs()) {
+    const auto c = test::make_random_circuit(spec);
+    const auto faults = fault::collapse(c, FaultUniverse::kTransition).faults;
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(spec.seed) + " threads " +
+                   std::to_string(threads));
+      expect_what_if_matches(c, faults, make_config(threads, 4),
+                             spec.seed + 5);
     }
   }
 }
@@ -184,7 +238,7 @@ TEST(FaultSimDiff, StatsAreDeterministicAndConsistent) {
   const auto faults = fault::collapse(c).faults;
 
   auto run_session = [&](unsigned threads) {
-    FaultSimulator fs(c, faults, make_config(true, threads, 8));
+    FaultSimulator fs(c, faults, make_config(threads, 8));
     for (const auto& chunk : session_chunks(c, 42)) fs.run(chunk);
     return fs.stats();
   };
@@ -217,7 +271,7 @@ TEST(FaultSimDiff, StatsAreDeterministicAndConsistent) {
 
 TEST(FaultSimDiff, DifferentialDoesLessWork) {
   // The whole point: on a session-style workload the differential engine
-  // must evaluate far fewer gates than the full sweep.  (The acceptance
+  // must evaluate far fewer gates than the full-sweep oracle.  (The acceptance
   // threshold of >= 2x is measured on the ISCAS-style bench circuits; random
   // circuits here just need to show a reduction.)
   const test::RandomCircuitSpec spec{8, 8, 160, 6, 21};
@@ -226,8 +280,8 @@ TEST(FaultSimDiff, DifferentialDoesLessWork) {
   util::Rng rng(3);
   const auto seq = test::random_sequence(c, rng, 64, 0.0);
 
-  FaultSimulator diff(c, faults, make_config(true, 1));
-  FaultSimulator full(c, faults, make_config(false, 1));
+  FaultSimulator diff(c, faults, make_config(1));
+  FullSweepFaultSim full(c, faults);
   ASSERT_EQ(diff.run(seq), full.run(seq));
 
   const auto total = [](const fault::SimStats& s) {
@@ -249,7 +303,7 @@ TEST(FaultSimDiff, ScreenSkipsUnexcitedFaults) {
   const auto c = std::move(builder).build("screen");
 
   const std::vector<fault::Fault> faults{{g, fault::kOutputPin, true}};
-  FaultSimulator fs(c, faults, make_config(true, 1));
+  FaultSimulator fs(c, faults, make_config(1));
 
   const sim::Sequence quiet(6, sim::Vector3{sim::V3::k1, sim::V3::k1});
   EXPECT_TRUE(fs.run(quiet).empty());

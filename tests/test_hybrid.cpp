@@ -10,6 +10,12 @@
 namespace gatpg::hybrid {
 namespace {
 
+using session::FaultStatus;
+using session::JustifyMode;
+using session::PassConfig;
+using session::PassSchedule;
+using session::SessionResult;
+
 /// GA, GA, deterministic with no wall-clock limit: per-fault effort is
 /// bounded by forward solutions, GA generations and backtrack limits alone,
 /// so the run time and the result depend only on (circuit, config, seed).
@@ -77,7 +83,7 @@ TEST(PassSchedule, HitecBaselineEscalatesTimesAndBacktracks) {
 TEST(HybridAtpg, FullCoverageOnS27) {
   const auto c = gen::make_s27();
   HybridAtpg atpg(c, bounded_ga_config());
-  const AtpgResult result = atpg.run();
+  const SessionResult result = atpg.run();
   EXPECT_EQ(result.total_faults, 32u);
   EXPECT_EQ(result.detected() + result.untestable(), 32u);
   EXPECT_EQ(result.untestable(), 0u);  // s27 is fully testable
@@ -90,7 +96,7 @@ TEST(HybridAtpg, GradingNeverBelowClaimedDetections) {
   for (const char* name : {"g386", "mult4", "div4"}) {
     const auto c = gen::make_circuit(name);
     HybridAtpg atpg(c, bounded_ga_config());
-    const AtpgResult result = atpg.run();
+    const SessionResult result = atpg.run();
     const auto report = fault::grade_sequence(c, result.test_set);
     // Claimed detections are all verified before commit, so independent
     // grading of the full test set must reach at least that count.
@@ -100,7 +106,7 @@ TEST(HybridAtpg, GradingNeverBelowClaimedDetections) {
 
 TEST(HybridAtpg, PassOutcomesAreCumulative) {
   const auto c = gen::make_circuit("g386");
-  const AtpgResult result = HybridAtpg(c, bounded_ga_config()).run();
+  const SessionResult result = HybridAtpg(c, bounded_ga_config()).run();
   ASSERT_EQ(result.passes.size(), 3u);
   for (std::size_t p = 1; p < result.passes.size(); ++p) {
     EXPECT_GE(result.passes[p].detected, result.passes[p - 1].detected);
@@ -112,12 +118,12 @@ TEST(HybridAtpg, PassOutcomesAreCumulative) {
 
 TEST(HybridAtpg, FaultStatesPartitionTheList) {
   const auto c = gen::make_s27();
-  const AtpgResult result = HybridAtpg(c, bounded_ga_config()).run();
+  const SessionResult result = HybridAtpg(c, bounded_ga_config()).run();
   std::size_t det = 0, unt = 0, und = 0;
-  for (FaultState s : result.fault_state) {
-    det += s == FaultState::kDetected;
-    unt += s == FaultState::kUntestable;
-    und += s == FaultState::kUndetected;
+  for (FaultStatus s : result.fault_state) {
+    det += s == FaultStatus::kDetected;
+    unt += s == FaultStatus::kUntestable;
+    und += s == FaultStatus::kUndetected;
   }
   EXPECT_EQ(det, result.detected());
   EXPECT_EQ(unt, result.untestable());
@@ -138,10 +144,10 @@ TEST(HybridAtpg, UntestableClaimsHoldOnSmallCircuits) {
   const auto c = std::move(b).build("red_seq");
 
   HybridAtpg atpg(c, bounded_ga_config());
-  const AtpgResult result = atpg.run();
+  const SessionResult result = atpg.run();
   const auto& faults = atpg.fault_list().faults;
   for (std::size_t i = 0; i < result.fault_state.size(); ++i) {
-    if (result.fault_state[i] == FaultState::kUntestable) {
+    if (result.fault_state[i] == FaultStatus::kUntestable) {
       const auto truth = test::exhaustively_detectable(c, faults[i]);
       if (truth.has_value()) {
         EXPECT_FALSE(*truth) << fault::to_string(c, faults[i]);
@@ -153,15 +159,15 @@ TEST(HybridAtpg, UntestableClaimsHoldOnSmallCircuits) {
 
 TEST(HybridAtpg, DeterministicForSameSeed) {
   const auto c = gen::make_s27();
-  const AtpgResult a = HybridAtpg(c, bounded_ga_config(7)).run();
-  const AtpgResult b = HybridAtpg(c, bounded_ga_config(7)).run();
+  const SessionResult a = HybridAtpg(c, bounded_ga_config(7)).run();
+  const SessionResult b = HybridAtpg(c, bounded_ga_config(7)).run();
   EXPECT_EQ(a.detected(), b.detected());
   EXPECT_EQ(a.test_set, b.test_set);
 }
 
 TEST(HybridAtpg, HitecModeAlsoCoversS27) {
   const auto c = gen::make_s27();
-  const AtpgResult result = HybridAtpg(c, bounded_hitec_config()).run();
+  const SessionResult result = HybridAtpg(c, bounded_hitec_config()).run();
   EXPECT_EQ(result.detected(), 32u);
   EXPECT_EQ(fault::grade_sequence(c, result.test_set).detected, 32u);
   // Pure deterministic mode never calls the GA.
@@ -170,7 +176,7 @@ TEST(HybridAtpg, HitecModeAlsoCoversS27) {
 
 TEST(HybridAtpg, GaModeActuallyUsesGa) {
   const auto c = gen::make_circuit("g298");
-  const AtpgResult result = HybridAtpg(c, bounded_ga_config()).run();
+  const SessionResult result = HybridAtpg(c, bounded_ga_config()).run();
   EXPECT_GT(result.counters.ga_invocations, 0);
 }
 
@@ -179,14 +185,14 @@ TEST(HybridAtpg, PrefilterOnlyRemovesUntestables) {
   HybridConfig plain = bounded_ga_config(3);
   HybridConfig filtered = plain;
   filtered.prefilter_untestable = true;
-  const AtpgResult a = HybridAtpg(c, plain).run();
-  const AtpgResult b = HybridAtpg(c, filtered).run();
+  const SessionResult a = HybridAtpg(c, plain).run();
+  const SessionResult b = HybridAtpg(c, filtered).run();
   // The prefilter must not reduce detections below the plain run by more
   // than noise; in particular everything it marks untestable must also be
   // consistent with the plain run's detections.
   for (std::size_t i = 0; i < a.fault_state.size(); ++i) {
-    if (b.fault_state[i] == FaultState::kUntestable) {
-      EXPECT_NE(a.fault_state[i], FaultState::kDetected)
+    if (b.fault_state[i] == FaultStatus::kUntestable) {
+      EXPECT_NE(a.fault_state[i], FaultStatus::kDetected)
           << "prefilter discarded a detectable fault (index " << i << ")";
     }
   }

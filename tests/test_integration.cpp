@@ -16,11 +16,11 @@
 namespace gatpg {
 namespace {
 
-using hybrid::FaultState;
+using session::FaultStatus;
 
 hybrid::HybridConfig tiny_budget(std::uint64_t seed = 1) {
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::ga_hitec(0.005);
+  cfg.schedule = session::PassSchedule::ga_hitec(0.005);
   for (auto& pass : cfg.schedule.passes) pass.pass_budget_s = 1.5;
   cfg.seed = seed;
   return cfg;
@@ -44,11 +44,11 @@ TEST_P(RegistrySweep, AtpgClaimsAreConsistent) {
   fault::FaultSimulator fs(c, atpg.fault_list().faults);
   fs.run(result.test_set);
   for (std::size_t i = 0; i < result.total_faults; ++i) {
-    if (result.fault_state[i] == FaultState::kDetected) {
+    if (result.fault_state[i] == FaultStatus::kDetected) {
       EXPECT_TRUE(fs.detected()[i])
           << GetParam() << " " << fault::to_string(c, atpg.fault_list().faults[i]);
     }
-    if (result.fault_state[i] == FaultState::kUntestable) {
+    if (result.fault_state[i] == FaultStatus::kUntestable) {
       EXPECT_FALSE(fs.detected()[i])
           << GetParam() << " untestable fault detected by own test set: "
           << fault::to_string(c, atpg.fault_list().faults[i]);
@@ -88,7 +88,7 @@ TEST(Integration, HybridBeatsOrMatchesPureDeterministicOnDatapath) {
   const auto c = gen::make_circuit("div4");
   hybrid::HybridConfig ga_cfg = tiny_budget(7);
   hybrid::HybridConfig hitec_cfg = tiny_budget(7);
-  hitec_cfg.schedule = hybrid::PassSchedule::hitec(0.005);
+  hitec_cfg.schedule = session::PassSchedule::hitec(0.005);
   for (auto& pass : hitec_cfg.schedule.passes) pass.pass_budget_s = 1.5;
   const auto ga = hybrid::HybridAtpg(c, ga_cfg).run();
   const auto hitec = hybrid::HybridAtpg(c, hitec_cfg).run();

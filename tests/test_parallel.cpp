@@ -262,7 +262,7 @@ TEST(ParallelHybridAtpg, TestSetBitIdenticalAcrossThreadCounts) {
   const auto c = gen::make_s27();
   auto run_with = [&](unsigned threads) {
     HybridConfig config;
-    config.schedule = PassSchedule::ga_hitec();
+    config.schedule = session::PassSchedule::ga_hitec();
     // Deterministic resource limits only: wall-clock deadlines could expire
     // differently between the two runs and mask a real divergence (s27 is
     // small enough to run uncapped).

@@ -117,18 +117,22 @@ TEST(Archive, HeaderAndDigestValidation) {
         << "corruption at byte " << at << " was not rejected";
   }
 
-  // An archive from the previous format version fails at the header, with
-  // the version named (version 2 still carried the fault-sim group width in
-  // IDNT, which this build would otherwise mis-decode).
-  std::vector<std::uint8_t> v2 = good;
-  v2[8] = 2;
-  v2[9] = v2[10] = v2[11] = 0;
-  try {
-    serialize::Reader{v2};
-    ADD_FAILURE() << "a version-2 archive was not rejected";
-  } catch (const serialize::SnapshotError& e) {
-    EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos)
-        << e.what();
+  // Archives from earlier format versions fail at the header, with the
+  // version named (version 2 still carried the fault-sim group width in
+  // IDNT and version 3 the engine choice, which this build would otherwise
+  // mis-decode).
+  for (const std::uint8_t old : {std::uint8_t{2}, std::uint8_t{3}}) {
+    std::vector<std::uint8_t> stale = good;
+    stale[8] = old;
+    stale[9] = stale[10] = stale[11] = 0;
+    const std::string name = "version " + std::to_string(old);
+    try {
+      serialize::Reader{stale};
+      ADD_FAILURE() << "a " << name << " archive was not rejected";
+    } catch (const serialize::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -392,14 +396,6 @@ hybrid::HybridConfig cheap_config(unsigned threads) {
   return cfg;
 }
 
-session::SessionConfig session_config(const hybrid::HybridConfig& cfg) {
-  session::SessionConfig scfg;
-  scfg.faultsim = cfg.faultsim;
-  scfg.faultsim.parallel = cfg.parallel;
-  scfg.state_store = cfg.state_store;
-  return scfg;
-}
-
 fault::FaultList capped_faults(const netlist::Circuit& c, std::size_t cap) {
   fault::FaultList full = fault::collapse(c);
   if (full.size() > cap) {
@@ -412,7 +408,7 @@ fault::FaultList capped_faults(const netlist::Circuit& c, std::size_t cap) {
 session::SessionResult run_uninterrupted(const netlist::Circuit& c,
                                          const fault::FaultList& faults,
                                          const hybrid::HybridConfig& cfg) {
-  session::Session s(c, faults, session_config(cfg));
+  session::Session s(c, faults, cfg.session_config());
   util::Rng rng(cfg.seed);
   hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
   return s.run(engine, cfg.schedule);
@@ -482,7 +478,7 @@ TEST(SessionSnapshot, ResumeRejectsMismatches) {
   std::remove(snap.c_str());
 
   {
-    session::SessionConfig scfg = session_config(cfg);
+    session::SessionConfig scfg = cfg.session_config();
     scfg.checkpoint.path = snap;
     scfg.checkpoint.stop_after_ticks = 3;
     session::Session s(s27, faults, scfg);
@@ -495,7 +491,7 @@ TEST(SessionSnapshot, ResumeRejectsMismatches) {
   // Wrong circuit.
   {
     const netlist::Circuit other = gen::make_circuit("g344");
-    session::Session s(other, session_config(cfg));
+    session::Session s(other, cfg.session_config());
     util::Rng rng(cfg.seed);
     hybrid::HybridEngine engine(other, cfg, netlist::sequential_depth(other),
                                 rng);
@@ -504,8 +500,8 @@ TEST(SessionSnapshot, ResumeRejectsMismatches) {
   // Wrong fault-sim engine shape.
   {
     hybrid::HybridConfig shape = cfg;
-    shape.faultsim.differential = !shape.faultsim.differential;
-    session::Session s(s27, faults, session_config(shape));
+    shape.faultsim.window += 1;
+    session::Session s(s27, faults, shape.session_config());
     util::Rng rng(cfg.seed);
     hybrid::HybridEngine engine(s27, shape, netlist::sequential_depth(s27),
                                 rng);
@@ -513,7 +509,7 @@ TEST(SessionSnapshot, ResumeRejectsMismatches) {
   }
   // Not a freshly constructed session.
   {
-    session::Session s(s27, faults, session_config(cfg));
+    session::Session s(s27, faults, cfg.session_config());
     util::Rng rng(cfg.seed);
     hybrid::HybridEngine engine(s27, cfg, netlist::sequential_depth(s27), rng);
     s.run(engine, cfg.schedule);
@@ -530,10 +526,10 @@ TEST(SessionSnapshot, CheckpointOutsideRunIsNotResumable) {
   const hybrid::HybridConfig cfg = cheap_config(1);
   const std::string snap = testing::TempDir() + "postrun.snap";
 
-  session::Session s(s27, faults, session_config(cfg));
+  session::Session s(s27, faults, cfg.session_config());
   s.checkpoint(snap);
 
-  session::Session fresh(s27, faults, session_config(cfg));
+  session::Session fresh(s27, faults, cfg.session_config());
   util::Rng rng(cfg.seed);
   hybrid::HybridEngine engine(s27, cfg, netlist::sequential_depth(s27), rng);
   EXPECT_THROW(fresh.resume(snap, engine), serialize::SnapshotError);
@@ -571,7 +567,7 @@ TEST_P(KillResume, MidPassCheckpointResumesBitIdentical) {
       std::remove(snap.c_str());
       session::SessionResult partial;
       {
-        session::SessionConfig scfg = session_config(cfg);
+        session::SessionConfig scfg = cfg.session_config();
         scfg.checkpoint.path = snap;
         scfg.checkpoint.stop_after_ticks = stop;
         session::Session s(c, faults, scfg);
@@ -585,7 +581,7 @@ TEST_P(KillResume, MidPassCheckpointResumesBitIdentical) {
       std::fclose(f);
       EXPECT_LT(partial.passes.size(), cfg.schedule.passes.size());
 
-      session::Session resumed(c, faults, session_config(cfg));
+      session::Session resumed(c, faults, cfg.session_config());
       util::Rng rng(cfg.seed);  // overwritten by the restored engine state
       hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
       resumed.resume(snap, engine);

@@ -186,7 +186,7 @@ class GoldenEquivalence : public ::testing::TestWithParam<unsigned> {};
 TEST_P(GoldenEquivalence, HybridGaHitecS27) {
   const auto c = gen::make_circuit("s27");
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+  cfg.schedule = session::PassSchedule::ga_hitec(1.0);
   cfg.seed = 7;
   cfg.parallel.threads = GetParam();
   const auto r = hybrid::HybridAtpg(c, cfg).run();
@@ -215,7 +215,7 @@ TEST_P(GoldenEquivalence, HybridGaHitecS27) {
 TEST_P(GoldenEquivalence, HybridHitecS27) {
   const auto c = gen::make_circuit("s27");
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::hitec(1.0);
+  cfg.schedule = session::PassSchedule::hitec(1.0);
   cfg.seed = 7;
   cfg.parallel.threads = GetParam();
   const auto r = hybrid::HybridAtpg(c, cfg).run();
@@ -237,7 +237,7 @@ TEST_P(GoldenEquivalence, HybridGaHitecG298) {
   // forward solutions per fault), wall-clock limits never binding.
   const auto c = gen::make_circuit("g298");
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+  cfg.schedule = session::PassSchedule::ga_hitec(1.0);
   for (auto& p : cfg.schedule.passes) {
     p.time_limit_s = 1000.0;
     p.max_backtracks = 300;
@@ -400,7 +400,7 @@ TEST(GoldenEquivalenceSerial, WeightedRandomG526) {
 TEST(Session, SegmentsConcatenateToTestSet) {
   const auto c = gen::make_circuit("s27");
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+  cfg.schedule = session::PassSchedule::ga_hitec(1.0);
   cfg.seed = 7;
   const auto r = hybrid::HybridAtpg(c, cfg).run();
   sim::Sequence concat;
@@ -434,7 +434,7 @@ class CountingObserver : public session::ProgressObserver {
 TEST(Session, ObserverSeesEveryPass) {
   const auto c = gen::make_circuit("s27");
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+  cfg.schedule = session::PassSchedule::ga_hitec(1.0);
   cfg.seed = 7;
   CountingObserver observer;
   const auto r = hybrid::HybridAtpg(c, cfg).run(&observer);

@@ -5,8 +5,8 @@
 #include "atpg/val5.h"
 #include "gen/s27.h"
 #include "fault/fault.h"
-#include "hybrid/pass.h"
 #include "netlist/gate.h"
+#include "session/pass.h"
 
 namespace gatpg {
 namespace {
@@ -73,8 +73,8 @@ TEST(Composite, Rendering) {
 }
 
 TEST(PassSchedule, TimeScaleOnlyScalesWallClock) {
-  const auto full = hybrid::PassSchedule::ga_hitec(1.0);
-  const auto tiny = hybrid::PassSchedule::ga_hitec(0.01);
+  const auto full = session::PassSchedule::ga_hitec(1.0);
+  const auto tiny = session::PassSchedule::ga_hitec(0.01);
   ASSERT_EQ(full.passes.size(), tiny.passes.size());
   for (std::size_t p = 0; p < full.passes.size(); ++p) {
     EXPECT_NEAR(tiny.passes[p].time_limit_s,

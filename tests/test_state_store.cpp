@@ -275,7 +275,7 @@ hybrid::HybridConfig small_hybrid_config() {
   // The HybridGaHitecG298 golden configuration: deterministic budgets
   // binding, wall-clock limits never binding, small GA.
   hybrid::HybridConfig cfg;
-  cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+  cfg.schedule = session::PassSchedule::ga_hitec(1.0);
   for (auto& p : cfg.schedule.passes) {
     p.time_limit_s = 1000.0;
     p.max_backtracks = 300;
@@ -295,7 +295,7 @@ TEST(StateStoreEngine, StoreOnGoldenS27) {
   const auto c = gen::make_circuit("s27");
   for (unsigned threads : {1u, 4u}) {
     hybrid::HybridConfig cfg;
-    cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+    cfg.schedule = session::PassSchedule::ga_hitec(1.0);
     cfg.seed = 7;
     cfg.state_store.enabled = true;
     cfg.parallel.threads = threads;
@@ -346,10 +346,7 @@ session::SessionResult run_subset(const netlist::Circuit& c,
                                   const hybrid::HybridConfig& cfg,
                                   const fault::FaultList& subset,
                                   bool store_on) {
-  session::SessionConfig scfg;
-  scfg.faultsim = cfg.faultsim;
-  scfg.faultsim.parallel = cfg.parallel;
-  scfg.state_store = cfg.state_store;
+  session::SessionConfig scfg = cfg.session_config();
   scfg.state_store.enabled = store_on;
   session::Session s(c, subset, scfg);
   util::Rng rng(cfg.seed);

@@ -51,15 +51,6 @@ hybrid::HybridConfig lane_config(unsigned lanes, bool store) {
   return cfg;
 }
 
-session::SessionConfig session_config(const hybrid::HybridConfig& cfg) {
-  session::SessionConfig scfg;
-  scfg.faultsim = cfg.faultsim;
-  scfg.faultsim.parallel = cfg.parallel;
-  scfg.state_store = cfg.state_store;
-  scfg.target_parallel = cfg.target_parallel;
-  return scfg;
-}
-
 fault::FaultList capped_faults(const netlist::Circuit& c, std::size_t cap) {
   fault::FaultList full = fault::collapse(c);
   if (full.size() > cap) {
@@ -89,7 +80,7 @@ struct RunOutput {
 
 RunOutput run_once(const netlist::Circuit& c, const fault::FaultList& faults,
                    const hybrid::HybridConfig& cfg) {
-  session::Session s(c, faults, session_config(cfg));
+  session::Session s(c, faults, cfg.session_config());
   TargetTrace trace;
   s.set_observer(&trace);
   util::Rng rng(cfg.seed);
@@ -249,7 +240,7 @@ TEST(TargetParallelKillResume, MidPassSnapshotResumesBitIdentical) {
       std::remove(snap.c_str());
       session::SessionResult partial;
       {
-        session::SessionConfig scfg = session_config(cfg);
+        session::SessionConfig scfg = cfg.session_config();
         scfg.checkpoint.path = snap;
         scfg.checkpoint.stop_after_ticks = stop;
         session::Session s(c, faults, scfg);
@@ -262,7 +253,7 @@ TEST(TargetParallelKillResume, MidPassSnapshotResumesBitIdentical) {
       if (!f) return partial;  // stop never fired: completed uninterrupted
       std::fclose(f);
 
-      session::Session resumed(c, faults, session_config(cfg));
+      session::Session resumed(c, faults, cfg.session_config());
       util::Rng rng(cfg.seed);
       hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
       resumed.resume(snap, engine);

@@ -2,10 +2,11 @@
 // circuit, a backtrack-bounded hybrid run over the transition universe must
 // detect faults and be bit-identical — tests, segments, fault statuses,
 // every counter, all three digests, and the per-target observer stream —
-// across fault-sim thread count, targeting lane count, and the
-// differential/full-sweep engine choice.  Also covers mid-pass
-// kill-and-resume, the snapshot fault-model identity check, worker-count
-// invariance of sharded transition jobs, and the daemon's fault_model= key.
+// across fault-sim thread count and targeting lane count (the fault
+// simulator itself is checked against the full-sweep oracle in
+// test_faultsim_diff.cpp).  Also covers mid-pass kill-and-resume, the
+// snapshot fault-model identity check, worker-count invariance of sharded
+// transition jobs, and the daemon's fault_model= key.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -53,16 +54,6 @@ hybrid::HybridConfig transition_config() {
   return cfg;
 }
 
-session::SessionConfig session_config(const hybrid::HybridConfig& cfg) {
-  session::SessionConfig scfg;
-  scfg.fault_model = cfg.fault_model;
-  scfg.faultsim = cfg.faultsim;
-  scfg.faultsim.parallel = cfg.parallel;
-  scfg.state_store = cfg.state_store;
-  scfg.target_parallel = cfg.target_parallel;
-  return scfg;
-}
-
 fault::FaultList capped_transition_faults(const netlist::Circuit& c,
                                           std::size_t cap) {
   fault::FaultList full = fault::collapse(c, fault::FaultUniverse::kTransition);
@@ -89,7 +80,7 @@ struct RunOutput {
 
 RunOutput run_once(const netlist::Circuit& c, const fault::FaultList& faults,
                    const hybrid::HybridConfig& cfg) {
-  session::Session s(c, faults, session_config(cfg));
+  session::Session s(c, faults, cfg.session_config());
   TargetTrace trace;
   s.set_observer(&trace);
   util::Rng rng(cfg.seed);
@@ -201,14 +192,6 @@ TEST(TransitionAtpg, DetectsAndInvariantAcrossExecutionShapes) {
       expect_identical(ref.result, got.result);
       expect_trace_equal(ref.trace, got.trace);
     }
-    {
-      SCOPED_TRACE("full-sweep engine");
-      hybrid::HybridConfig cfg = transition_config();
-      cfg.faultsim.differential = false;
-      const RunOutput got = run_once(c, faults, cfg);
-      expect_identical(ref.result, got.result);
-      expect_trace_equal(ref.trace, got.trace);
-    }
   }
 }
 
@@ -230,7 +213,7 @@ TEST(TransitionKillResume, MidPassSnapshotResumesBitIdentical) {
       std::remove(snap.c_str());
       session::SessionResult partial;
       {
-        session::SessionConfig scfg = session_config(cfg);
+        session::SessionConfig scfg = cfg.session_config();
         scfg.checkpoint.path = snap;
         scfg.checkpoint.stop_after_ticks = stop;
         session::Session s(c, faults, scfg);
@@ -243,7 +226,7 @@ TEST(TransitionKillResume, MidPassSnapshotResumesBitIdentical) {
       if (!f) return partial;  // stop never fired: completed uninterrupted
       std::fclose(f);
 
-      session::Session resumed(c, faults, session_config(cfg));
+      session::Session resumed(c, faults, cfg.session_config());
       util::Rng rng(cfg.seed);
       hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
       resumed.resume(snap, engine);
@@ -277,7 +260,7 @@ TEST(TransitionSnapshot, RejectsFaultModelMismatch) {
   const std::string snap = testing::TempDir() + "tr_model_mismatch.snap";
   std::remove(snap.c_str());
   {
-    session::SessionConfig scfg = session_config(cfg);
+    session::SessionConfig scfg = cfg.session_config();
     scfg.checkpoint.path = snap;
     scfg.checkpoint.stop_after_ticks = 1;
     session::Session s(c, tr_faults, scfg);
@@ -293,7 +276,7 @@ TEST(TransitionSnapshot, RejectsFaultModelMismatch) {
   // compares fault lists.
   hybrid::HybridConfig sa_cfg = transition_config();
   sa_cfg.fault_model = fault::FaultUniverse::kStuckAt;
-  session::Session sa(c, fault::collapse(c), session_config(sa_cfg));
+  session::Session sa(c, fault::collapse(c), sa_cfg.session_config());
   util::Rng sa_rng(sa_cfg.seed);
   hybrid::HybridEngine sa_engine(c, sa_cfg, netlist::sequential_depth(c),
                                  sa_rng);
@@ -308,7 +291,7 @@ TEST(TransitionSnapshot, RejectsFaultModelMismatch) {
   }
 
   // Sanity: the same snapshot resumes fine under the matching model.
-  session::Session ok(c, tr_faults, session_config(cfg));
+  session::Session ok(c, tr_faults, cfg.session_config());
   util::Rng ok_rng(cfg.seed);
   hybrid::HybridEngine ok_engine(c, cfg, netlist::sequential_depth(c),
                                  ok_rng);

@@ -77,13 +77,13 @@ int main() {
   for (unsigned threads : {1u, 4u}) {
     {
       hybrid::HybridConfig cfg;
-      cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+      cfg.schedule = session::PassSchedule::ga_hitec(1.0);
       cfg.seed = 7;
       hybrid_case("hybrid_ga_s27", "s27", cfg, threads);
     }
     {
       hybrid::HybridConfig cfg;
-      cfg.schedule = hybrid::PassSchedule::hitec(1.0);
+      cfg.schedule = session::PassSchedule::hitec(1.0);
       cfg.seed = 7;
       hybrid_case("hybrid_hitec_s27", "s27", cfg, threads);
     }
@@ -92,7 +92,7 @@ int main() {
       // wall-clock limits (never bind), modest backtrack budgets (bind
       // deterministically).
       hybrid::HybridConfig cfg;
-      cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+      cfg.schedule = session::PassSchedule::ga_hitec(1.0);
       for (auto& p : cfg.schedule.passes) {
         p.time_limit_s = 1000.0;
         p.max_backtracks = 300;
@@ -110,21 +110,21 @@ int main() {
       // legitimately changes search trajectories) that must itself be
       // deterministic and thread-count-independent.
       hybrid::HybridConfig cfg;
-      cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+      cfg.schedule = session::PassSchedule::ga_hitec(1.0);
       cfg.seed = 7;
       cfg.state_store.enabled = true;
       hybrid_case("hybrid_ga_s27_store", "s27", cfg, threads);
     }
     {
       hybrid::HybridConfig cfg;
-      cfg.schedule = hybrid::PassSchedule::hitec(1.0);
+      cfg.schedule = session::PassSchedule::hitec(1.0);
       cfg.seed = 7;
       cfg.state_store.enabled = true;
       hybrid_case("hybrid_hitec_s27_store", "s27", cfg, threads);
     }
     {
       hybrid::HybridConfig cfg;
-      cfg.schedule = hybrid::PassSchedule::ga_hitec(1.0);
+      cfg.schedule = session::PassSchedule::ga_hitec(1.0);
       for (auto& p : cfg.schedule.passes) {
         p.time_limit_s = 1000.0;
         p.max_backtracks = 300;
