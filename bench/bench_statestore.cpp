@@ -86,7 +86,7 @@ struct GoldenCase {
   std::uint64_t state_hash;
 };
 
-// Captured by tools/golden_capture before the state-knowledge layer landed
+// Captured before the state-knowledge layer landed
 // (identical constants to tests/test_session.cpp).
 constexpr GoldenCase kGolden[] = {
     {"ga_hitec_s27", "s27", true, false, 7, 0x323e06016efe6373ULL,

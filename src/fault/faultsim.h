@@ -37,6 +37,7 @@
 
 #include "fault/fault.h"
 #include "sim/seqsim.h"
+#include "util/fields.h"
 #include "util/parallel.h"
 
 namespace gatpg::fault {
@@ -69,16 +70,24 @@ struct SimStats {
                : static_cast<double>(group_vectors_skipped) /
                      static_cast<double>(group_vectors);
   }
+  /// Field list (util/fields.h), in declaration order.
+  static constexpr auto fields() {
+    using S = SimStats;
+    return std::make_tuple(
+        util::Field{"gate_evals", &S::gate_evals},
+        util::Field{"good_gate_evals", &S::good_gate_evals},
+        util::Field{"frames", &S::frames},
+        util::Field{"group_vectors", &S::group_vectors},
+        util::Field{"group_vectors_skipped", &S::group_vectors_skipped},
+        util::Field{"groups_repacked", &S::groups_repacked});
+  }
   SimStats& operator+=(const SimStats& o) {
-    gate_evals += o.gate_evals;
-    good_gate_evals += o.good_gate_evals;
-    frames += o.frames;
-    group_vectors += o.group_vectors;
-    group_vectors_skipped += o.group_vectors_skipped;
-    groups_repacked += o.groups_repacked;
+    util::for_each_field([](auto, auto& x, auto y) { x += y; }, *this, o);
     return *this;
   }
+  bool operator==(const SimStats&) const = default;
 };
+static_assert(util::fields_cover<SimStats>());
 
 class FaultSimulator {
  public:

@@ -24,7 +24,10 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/fields.h"
 
 namespace gatpg::serialize {
 
@@ -154,5 +157,23 @@ class Reader {
   std::size_t section_end_ = 0;
   bool in_section_ = false;
 };
+
+// Counter records (util/fields.h): one u64 word per field, in list order.
+template <typename Record>
+void write_fields(Writer& w, const Record& rec) {
+  util::for_each_field([&](auto, auto v) { w.u64(v); }, rec);
+}
+template <typename Record>
+void read_fields(Reader& r, Record& rec) {
+  util::for_each_field(
+      [&](auto, auto& v) {
+        v = static_cast<std::decay_t<decltype(v)>>(r.u64());
+      },
+      rec);
+}
+template <typename Record>
+void digest_fields(Digest& d, const Record& rec) {
+  util::for_each_field([&](auto, auto v) { d.add_u64(v); }, rec);
+}
 
 }  // namespace gatpg::serialize

@@ -55,27 +55,35 @@ struct EngineCounters {
   // StateStore at every pass boundary; all zero when the store is off).
   state::StateStoreStats store;
 
+  /// Field list (util/fields.h), in declaration order; `store` flattens.
+  static constexpr auto fields() {
+    using E = EngineCounters;
+    return std::make_tuple(
+        util::Field{"targeted", &E::targeted},
+        util::Field{"forward_solutions", &E::forward_solutions},
+        util::Field{"ga_invocations", &E::ga_invocations},
+        util::Field{"ga_successes", &E::ga_successes},
+        util::Field{"det_justify_calls", &E::det_justify_calls},
+        util::Field{"det_justify_successes", &E::det_justify_successes},
+        util::Field{"verify_failures", &E::verify_failures},
+        util::Field{"no_justification_needed", &E::no_justification_needed},
+        util::Field{"aborted_faults", &E::aborted_faults},
+        util::Field{"committed_tests", &E::committed_tests},
+        util::Field{"det_decisions", &E::det_decisions},
+        util::Field{"det_backtracks", &E::det_backtracks},
+        util::Field{"det_gate_evals", &E::det_gate_evals},
+        util::Field{"det_events", &E::det_events},
+        util::Field{"det_model_builds", &E::det_model_builds},
+        util::Field{"det_model_acquires", &E::det_model_acquires},
+        util::Field{"store", &E::store});
+  }
   EngineCounters& operator+=(const EngineCounters& o) {
-    targeted += o.targeted;
-    forward_solutions += o.forward_solutions;
-    ga_invocations += o.ga_invocations;
-    ga_successes += o.ga_successes;
-    det_justify_calls += o.det_justify_calls;
-    det_justify_successes += o.det_justify_successes;
-    verify_failures += o.verify_failures;
-    no_justification_needed += o.no_justification_needed;
-    aborted_faults += o.aborted_faults;
-    committed_tests += o.committed_tests;
-    det_decisions += o.det_decisions;
-    det_backtracks += o.det_backtracks;
-    det_gate_evals += o.det_gate_evals;
-    det_events += o.det_events;
-    det_model_builds += o.det_model_builds;
-    det_model_acquires += o.det_model_acquires;
-    store += o.store;
+    util::for_each_field([](auto, long& x, long y) { x += y; }, *this, o);
     return *this;
   }
+  bool operator==(const EngineCounters&) const = default;
 };
+static_assert(util::fields_cover<EngineCounters>());
 
 /// Per-targeted-fault deterministic-engine effort (the fault's SearchStats
 /// aggregated over forward search and deterministic justification).

@@ -103,8 +103,8 @@ struct SessionConfig {
   fault::FaultUniverse fault_model = fault::FaultUniverse::kStuckAt;
   /// Fault-simulator options (threads, window).
   fault::FaultSimConfig faultsim;
-  /// State-knowledge layer options (disabled by default; enabling it must
-  /// not change which faults are detectable, only how fast they resolve).
+  /// State-knowledge layer options (off by default).  No fault is detected in
+  /// one mode and untestable in the other; abort-free runs match exactly.
   state::StateStoreConfig state_store;
   /// Speculative per-fault targeting lanes for the deterministic engines
   /// (lanes = 1 keeps the exact serial path; lane count never changes

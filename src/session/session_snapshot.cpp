@@ -51,66 +51,6 @@ std::uint64_t circuit_signature(const netlist::Circuit& c) {
   return d.value();
 }
 
-void write_counters(serialize::Writer& w, const EngineCounters& ec) {
-  const long* fields[] = {
-      &ec.targeted,           &ec.forward_solutions, &ec.ga_invocations,
-      &ec.ga_successes,       &ec.det_justify_calls, &ec.det_justify_successes,
-      &ec.verify_failures,    &ec.no_justification_needed,
-      &ec.aborted_faults,     &ec.committed_tests,   &ec.det_decisions,
-      &ec.det_backtracks,     &ec.det_gate_evals,    &ec.det_events,
-      &ec.det_model_builds,   &ec.det_model_acquires};
-  for (const long* f : fields) w.i64(*f);
-  const long* store_fields[] = {
-      &ec.store.seq_hits,          &ec.store.seq_misses,
-      &ec.store.seq_inserts,       &ec.store.seq_verify_failures,
-      &ec.store.unjust_hits,       &ec.store.unjust_misses,
-      &ec.store.unjust_inserts,    &ec.store.unjust_subsumed,
-      &ec.store.reachable_inserts, &ec.store.near_miss_inserts,
-      &ec.store.ga_seeds_served,   &ec.store.forward_cache_hits,
-      &ec.store.forward_cache_inserts};
-  for (const long* f : store_fields) w.i64(*f);
-}
-
-void read_counters(serialize::Reader& r, EngineCounters& ec) {
-  long* fields[] = {
-      &ec.targeted,           &ec.forward_solutions, &ec.ga_invocations,
-      &ec.ga_successes,       &ec.det_justify_calls, &ec.det_justify_successes,
-      &ec.verify_failures,    &ec.no_justification_needed,
-      &ec.aborted_faults,     &ec.committed_tests,   &ec.det_decisions,
-      &ec.det_backtracks,     &ec.det_gate_evals,    &ec.det_events,
-      &ec.det_model_builds,   &ec.det_model_acquires};
-  for (long* f : fields) *f = static_cast<long>(r.i64());
-  long* store_fields[] = {
-      &ec.store.seq_hits,          &ec.store.seq_misses,
-      &ec.store.seq_inserts,       &ec.store.seq_verify_failures,
-      &ec.store.unjust_hits,       &ec.store.unjust_misses,
-      &ec.store.unjust_inserts,    &ec.store.unjust_subsumed,
-      &ec.store.reachable_inserts, &ec.store.near_miss_inserts,
-      &ec.store.ga_seeds_served,   &ec.store.forward_cache_hits,
-      &ec.store.forward_cache_inserts};
-  for (long* f : store_fields) *f = static_cast<long>(r.i64());
-}
-
-void write_sim_stats(serialize::Writer& w, const fault::SimStats& st) {
-  w.u64(st.gate_evals);
-  w.u64(st.good_gate_evals);
-  w.u64(st.frames);
-  w.u64(st.group_vectors);
-  w.u64(st.group_vectors_skipped);
-  w.u64(st.groups_repacked);
-}
-
-fault::SimStats read_sim_stats(serialize::Reader& r) {
-  fault::SimStats st;
-  st.gate_evals = r.u64();
-  st.good_gate_evals = r.u64();
-  st.frames = r.u64();
-  st.group_vectors = r.u64();
-  st.group_vectors_skipped = r.u64();
-  st.groups_repacked = r.u64();
-  return st;
-}
-
 }  // namespace
 
 void Session::checkpoint(const std::string& path) const {
@@ -130,11 +70,11 @@ void Session::checkpoint(const std::string& path) const {
   store_.save(w);
 
   w.begin_section("CNTR");
-  write_counters(w, counters_);
+  serialize::write_fields(w, counters_);
   w.end_section();
 
   w.begin_section("SIMS");
-  write_sim_stats(w, fsim_.stats());
+  serialize::write_fields(w, fsim_.stats());
   w.u64(fsim_.detected_count());
   w.end_section();
 
@@ -215,11 +155,12 @@ void Session::resume(const std::string& path, Engine& engine) {
   store_.load(r);
 
   r.enter_section("CNTR");
-  read_counters(r, counters_);
+  serialize::read_fields(r, counters_);
   r.leave_section();
 
   r.enter_section("SIMS");
-  const fault::SimStats saved_stats = read_sim_stats(r);
+  fault::SimStats saved_stats;
+  serialize::read_fields(r, saved_stats);
   const std::uint64_t saved_detected = r.u64();
   r.leave_section();
 

@@ -10,37 +10,6 @@ namespace gatpg::state {
 using sim::Sequence;
 using sim::State3;
 
-namespace {
-
-template <typename Op>
-void for_each_stat(StateStoreStats& a, const StateStoreStats& b, Op op) {
-  op(a.seq_hits, b.seq_hits);
-  op(a.seq_misses, b.seq_misses);
-  op(a.seq_inserts, b.seq_inserts);
-  op(a.seq_verify_failures, b.seq_verify_failures);
-  op(a.unjust_hits, b.unjust_hits);
-  op(a.unjust_misses, b.unjust_misses);
-  op(a.unjust_inserts, b.unjust_inserts);
-  op(a.unjust_subsumed, b.unjust_subsumed);
-  op(a.reachable_inserts, b.reachable_inserts);
-  op(a.near_miss_inserts, b.near_miss_inserts);
-  op(a.ga_seeds_served, b.ga_seeds_served);
-  op(a.forward_cache_hits, b.forward_cache_hits);
-  op(a.forward_cache_inserts, b.forward_cache_inserts);
-}
-
-}  // namespace
-
-StateStoreStats& StateStoreStats::operator+=(const StateStoreStats& o) {
-  for_each_stat(*this, o, [](long& a, long b) { a += b; });
-  return *this;
-}
-
-StateStoreStats& StateStoreStats::operator-=(const StateStoreStats& o) {
-  for_each_stat(*this, o, [](long& a, long b) { a -= b; });
-  return *this;
-}
-
 StateStore::StateStore(const netlist::Circuit& c, StateStoreConfig config)
     : c_(c), config_(config) {}
 
@@ -339,8 +308,11 @@ void write_state(serialize::Writer& w, const State3& s) {
   for (const sim::V3 v : s) w.u8(static_cast<std::uint8_t>(v));
 }
 
-State3 read_state(serialize::Reader& r) {
-  State3 s(r.count(1));  // one byte per ternary value
+/// Reads a cube or vector of the circuit's flip-flop or PI `width`.
+State3 read_state(serialize::Reader& r, std::size_t width) {
+  if (r.count(1) != width)  // one byte per ternary value
+    throw serialize::SnapshotError("snapshot: store width mismatch");
+  State3 s(width);
   for (sim::V3& v : s) {
     const std::uint8_t byte = r.u8();
     if (byte > static_cast<std::uint8_t>(sim::V3::kX))
@@ -355,40 +327,10 @@ void write_sequence(serialize::Writer& w, const Sequence& seq) {
   for (const sim::Vector3& vec : seq) write_state(w, vec);
 }
 
-Sequence read_sequence(serialize::Reader& r) {
+Sequence read_sequence(serialize::Reader& r, std::size_t pis) {
   Sequence seq(r.count(8));  // each vector carries at least its u64 length
-  for (sim::Vector3& vec : seq) vec = read_state(r);
+  for (sim::Vector3& vec : seq) vec = read_state(r, pis);
   return seq;
-}
-
-void write_stats(serialize::Writer& w, const StateStoreStats& st) {
-  const long* fields[] = {
-      &st.seq_hits,          &st.seq_misses,        &st.seq_inserts,
-      &st.seq_verify_failures, &st.unjust_hits,     &st.unjust_misses,
-      &st.unjust_inserts,    &st.unjust_subsumed,   &st.reachable_inserts,
-      &st.near_miss_inserts, &st.ga_seeds_served,   &st.forward_cache_hits,
-      &st.forward_cache_inserts};
-  for (const long* f : fields) w.i64(*f);
-}
-
-void read_stats(serialize::Reader& r, StateStoreStats& st) {
-  long* fields[] = {
-      &st.seq_hits,          &st.seq_misses,        &st.seq_inserts,
-      &st.seq_verify_failures, &st.unjust_hits,     &st.unjust_misses,
-      &st.unjust_inserts,    &st.unjust_subsumed,   &st.reachable_inserts,
-      &st.near_miss_inserts, &st.ga_seeds_served,   &st.forward_cache_hits,
-      &st.forward_cache_inserts};
-  for (long* f : fields) *f = static_cast<long>(r.i64());
-}
-
-void digest_stats(serialize::Digest& d, const StateStoreStats& st) {
-  const long* fields[] = {
-      &st.seq_hits,          &st.seq_misses,        &st.seq_inserts,
-      &st.seq_verify_failures, &st.unjust_hits,     &st.unjust_misses,
-      &st.unjust_inserts,    &st.unjust_subsumed,   &st.reachable_inserts,
-      &st.near_miss_inserts, &st.ga_seeds_served,   &st.forward_cache_hits,
-      &st.forward_cache_inserts};
-  for (const long* f : fields) d.add_u64(static_cast<std::uint64_t>(*f));
 }
 
 }  // namespace
@@ -419,7 +361,7 @@ std::uint64_t StateStore::digest() const {
     digest_state(d, forward_[i].required);
   }
   d.add_u64(next_stamp_);
-  digest_stats(d, stats_);
+  serialize::digest_fields(d, stats_);
   return d.value();
 }
 
@@ -472,7 +414,7 @@ void StateStore::save(serialize::Writer& w) const {
   }
 
   w.u64(next_stamp_);
-  write_stats(w, stats_);
+  serialize::write_fields(w, stats_);
   w.end_section();
 }
 
@@ -496,24 +438,26 @@ void StateStore::load(serialize::Reader& r) {
         "diverge from the checkpointed run)");
   }
 
+  const std::size_t ffs = c_.flip_flops().size();
+  const std::size_t pis = c_.primary_inputs().size();
   justified_.clear();
   justified_.resize(r.count(16));  // cube + sequence lengths
   for (JustifiedEntry& e : justified_) {
-    e.cube = read_state(r);
-    e.sequence = read_sequence(r);
+    e.cube = read_state(r, ffs);
+    e.sequence = read_sequence(r, pis);
   }
   unjustifiable_.clear();
   unjustifiable_.resize(r.count(8));
-  for (State3& u : unjustifiable_) u = read_state(r);
+  for (State3& u : unjustifiable_) u = read_state(r, ffs);
 
   std::vector<std::shared_ptr<const Sequence>> table(r.count(8));
   for (auto& p : table)
-    p = std::make_shared<const Sequence>(read_sequence(r));
+    p = std::make_shared<const Sequence>(read_sequence(r, pis));
   for (auto* pool : {&reachable_, &near_misses_}) {
     pool->clear();
     pool->resize(r.count(32));  // state length + index + prefix_len + stamp
     for (TraceEntry& e : *pool) {
-      e.state = read_state(r);
+      e.state = read_state(r, ffs);
       const std::uint64_t idx = r.u64();
       if (idx >= table.size())
         throw serialize::SnapshotError("snapshot: trace sequence index out of range");
@@ -531,12 +475,12 @@ void StateStore::load(serialize::Reader& r) {
   for (std::uint64_t i = 0; i < forward_count; ++i) {
     forward_valid_[i] = static_cast<char>(r.u8());
     if (!forward_valid_[i]) continue;
-    forward_[i].vectors = read_sequence(r);
-    forward_[i].required = read_state(r);
+    forward_[i].vectors = read_sequence(r, pis);
+    forward_[i].required = read_state(r, ffs);
   }
 
   next_stamp_ = r.u64();
-  read_stats(r, stats_);
+  serialize::read_fields(r, stats_);
   r.leave_section();
   ++revision_;
 }

@@ -46,6 +46,7 @@
 #include "fault/fault.h"
 #include "netlist/circuit.h"
 #include "sim/seqsim.h"
+#include "util/fields.h"
 
 namespace gatpg::serialize {
 class Writer;
@@ -89,9 +90,35 @@ struct StateStoreStats {
   long forward_cache_hits = 0;  ///< forward solutions reused across passes
   long forward_cache_inserts = 0;
 
-  StateStoreStats& operator+=(const StateStoreStats& o);
-  StateStoreStats& operator-=(const StateStoreStats& o);
+  /// Field list (util/fields.h), in declaration order.
+  static constexpr auto fields() {
+    using S = StateStoreStats;
+    return std::make_tuple(
+        util::Field{"seq_hits", &S::seq_hits},
+        util::Field{"seq_misses", &S::seq_misses},
+        util::Field{"seq_inserts", &S::seq_inserts},
+        util::Field{"seq_verify_failures", &S::seq_verify_failures},
+        util::Field{"unjust_hits", &S::unjust_hits},
+        util::Field{"unjust_misses", &S::unjust_misses},
+        util::Field{"unjust_inserts", &S::unjust_inserts},
+        util::Field{"unjust_subsumed", &S::unjust_subsumed},
+        util::Field{"reachable_inserts", &S::reachable_inserts},
+        util::Field{"near_miss_inserts", &S::near_miss_inserts},
+        util::Field{"ga_seeds_served", &S::ga_seeds_served},
+        util::Field{"forward_cache_hits", &S::forward_cache_hits},
+        util::Field{"forward_cache_inserts", &S::forward_cache_inserts});
+  }
+  StateStoreStats& operator+=(const StateStoreStats& o) {
+    util::for_each_field([](auto, long& x, long y) { x += y; }, *this, o);
+    return *this;
+  }
+  StateStoreStats& operator-=(const StateStoreStats& o) {
+    util::for_each_field([](auto, long& x, long y) { x -= y; }, *this, o);
+    return *this;
+  }
+  bool operator==(const StateStoreStats&) const = default;
 };
+static_assert(util::fields_cover<StateStoreStats>());
 
 class StateStore {
  public:
@@ -210,7 +237,8 @@ class StateStore {
   /// trace sequences are deduplicated through a first-appearance table so
   /// the O(len)-not-O(len^2) sharing survives the round trip.  Config caps
   /// are recorded and verified by load() (a resumed store with different
-  /// caps would evict differently and break determinism).
+  /// caps would evict differently and break determinism), and every cube
+  /// and vector must be as wide as this circuit's flip-flops or PIs.
   void save(serialize::Writer& w) const;
   void load(serialize::Reader& r);
 

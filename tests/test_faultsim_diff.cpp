@@ -22,6 +22,7 @@
 #include "gen/registry.h"
 #include "helpers/full_sweep_faultsim.h"
 #include "helpers/random_circuit.h"
+#include "helpers/differential.h"
 
 namespace {
 
@@ -246,12 +247,7 @@ TEST(FaultSimDiff, StatsAreDeterministicAndConsistent) {
   const auto s4 = run_session(4);
 
   // All counters are exactly thread-count-independent.
-  EXPECT_EQ(s1.gate_evals, s4.gate_evals);
-  EXPECT_EQ(s1.good_gate_evals, s4.good_gate_evals);
-  EXPECT_EQ(s1.frames, s4.frames);
-  EXPECT_EQ(s1.group_vectors, s4.group_vectors);
-  EXPECT_EQ(s1.group_vectors_skipped, s4.group_vectors_skipped);
-  EXPECT_EQ(s1.groups_repacked, s4.groups_repacked);
+  test::expect_counters_equal(s1, s4);
 
   EXPECT_GT(s1.gate_evals, 0u);
   EXPECT_GT(s1.good_gate_evals, 0u);
@@ -265,8 +261,7 @@ TEST(FaultSimDiff, StatsAreDeterministicAndConsistent) {
   fs.run(session_chunks(c, 42)[0]);
   EXPECT_GT(fs.stats().gate_evals + fs.stats().good_gate_evals, 0u);
   fs.reset_stats();
-  EXPECT_EQ(fs.stats().gate_evals, 0u);
-  EXPECT_EQ(fs.stats().frames, 0u);
+  test::expect_counters_equal(fs.stats(), fault::SimStats{});
 }
 
 TEST(FaultSimDiff, DifferentialDoesLessWork) {

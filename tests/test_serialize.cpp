@@ -1,6 +1,7 @@
 // Serialization-layer tests: archive primitive round-trips and validation,
 // per-component snapshot round-trips (Rng, FaultManager, TestSetBuilder,
-// StateStore), resume identity checks, and the kill-and-resume differential
+// StateStore), the counter records' field lists (arithmetic, equality and
+// snapshot order), resume identity checks, and the kill-and-resume differential
 // suite — a run checkpointed mid-pass at randomized points and resumed must
 // finish bit-identical to the uninterrupted run, at worker-thread counts
 // 1 and 4.
@@ -13,6 +14,7 @@
 
 #include "fault/faultlist.h"
 #include "gen/registry.h"
+#include "helpers/differential.h"
 #include "hybrid/hybrid_atpg.h"
 #include "netlist/depth.h"
 #include "serialize/archive.h"
@@ -20,10 +22,33 @@
 #include "session/session.h"
 #include "session/test_set_builder.h"
 #include "state/state_store.h"
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace gatpg {
 namespace {
+
+using test::capped_faults;
+using test::expect_identical;
+
+/// `Record` with its fields, in list order, set to first, first + 1, ...
+template <typename Record>
+Record numbered(long first) {
+  Record r;
+  util::for_each_field([&](auto, auto& v) { v = first++; }, r);
+  return r;
+}
+
+/// `r` with its k-th listed field incremented.
+template <typename Record>
+Record with_field_bumped(Record r, std::size_t k) {
+  util::for_each_field([&](auto, auto& v) { if (k-- == 0) ++v; }, r);
+  return r;
+}
+
+/// Every counter field is one 64-bit word.
+template <typename Record>
+constexpr std::size_t kWords = sizeof(Record) / sizeof(std::uint64_t);
 
 // ---------------------------------------------------------------------------
 // Archive primitives
@@ -368,6 +393,112 @@ TEST(StateStoreSnapshot, DropUnverifiedKeepsReverifiableKnowledge) {
   EXPECT_EQ(store.justified_size(), 1u);
 }
 
+TEST(StateStoreSnapshot, LoadRejectsCubesAndVectorsOfTheWrongWidth) {
+  state::StateStoreConfig cfg;
+  cfg.enabled = true;
+  const netlist::Circuit c = gen::make_circuit("g382");  // 4 PIs, 18 FFs
+  state::StateStore store(c, cfg);
+  sim::State3 cube(c.flip_flops().size(), sim::V3::kX);
+  cube[0] = sim::V3::k1;
+  store.record_justified(cube, {sim::Vector3(c.primary_inputs().size())});
+  serialize::Writer w;
+  store.save(w);
+  const std::vector<std::uint8_t> archive = w.finish();
+
+  const netlist::Circuit same = gen::make_circuit("g400");  // 4 PIs, 18 FFs
+  state::StateStore loaded(same, cfg);
+  serialize::Reader r(archive);
+  loaded.load(r);
+  EXPECT_EQ(loaded.digest(), store.digest());
+  // g1196 has 13 PIs (vector width), g298 has 14 FFs (cube width).
+  for (const char* name : {"g1196", "g298"}) {
+    const netlist::Circuit other_circuit = gen::make_circuit(name);
+    state::StateStore other(other_circuit, cfg);
+    serialize::Reader r2(archive);
+    EXPECT_THROW(other.load(r2), serialize::SnapshotError) << name;
+  }
+}
+
+TEST(StateStoreSnapshot, StatsRoundTripAndDigestCoverEveryField) {
+  const netlist::Circuit c = gen::make_circuit("s27");
+  state::StateStoreConfig cfg;
+  cfg.enabled = true;
+  const auto stats = numbered<state::StateStoreStats>(1);
+  state::StateStore store(c, cfg);
+  store.apply_stats_delta(stats);
+  serialize::Writer w;
+  store.save(w);
+  state::StateStore loaded(c, cfg);
+  serialize::Reader r(w.finish());
+  loaded.load(r);
+  test::expect_counters_equal(loaded.stats(), stats);
+  EXPECT_EQ(loaded.digest(), store.digest());
+  for (std::size_t k = 0; k < kWords<state::StateStoreStats>; ++k) {
+    state::StateStore bumped(c, cfg);
+    bumped.apply_stats_delta(with_field_bumped(stats, k));
+    EXPECT_NE(bumped.digest(), store.digest()) << "field " << k;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Counter records: the field list drives arithmetic, equality and the
+// snapshot words of EngineCounters (CNTR), StateStoreStats (STOR) and
+// SimStats (SIMS).
+
+template <typename Record>
+class CounterRecordSnapshot : public ::testing::Test {};
+using CounterRecords =
+    ::testing::Types<session::EngineCounters, state::StateStoreStats,
+                     fault::SimStats>;
+TYPED_TEST_SUITE(CounterRecordSnapshot, CounterRecords);
+
+TYPED_TEST(CounterRecordSnapshot, ArithmeticAndEqualityCoverEveryField) {
+  const auto a = numbered<TypeParam>(1);
+  const auto b = numbered<TypeParam>(1000);
+  TypeParam sum = a;
+  sum += b;
+  util::for_each_field(
+      [](const char* name, auto s, auto x, auto y) {
+        EXPECT_EQ(s, x + y) << name;
+      },
+      sum, a, b);
+  if constexpr (requires { sum -= b; }) {
+    sum -= b;
+    test::expect_counters_equal(sum, a);
+  }
+  for (std::size_t k = 0; k < kWords<TypeParam>; ++k) {
+    EXPECT_NE(with_field_bumped(a, k), a) << "field " << k;
+  }
+}
+
+TYPED_TEST(CounterRecordSnapshot, RoundTripsInDeclarationOrder) {
+  const auto rec = numbered<TypeParam>(1);
+  serialize::Writer w;
+  w.begin_section("CNTR");
+  serialize::write_fields(w, rec);
+  w.end_section();
+  serialize::Reader r(w.finish());
+  r.enter_section("CNTR");
+  serialize::Reader raw = r;
+  TypeParam back;
+  serialize::read_fields(r, back);
+  r.leave_section();
+  test::expect_counters_equal(back, rec);
+
+  // The k-th listed field is the k-th member in memory (so, with the sizeof
+  // guard, the list is the declaration order) and the k-th snapshot word.
+  std::size_t k = 0;
+  util::for_each_field(
+      [&](const char* name, const auto& v) {
+        EXPECT_EQ(reinterpret_cast<const char*>(&v),
+                  reinterpret_cast<const char*>(&rec) + 8 * k)
+            << name;
+        EXPECT_EQ(raw.u64(), ++k) << name;
+      },
+      rec);
+  EXPECT_EQ(k, kWords<TypeParam>);
+}
+
 // ---------------------------------------------------------------------------
 // Session checkpoint / resume
 
@@ -396,15 +527,6 @@ hybrid::HybridConfig cheap_config(unsigned threads) {
   return cfg;
 }
 
-fault::FaultList capped_faults(const netlist::Circuit& c, std::size_t cap) {
-  fault::FaultList full = fault::collapse(c);
-  if (full.size() > cap) {
-    full.faults.resize(cap);
-    full.class_sizes.resize(cap);
-  }
-  return full;
-}
-
 session::SessionResult run_uninterrupted(const netlist::Circuit& c,
                                          const fault::FaultList& faults,
                                          const hybrid::HybridConfig& cfg) {
@@ -412,62 +534,6 @@ session::SessionResult run_uninterrupted(const netlist::Circuit& c,
   util::Rng rng(cfg.seed);
   hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
   return s.run(engine, cfg.schedule);
-}
-
-void expect_counters_equal(const session::EngineCounters& a,
-                           const session::EngineCounters& b) {
-  EXPECT_EQ(a.targeted, b.targeted);
-  EXPECT_EQ(a.forward_solutions, b.forward_solutions);
-  EXPECT_EQ(a.ga_invocations, b.ga_invocations);
-  EXPECT_EQ(a.ga_successes, b.ga_successes);
-  EXPECT_EQ(a.det_justify_calls, b.det_justify_calls);
-  EXPECT_EQ(a.det_justify_successes, b.det_justify_successes);
-  EXPECT_EQ(a.verify_failures, b.verify_failures);
-  EXPECT_EQ(a.no_justification_needed, b.no_justification_needed);
-  EXPECT_EQ(a.aborted_faults, b.aborted_faults);
-  EXPECT_EQ(a.committed_tests, b.committed_tests);
-  EXPECT_EQ(a.det_decisions, b.det_decisions);
-  EXPECT_EQ(a.det_backtracks, b.det_backtracks);
-  EXPECT_EQ(a.det_gate_evals, b.det_gate_evals);
-  EXPECT_EQ(a.det_events, b.det_events);
-  EXPECT_EQ(a.det_model_builds, b.det_model_builds);
-  EXPECT_EQ(a.det_model_acquires, b.det_model_acquires);
-  EXPECT_EQ(a.store.seq_hits, b.store.seq_hits);
-  EXPECT_EQ(a.store.seq_misses, b.store.seq_misses);
-  EXPECT_EQ(a.store.seq_inserts, b.store.seq_inserts);
-  EXPECT_EQ(a.store.seq_verify_failures, b.store.seq_verify_failures);
-  EXPECT_EQ(a.store.unjust_hits, b.store.unjust_hits);
-  EXPECT_EQ(a.store.unjust_misses, b.store.unjust_misses);
-  EXPECT_EQ(a.store.unjust_inserts, b.store.unjust_inserts);
-  EXPECT_EQ(a.store.unjust_subsumed, b.store.unjust_subsumed);
-  EXPECT_EQ(a.store.reachable_inserts, b.store.reachable_inserts);
-  EXPECT_EQ(a.store.near_miss_inserts, b.store.near_miss_inserts);
-  EXPECT_EQ(a.store.ga_seeds_served, b.store.ga_seeds_served);
-  EXPECT_EQ(a.store.forward_cache_hits, b.store.forward_cache_hits);
-  EXPECT_EQ(a.store.forward_cache_inserts, b.store.forward_cache_inserts);
-}
-
-/// Bit-for-bit equality of everything a run produces except wall-clock
-/// times (PassOutcome::time_s is the one legitimately nondeterministic
-/// field).
-void expect_identical(const session::SessionResult& a,
-                      const session::SessionResult& b) {
-  EXPECT_EQ(a.digests.faults, b.digests.faults);
-  EXPECT_EQ(a.digests.tests, b.digests.tests);
-  EXPECT_EQ(a.digests.store, b.digests.store);
-  EXPECT_EQ(a.fault_state, b.fault_state);
-  EXPECT_EQ(a.test_set, b.test_set);
-  EXPECT_EQ(a.segments, b.segments);
-  EXPECT_EQ(a.total_faults, b.total_faults);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.evaluations, b.evaluations);
-  ASSERT_EQ(a.passes.size(), b.passes.size());
-  for (std::size_t p = 0; p < a.passes.size(); ++p) {
-    EXPECT_EQ(a.passes[p].detected, b.passes[p].detected);
-    EXPECT_EQ(a.passes[p].vectors, b.passes[p].vectors);
-    EXPECT_EQ(a.passes[p].untestable, b.passes[p].untestable);
-  }
-  expect_counters_equal(a.counters, b.counters);
 }
 
 TEST(SessionSnapshot, ResumeRejectsMismatches) {

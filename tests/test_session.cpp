@@ -1,8 +1,8 @@
 // Session-layer tests: FaultManager lifecycle and drop credit,
 // TestSetBuilder invariants, and golden equivalence — the session-based
 // generators must reproduce the exact pre-refactor test sets, detection
-// counts, fault states and counters (captured with tools/golden_capture.cpp
-// before the refactor), independent of worker-thread count.
+// counts, fault states and counters (captured before the refactor),
+// independent of worker-thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,8 +147,8 @@ TEST(TestSetBuilder, FlatSetIsConcatenationOfSegments) {
 // ---------------------------------------------------------------------------
 // Golden equivalence
 //
-// The constants below were produced by the pre-refactor generators (see
-// tools/golden_capture.cpp).  Configurations bind only on deterministic
+// The constants below were produced by the pre-refactor generators.
+// Configurations bind only on deterministic
 // budgets (backtracks, solution counts, stagnation) — wall-clock limits are
 // set far beyond any plausible runtime — so the values are reproducible.
 

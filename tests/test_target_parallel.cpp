@@ -14,6 +14,7 @@
 
 #include "fault/faultlist.h"
 #include "gen/registry.h"
+#include "helpers/differential.h"
 #include "hybrid/hybrid_atpg.h"
 #include "netlist/depth.h"
 #include "session/fault_manager.h"
@@ -23,6 +24,12 @@
 
 namespace gatpg {
 namespace {
+
+using test::capped_faults;
+using test::expect_identical;
+using test::expect_trace_equal;
+using test::RunOutput;
+using test::run_once;
 
 /// A two-pass GA+deterministic schedule bounded by backtracks and
 /// generations alone — no wall-clock limits anywhere, which is exactly the
@@ -49,112 +56,6 @@ hybrid::HybridConfig lane_config(unsigned lanes, bool store) {
   cfg.state_store.enabled = store;
   cfg.target_parallel.lanes = lanes;
   return cfg;
-}
-
-fault::FaultList capped_faults(const netlist::Circuit& c, std::size_t cap) {
-  fault::FaultList full = fault::collapse(c);
-  if (full.size() > cap) {
-    full.faults.resize(cap);
-    full.class_sizes.resize(cap);
-  }
-  return full;
-}
-
-/// Records the per-target observer stream — the strictest ordering witness:
-/// a speculative run must fire on_target_end for the same faults, with the
-/// same effort numbers, in the same order as the serial scan.
-class TargetTrace : public session::ProgressObserver {
- public:
-  void on_target_end(const session::Session&,
-                     const session::TargetEffort& effort) override {
-    efforts.push_back(effort);
-  }
-  std::vector<session::TargetEffort> efforts;
-};
-
-struct RunOutput {
-  session::SessionResult result;
-  std::vector<session::TargetEffort> trace;
-  hybrid::SpecStats spec;
-};
-
-RunOutput run_once(const netlist::Circuit& c, const fault::FaultList& faults,
-                   const hybrid::HybridConfig& cfg) {
-  session::Session s(c, faults, cfg.session_config());
-  TargetTrace trace;
-  s.set_observer(&trace);
-  util::Rng rng(cfg.seed);
-  hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
-  RunOutput out;
-  out.result = s.run(engine, cfg.schedule);
-  out.trace = std::move(trace.efforts);
-  out.spec = engine.spec_stats();
-  return out;
-}
-
-void expect_counters_equal(const session::EngineCounters& a,
-                           const session::EngineCounters& b) {
-  EXPECT_EQ(a.targeted, b.targeted);
-  EXPECT_EQ(a.forward_solutions, b.forward_solutions);
-  EXPECT_EQ(a.ga_invocations, b.ga_invocations);
-  EXPECT_EQ(a.ga_successes, b.ga_successes);
-  EXPECT_EQ(a.det_justify_calls, b.det_justify_calls);
-  EXPECT_EQ(a.det_justify_successes, b.det_justify_successes);
-  EXPECT_EQ(a.verify_failures, b.verify_failures);
-  EXPECT_EQ(a.no_justification_needed, b.no_justification_needed);
-  EXPECT_EQ(a.aborted_faults, b.aborted_faults);
-  EXPECT_EQ(a.committed_tests, b.committed_tests);
-  EXPECT_EQ(a.det_decisions, b.det_decisions);
-  EXPECT_EQ(a.det_backtracks, b.det_backtracks);
-  EXPECT_EQ(a.det_gate_evals, b.det_gate_evals);
-  EXPECT_EQ(a.det_events, b.det_events);
-  EXPECT_EQ(a.det_model_builds, b.det_model_builds);
-  EXPECT_EQ(a.det_model_acquires, b.det_model_acquires);
-  EXPECT_EQ(a.store.seq_hits, b.store.seq_hits);
-  EXPECT_EQ(a.store.seq_misses, b.store.seq_misses);
-  EXPECT_EQ(a.store.seq_inserts, b.store.seq_inserts);
-  EXPECT_EQ(a.store.seq_verify_failures, b.store.seq_verify_failures);
-  EXPECT_EQ(a.store.unjust_hits, b.store.unjust_hits);
-  EXPECT_EQ(a.store.unjust_misses, b.store.unjust_misses);
-  EXPECT_EQ(a.store.unjust_inserts, b.store.unjust_inserts);
-  EXPECT_EQ(a.store.unjust_subsumed, b.store.unjust_subsumed);
-  EXPECT_EQ(a.store.reachable_inserts, b.store.reachable_inserts);
-  EXPECT_EQ(a.store.near_miss_inserts, b.store.near_miss_inserts);
-  EXPECT_EQ(a.store.ga_seeds_served, b.store.ga_seeds_served);
-  EXPECT_EQ(a.store.forward_cache_hits, b.store.forward_cache_hits);
-  EXPECT_EQ(a.store.forward_cache_inserts, b.store.forward_cache_inserts);
-}
-
-void expect_identical(const session::SessionResult& a,
-                      const session::SessionResult& b) {
-  EXPECT_EQ(a.digests.faults, b.digests.faults);
-  EXPECT_EQ(a.digests.tests, b.digests.tests);
-  EXPECT_EQ(a.digests.store, b.digests.store);
-  EXPECT_EQ(a.fault_state, b.fault_state);
-  EXPECT_EQ(a.test_set, b.test_set);
-  EXPECT_EQ(a.segments, b.segments);
-  EXPECT_EQ(a.total_faults, b.total_faults);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.evaluations, b.evaluations);
-  ASSERT_EQ(a.passes.size(), b.passes.size());
-  for (std::size_t p = 0; p < a.passes.size(); ++p) {
-    EXPECT_EQ(a.passes[p].detected, b.passes[p].detected);
-    EXPECT_EQ(a.passes[p].vectors, b.passes[p].vectors);
-    EXPECT_EQ(a.passes[p].untestable, b.passes[p].untestable);
-  }
-  expect_counters_equal(a.counters, b.counters);
-}
-
-void expect_trace_equal(const std::vector<session::TargetEffort>& a,
-                        const std::vector<session::TargetEffort>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].fault_index, b[i].fault_index) << "target " << i;
-    EXPECT_EQ(a[i].decisions, b[i].decisions) << "target " << i;
-    EXPECT_EQ(a[i].backtracks, b[i].backtracks) << "target " << i;
-    EXPECT_EQ(a[i].gate_evals, b[i].gate_evals) << "target " << i;
-    EXPECT_EQ(a[i].events, b[i].events) << "target " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------
