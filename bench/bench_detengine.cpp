@@ -16,7 +16,8 @@
 // at --threads=N lanes, verifies the two results are bit-identical (the
 // in-order-commit determinism contract), and records the lane path's
 // speculation ledger — speculated / committed / discarded tasks and the
-// wasted gate evaluations of discarded work — plus the serial/parallel
+// wasted gate evaluations of discarded work; the epoch count is printed
+// only — plus the serial/parallel
 // wall-clock ratio and the host's hardware_concurrency (so the checker
 // knows when the speedup figure was measured without enough cores to
 // mean anything).
@@ -315,14 +316,15 @@ int main(int argc, char** argv) {
     lanes_wall_total += row.parallel.wall_s;
     std::printf(
         "%-8s serial=%8.2fms  lanes(%u)=%8.2fms  x%.2f  spec=%ld "
-        "committed=%ld discarded=%ld wasted_evals=%ld  identity %s\n",
+        "committed=%ld discarded=%ld epochs=%ld wasted_evals=%ld  "
+        "identity %s\n",
         name.c_str(), row.serial.wall_s * 1e3, lanes,
         row.parallel.wall_s * 1e3,
         row.parallel.wall_s > 0 ? row.serial.wall_s / row.parallel.wall_s
                                 : 0.0,
         row.parallel.spec.speculated, row.parallel.spec.committed,
-        row.parallel.spec.discarded, row.parallel.spec.wasted_gate_evals,
-        row.identical ? "OK" : "FAILED");
+        row.parallel.spec.discarded, row.parallel.spec.epochs,
+        row.parallel.spec.wasted_gate_evals, row.identical ? "OK" : "FAILED");
     targeting.push_back(std::move(row));
   }
   const double target_speedup =

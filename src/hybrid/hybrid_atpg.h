@@ -137,6 +137,7 @@ struct SpecStats {
   long committed = 0;   ///< lane results adopted as-is
   long discarded = 0;   ///< lane results thrown away (recomputed inline)
   long wasted_gate_evals = 0;  ///< gate evals spent on discarded results
+  long epochs = 0;      ///< epoch ends (shared-state mutations) in lane runs
 };
 
 /// The per-fault targeted engine (Fig. 1).  Reusable standalone against any

@@ -5,15 +5,18 @@
 // frontier are solved speculatively on lanes, each against an immutable
 // snapshot of the committed state (RNG stream position, good machine, store
 // content) taken at the current *epoch*.  Epochs advance only when committed
-// state actually mutates — an RNG draw, a committed test, or a store content
-// change; state-neutral targets (aborted, proven untestable, GA failures
-// without near-miss inserts) leave the epoch alone, so speculation past them
-// commits wholesale.  A lane result is adopted iff its launch epoch is still
-// current — its inputs then equal what the serial run would have used, so
-// its outputs are the serial outputs.  On a mismatch the result is discarded
-// and the fault is recomputed inline through the exact serial path.  Either
-// way every observable — counters, store, tests, digests, observer order —
-// is bit-identical to the serial run at any lane count.
+// state another fault could read mutates — an RNG draw, a committed test, or
+// a write to the store's shared content.  A fault's own forward-solution
+// slot is private to it, so filling it does not end the epoch; the commit
+// merges that one slot into the master instead.  State-neutral targets
+// (aborted, proven untestable, GA failures without near-miss inserts) leave
+// the epoch alone too, so speculation past them commits wholesale.  A lane
+// result is adopted iff its launch epoch is still current — its inputs then
+// equal what the serial run would have used, so its outputs are the serial
+// outputs.  On a mismatch the result is discarded and the fault is
+// recomputed inline through the exact serial path.  Either way every
+// observable — counters, store, tests, digests, observer order — is
+// bit-identical to the serial run at any lane count.
 #include "hybrid/hybrid_atpg.h"
 
 #include <array>
@@ -211,11 +214,14 @@ void HybridEngine::run_speculative(session::Session& s,
     stats_delta -= t.snap->store_stats;
     master.apply_stats_delta(stats_delta);
     if (r.store_end_revision != t.snap->store_revision) {
-      // Within an epoch the master's content equals the snapshot's (content
-      // changes always end the epoch), so adopting the clone wholesale
-      // equals replaying the lane's inserts on the master.
+      // Within an epoch the master's shared content equals the snapshot's
+      // (shared writes always end the epoch), so adopting the clone's shared
+      // content wholesale equals replaying the lane's inserts on the master.
       master.adopt_content(*r.store);
     }
+    // The fault's own forward slot is private: earlier commits of this epoch
+    // may have filled other slots on the master, so merge just this one.
+    master.adopt_forward(*r.store, t.fault_index);
     if (r.tr.outcome.detected) s.commit_test(std::move(r.tr.candidate));
     fold_pool_window(r.pool_acquires, r.pool_peak);
     mirror_pool_counters(s.counters());
@@ -254,7 +260,7 @@ void HybridEngine::run_speculative(session::Session& s,
       top_up(i);
 
       // Uniform mutation probe around the resolve: an epoch ends exactly
-      // when the committed state a speculative solve reads has changed.
+      // when committed state that another fault's solve reads has changed.
       const std::array<std::uint64_t, 4> rng_before = rng_.state_words();
       const std::uint64_t revision_before = s.state_store().revision();
       const long tests_before = s.counters().committed_tests;
@@ -286,6 +292,7 @@ void HybridEngine::run_speculative(session::Session& s,
                            s.counters().committed_tests != tests_before;
       if (mutated) {
         ++epoch;
+        ++spec_stats_.epochs;
         snap->cancelled.store(true, std::memory_order_relaxed);
         while (!inflight.empty()) {
           zombies.push_back(std::move(inflight.front()));

@@ -34,10 +34,16 @@ void StateStore::adopt_content(const StateStore& other) {
   unjustifiable_ = other.unjustifiable_;
   reachable_ = other.reachable_;
   near_misses_ = other.near_misses_;
-  forward_ = other.forward_;
-  forward_valid_ = other.forward_valid_;
   next_stamp_ = other.next_stamp_;
   ++revision_;
+}
+
+void StateStore::adopt_forward(const StateStore& other,
+                               std::size_t fault_index) {
+  const ForwardSolution* theirs = other.cached_forward(fault_index);
+  if (theirs && !cached_forward(fault_index)) {
+    store_forward(fault_index, *theirs);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -278,14 +284,18 @@ const StateStore::ForwardSolution* StateStore::take_cached_forward(
 void StateStore::cache_forward(std::size_t fault_index, Sequence vectors,
                                State3 required) {
   if (!config_.enabled) return;
+  store_forward(fault_index, {std::move(vectors), std::move(required)});
+  ++stats_.forward_cache_inserts;
+}
+
+void StateStore::store_forward(std::size_t fault_index,
+                               ForwardSolution solution) {
   if (forward_.size() <= fault_index) {
     forward_.resize(fault_index + 1);
     forward_valid_.resize(fault_index + 1, 0);
   }
-  forward_[fault_index] = {std::move(vectors), std::move(required)};
+  forward_[fault_index] = std::move(solution);
   forward_valid_[fault_index] = 1;
-  ++stats_.forward_cache_inserts;
-  ++revision_;
 }
 
 // ---------------------------------------------------------------------------

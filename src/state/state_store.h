@@ -135,13 +135,15 @@ class StateStore {
   const StateStoreConfig& config() const { return config_; }
   const StateStoreStats& stats() const { return stats_; }
 
-  /// Monotonic counter bumped on every *content* mutation (cache inserts,
-  /// drops, replacements — anything future lookups could observe).  Pure
-  /// stats changes (hit/miss tallies) do not bump it: they never feed back
-  /// into engine behavior.  The speculative targeting layer compares
-  /// revisions to decide whether a lane's store clone diverged from the
-  /// committed master.  Not part of digest()/save(): two stores with equal
-  /// content are equal regardless of how they got there.
+  /// Monotonic counter bumped on every write to *shared* content: the
+  /// justified, unjustifiable, reachable and near-miss caches and the stamp
+  /// counter (inserts, drops, replacements, adopt_content, load, clear,
+  /// drop_unverified).  Per-fault forward slots are private to their fault
+  /// (only that fault's target reads one), so cache_forward does not bump
+  /// it; neither do stats-only changes (hit/miss tallies).  The speculative
+  /// targeting layer compares revisions to decide whether a target changed
+  /// what another fault could read.  Not part of digest()/save(): two stores
+  /// with equal content are equal regardless of how they got there.
   std::uint64_t revision() const { return revision_; }
 
   /// Deep copy of content, stats, stamp counter, revision, and config.
@@ -149,11 +151,18 @@ class StateStore {
   /// fully independent and safe to use from another thread.
   std::unique_ptr<StateStore> clone() const;
 
-  /// Replaces this store's *content* (all caches, forward solutions, and the
-  /// stamp counter) with `other`'s, leaving stats and config untouched, and
-  /// bumps the revision.  The commit step of speculative targeting uses this
-  /// to adopt a lane clone's content in fault order.
+  /// Replaces this store's shared content (the four caches and the stamp
+  /// counter) with `other`'s, leaving forward slots, stats and config
+  /// untouched, and bumps the revision.  The commit step of speculative
+  /// targeting uses this to adopt a lane clone's shared content in fault
+  /// order.
   void adopt_content(const StateStore& other);
+
+  /// Copies `other`'s forward slot for `fault_index` into this store when
+  /// this store has none there (an existing slot is never overwritten);
+  /// no other slot, stat or revision changes.  The commit step merges the
+  /// committing fault's own slot from its lane clone this way.
+  void adopt_forward(const StateStore& other, std::size_t fault_index);
 
   /// Adds `delta` onto the stats — the commit step folds each lane's stats
   /// delta (end minus snapshot) so same-epoch commits stack exactly like the
@@ -213,12 +222,15 @@ class StateStore {
                                             std::size_t max_seeds);
 
   // -- Per-fault forward-solution cache -------------------------------------
+  // Slot i is private to fault i: only fault i's target reads or writes it.
 
   /// Pure lookup (no stats side effect).
   const ForwardSolution* cached_forward(std::size_t fault_index) const;
   /// Stats-counting lookup for when the cached solution is actually
   /// consumed instead of re-derived.
   const ForwardSolution* take_cached_forward(std::size_t fault_index);
+  /// Fills (or replaces) the fault's slot.  A private write: the revision
+  /// stays put.
   void cache_forward(std::size_t fault_index, sim::Sequence vectors,
                      sim::State3 required);
 
@@ -270,6 +282,9 @@ class StateStore {
     std::size_t prefix_len = 0;
     std::uint64_t stamp = 0;
   };
+
+  /// Writes slot `fault_index`, growing the slot table as needed.
+  void store_forward(std::size_t fault_index, ForwardSolution solution);
 
   /// Re-simulates `sequence` from (`current_good`, all-X + fault) and, on
   /// the first vector after which both desired cubes hold, writes that

@@ -15,6 +15,7 @@
 #include "helpers/differential.h"
 #include "hybrid/hybrid_atpg.h"
 #include "netlist/depth.h"
+#include "serialize/archive.h"
 #include "session/session.h"
 #include "sim/seqsim.h"
 #include "state/state_store.h"
@@ -250,6 +251,104 @@ TEST(StateStoreUnit, ForwardCacheTakeCountsHits) {
   EXPECT_EQ(taken->required, cube("1XX"));
   EXPECT_EQ(store.stats().forward_cache_hits, 1);
   EXPECT_EQ(store.cached_forward(4), nullptr);  // neighbors untouched
+}
+
+// The revision counts writes to shared content only: the speculative
+// committer ends a lane epoch on a revision change, and a forward slot is
+// read by its own fault alone.
+TEST(StateStoreUnit, RevisionCountsSharedWritesOnly) {
+  const auto c = gen::make_circuit("s27");
+  const Vector3 pi(c.primary_inputs().size(), V3::k0);
+  StateStore store(c, enabled_config());
+  std::uint64_t rev = store.revision();
+  const auto expect_bump = [&](const char* what) {
+    EXPECT_GT(store.revision(), rev) << what;
+    rev = store.revision();
+  };
+
+  store.cache_forward(2, {pi}, cube("1XX"));
+  EXPECT_EQ(store.revision(), rev) << "cache_forward";
+  EXPECT_EQ(store.stats().forward_cache_inserts, 1);
+
+  store.record_justified(cube("0XX"), {pi});
+  expect_bump("record_justified");
+  store.record_unjustifiable(cube("11X"));
+  expect_bump("record_unjustifiable");
+  store.record_reachable_trace({pi}, {cube("010")});
+  expect_bump("record_reachable_trace");
+  store.record_near_miss(cube("X01"), {pi});
+  expect_bump("record_near_miss");
+
+  StateStore other(c, enabled_config());
+  other.record_justified(cube("X1X"), {pi});
+  store.adopt_content(other);
+  expect_bump("adopt_content");
+  EXPECT_EQ(store.justified_size(), 1u);
+  EXPECT_EQ(store.unjustifiable_size(), 0u);
+  // The adopter's own forward slot survives; the donor had none to offer.
+  ASSERT_NE(store.cached_forward(2), nullptr);
+  EXPECT_EQ(store.cached_forward(2)->required, cube("1XX"));
+
+  serialize::Writer w;
+  other.save(w);
+  serialize::Reader r(w.finish());
+  store.load(r);
+  expect_bump("load");
+  store.drop_unverified();
+  expect_bump("drop_unverified");
+  store.clear();
+  expect_bump("clear");
+}
+
+TEST(StateStoreUnit, AdoptContentKeepsTheAdoptersForwardSlots) {
+  const auto c = gen::make_circuit("s27");
+  const Vector3 pi(c.primary_inputs().size(), V3::k1);
+  StateStore mine(c, enabled_config());
+  mine.cache_forward(1, {pi}, cube("0XX"));
+  StateStore theirs(c, enabled_config());
+  theirs.cache_forward(1, {pi, pi}, cube("1XX"));
+  theirs.cache_forward(3, {pi}, cube("X1X"));
+  mine.adopt_content(theirs);
+  ASSERT_NE(mine.cached_forward(1), nullptr);
+  EXPECT_EQ(mine.cached_forward(1)->required, cube("0XX"));
+  EXPECT_EQ(mine.cached_forward(3), nullptr);
+}
+
+TEST(StateStoreUnit, AdoptForwardMergesOnlyTheNamedMissingSlot) {
+  const auto c = gen::make_circuit("s27");
+  const Vector3 pi(c.primary_inputs().size(), V3::k0);
+  StateStore lane(c, enabled_config());
+  lane.cache_forward(0, {pi}, cube("0XX"));
+  lane.cache_forward(2, {pi, pi}, cube("X0X"));
+  lane.cache_forward(4, {pi}, cube("XX0"));
+
+  StateStore master(c, enabled_config());
+  master.cache_forward(4, {pi}, cube("XX1"));
+  const state::StateStoreStats stats_before = master.stats();
+  const std::uint64_t rev = master.revision();
+
+  master.adopt_forward(lane, 2);
+  ASSERT_NE(master.cached_forward(2), nullptr);
+  EXPECT_EQ(master.cached_forward(2)->required, cube("X0X"));
+  EXPECT_EQ(master.cached_forward(2)->vectors, (Sequence{pi, pi}));
+  EXPECT_EQ(master.cached_forward(0), nullptr);  // other slots stay out
+  // An existing slot is never overwritten.
+  master.adopt_forward(lane, 4);
+  EXPECT_EQ(master.cached_forward(4)->required, cube("XX1"));
+  // A slot the donor lacks stays empty.
+  master.adopt_forward(lane, 7);
+  EXPECT_EQ(master.cached_forward(7), nullptr);
+  EXPECT_EQ(master.revision(), rev);
+  test::expect_counters_equal(master.stats(), stats_before);
+
+  // Merging a slot leaves the store exactly as caching it directly would.
+  StateStore serial(c, enabled_config());
+  serial.cache_forward(4, {pi}, cube("XX1"));
+  serial.cache_forward(2, {pi, pi}, cube("X0X"));
+  state::StateStoreStats lane_delta;
+  lane_delta.forward_cache_inserts = 1;  // the lane's insert, folded
+  master.apply_stats_delta(lane_delta);
+  EXPECT_EQ(master.digest(), serial.digest());
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 // fault statuses, every engine and store counter, all three digests, and the
 // exact on_target_end observer sequence — with the state store on and off.
 // Also covers mid-pass kill-and-resume at 4 lanes, speculation-ledger
-// consistency, and the wall-clock-pass opt-out (deadline passes stay
-// serial).
+// consistency, the epoch rule (only shared-state writes end an epoch), and
+// the wall-clock-pass opt-out (deadline passes stay serial).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -118,6 +118,26 @@ TEST(TargetParallelGates, LaneRunsActuallySpeculate) {
   const RunOutput out = run_once(c, faults, lane_config(4, true));
   EXPECT_GT(out.spec.speculated, 0);
   EXPECT_GT(out.spec.committed, 0);
+}
+
+TEST(TargetParallelGates, OnlySharedWritesEndEpochs) {
+  // An epoch ends only on an RNG draw (one X-fill per verified or rejected
+  // candidate), a committed test, or a shared store insert; a fault's own
+  // forward-slot write is private and must not end it.  The deterministic
+  // pass alone on g526 has many targets that cache a forward solution and
+  // then abort justification without writing anything shared.
+  const netlist::Circuit c = gen::make_circuit("g526");
+  const fault::FaultList faults = capped_faults(c, 40);
+  hybrid::HybridConfig cfg = lane_config(4, true);
+  cfg.schedule.passes.erase(cfg.schedule.passes.begin());  // drop the GA
+  const RunOutput out = run_once(c, faults, cfg);
+  const session::EngineCounters& k = out.result.counters;
+  ASSERT_GT(k.store.forward_cache_inserts, 0);
+  EXPECT_GT(out.spec.epochs, 0);
+  EXPECT_LE(out.spec.epochs,
+            k.committed_tests + k.verify_failures + k.store.seq_inserts +
+                k.store.unjust_inserts + k.store.near_miss_inserts +
+                k.store.reachable_inserts);
 }
 
 // ---------------------------------------------------------------------------
