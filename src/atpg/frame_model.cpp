@@ -91,14 +91,18 @@ constexpr std::array<CompGateFn, 12> kCompGateTable = {
 }  // namespace
 
 FrameModel::FrameModel(const netlist::Circuit& c,
-                       std::optional<fault::Fault> fault, unsigned max_frames)
+                       std::optional<fault::Fault> fault, unsigned max_frames,
+                       std::span<const NodeId> goals)
     : circuit_(c) {
-  reset(std::move(fault), max_frames);
+  reset(std::move(fault), max_frames, goals);
 }
 
-void FrameModel::reset(std::optional<fault::Fault> fault,
-                       unsigned max_frames) {
+void FrameModel::reset(std::optional<fault::Fault> fault, unsigned max_frames,
+                       std::span<const NodeId> goals) {
   assert(max_frames >= 1);
+  // The cone is closed under frame-0 fan-in only: a fault injection or a
+  // later frame would read cells outside it.
+  assert(goals.empty() || (!fault && max_frames == 1));
   fault_ = std::move(fault);
   fault_node_ = fault_ ? fault_->node : kNoFaultNode;
   trans_ = fault_ && fault_->is_transition();
@@ -135,6 +139,8 @@ void FrameModel::reset(std::optional<fault::Fault> fault,
       V3::kX);
   state_assign_.assign(c.flip_flops().size(), V3::kX);
   init_propagation();
+  restricted_ = !goals.empty();
+  if (restricted_) build_cone(goals);
   recompute_frame(0);
   // Mark 0 is the post-construction state: the trail starts empty, the
   // summaries stay (they describe the values just computed).
@@ -187,6 +193,39 @@ void FrameModel::init_propagation() {
     listed_.assign(cells, 0);
     frontier_arena_.resize(cells);
     frontier_fill_.assign(max_frames_, 0);
+  }
+}
+
+void FrameModel::build_cone(std::span<const NodeId> goals) {
+  const auto& c = circuit_;
+  if (cone_stamp_.empty()) cone_stamp_.assign(c.node_count(), 0);
+  if (++cone_epoch_ == 0) {  // wrapped: old stamps could collide
+    std::fill(cone_stamp_.begin(), cone_stamp_.end(), 0);
+    cone_epoch_ = 1;
+  }
+  cone_order_.clear();
+  // Iterative post-order walk: a node is listed once all its fanins are,
+  // so cone_order_ is an evaluation order.  Only gates (non-null kernel)
+  // descend; PIs, flip-flops and constants end the cone.
+  for (const NodeId goal : goals) {
+    if (cone_stamp_[goal] == cone_epoch_) continue;
+    cone_stamp_[goal] = cone_epoch_;
+    cone_walk_.push_back({goal, 0});
+    while (!cone_walk_.empty()) {
+      auto& [n, next] = cone_walk_.back();
+      const auto fanins =
+          comp_fn_[n] ? c.fanins(n) : std::span<const NodeId>{};
+      if (next < fanins.size()) {
+        const NodeId in = fanins[next++];
+        if (cone_stamp_[in] != cone_epoch_) {
+          cone_stamp_[in] = cone_epoch_;
+          cone_walk_.push_back({in, 0});
+        }
+        continue;
+      }
+      cone_order_.push_back(n);
+      cone_walk_.pop_back();
+    }
   }
 }
 
@@ -362,7 +401,7 @@ void FrameModel::schedule_fanouts(unsigned frame, NodeId n) {
       // The change crosses the flip-flop into the next frame (if active);
       // inactive frames are rebuilt wholesale on activation.
       if (frame + 1 < frame_count_) enqueue(frame + 1, out);
-    } else {
+    } else if (kept(out)) {
       enqueue(frame, out);
     }
   }
@@ -417,6 +456,12 @@ void FrameModel::update_cell(unsigned frame, NodeId n, bool schedule) {
 }
 
 void FrameModel::recompute_frame(unsigned frame) {
+  if (restricted_) {  // only frame 0 exists, and only its cone is kept
+    for (const NodeId n : cone_order_) {
+      update_cell(frame, n, /*schedule=*/false);
+    }
+    return;
+  }
   const auto& c = circuit_;
   for (NodeId pi : c.primary_inputs()) {
     update_cell(frame, pi, /*schedule=*/false);

@@ -30,8 +30,11 @@
 // Each changed cell is recorded on a trail, so DecisionStack backtracking
 // restores the exact previous state by popping trail entries instead of
 // re-simulating the window.  The D-frontier, po_has_d() and
-// d_reaches_ff_input() are maintained as side effects of propagation.  Cost
-// per decision is O(affected cone).
+// d_reaches_ff_input() are maintained as side effects of propagation.  A
+// decision re-evaluates the kept fanouts of every cell it changes: in a full
+// model, up to the assignment's whole fanout cone over the window; in a
+// goal-cone model (fault-free, one frame; see reset()), only the part of it
+// inside the fan-in cone of the goal nodes.
 //
 // Both planes live in one flat byte buffer indexed by cell(frame, node) —
 // good in bits 0..1, faulty in bits 2..3 — so composite() and the
@@ -42,13 +45,16 @@
 //
 // tests/test_frame_model_incr.cpp checks the model against a naive
 // recompute-everything oracle (tests/helpers/reference_frames.h) after every
-// step of randomized push/backtrack sessions over every registry circuit.
+// step of randomized push/backtrack sessions over every registry circuit,
+// goal-cone models on every cell of their cone.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "atpg/val5.h"
@@ -122,16 +128,26 @@ inline constexpr std::array<bool, 16> kAnyX = [] {
 
 class FrameModel {
  public:
-  /// `fault` may be empty (justification mode: good plane only).
+  /// `fault` may be empty (justification mode: good plane only).  `goals`
+  /// restricts the model to a goal cone; see reset().
   FrameModel(const netlist::Circuit& c, std::optional<fault::Fault> fault,
-             unsigned max_frames);
+             unsigned max_frames, std::span<const netlist::NodeId> goals = {});
 
   /// Reinitializes the model to the exact post-construction state for a
-  /// (possibly different) fault / window cap, reusing every buffer
-  /// whose capacity suffices.  Bit-identical to constructing a fresh model;
-  /// the pool below relies on this.  Stats are zeroed (buffer_grows() is
-  /// not — it counts allocations over the object's whole lifetime).
-  void reset(std::optional<fault::Fault> fault, unsigned max_frames);
+  /// (possibly different) fault / window cap / goal cone, reusing every
+  /// buffer whose capacity suffices.  Bit-identical to constructing a fresh
+  /// model; the pool below relies on this.  Stats are zeroed
+  /// (buffer_grows() is not — it counts allocations over the object's whole
+  /// lifetime).
+  ///
+  /// Non-empty `goals` (fault-free one-frame models only) keeps just the
+  /// goal cone current: the goal nodes and their transitive frame-0 fan-in,
+  /// which stops at PIs, flip-flop outputs and constants.  Cells in the cone
+  /// hold exactly the values of a full model, since a three-valued node
+  /// value depends only on its fan-in cone; cells outside it are
+  /// unspecified.  Building the cone costs O(cone).
+  void reset(std::optional<fault::Fault> fault, unsigned max_frames,
+             std::span<const netlist::NodeId> goals = {});
 
   const netlist::Circuit& circuit() const { return circuit_; }
   bool has_fault() const { return fault_.has_value(); }
@@ -170,7 +186,9 @@ class FrameModel {
   void undo_to(std::size_t mark);
 
   // -- Values --------------------------------------------------------------
-  // Values are maintained eagerly: every query reflects all assignments.
+  // Values are maintained eagerly: every query of a kept cell (any cell of
+  // a full model, a goal-cone cell of a restricted one) reflects all
+  // assignments.
   sim::V3 good(unsigned frame, netlist::NodeId n) const {
     return compbits::good(comp_[cell(frame, n)]);
   }
@@ -271,6 +289,11 @@ class FrameModel {
   void note_composite_change(unsigned frame, netlist::NodeId n,
                              std::uint8_t before, std::uint8_t after);
   void refresh_frontier(unsigned frame, netlist::NodeId gate) const;
+  /// Stamps the goal cone of `goals` and lists it in cone_order_.
+  void build_cone(std::span<const netlist::NodeId> goals);
+  bool kept(netlist::NodeId n) const {
+    return !restricted_ || cone_stamp_[n] == cone_epoch_;
+  }
   std::size_t cell(unsigned frame, netlist::NodeId n) const {
     return static_cast<std::size_t>(frame) * node_stride_ + n;
   }
@@ -305,6 +328,17 @@ class FrameModel {
   unsigned frame_count_ = 1;
   FrameModelStats stats_;
   std::uint64_t buffer_grows_ = 0;
+
+  // Goal-cone restriction (see reset()): node n is kept iff
+  // cone_stamp_[n] == cone_epoch_, so starting a new cone is one epoch bump
+  // instead of clearing a node-sized set.  cone_order_ lists the cone with
+  // every gate after its fanins (the activation order of recompute_frame);
+  // cone_walk_ is the depth-first walk's (node, next fanin) stack.
+  bool restricted_ = false;
+  std::uint32_t cone_epoch_ = 0;
+  std::vector<std::uint32_t> cone_stamp_;  // [node]
+  std::vector<netlist::NodeId> cone_order_;
+  std::vector<std::pair<netlist::NodeId, std::uint32_t>> cone_walk_;
 
   // Assignments.
   std::vector<sim::V3> pi_assign_;     // [frame × pi]
@@ -403,28 +437,30 @@ class FrameModelPool {
  public:
   explicit FrameModelPool(const netlist::Circuit& c) : circuit_(c) {}
 
+  /// `goals` as in FrameModel::reset().
   FrameModelHandle acquire(std::optional<fault::Fault> fault,
-                           unsigned max_frames) {
+                           unsigned max_frames,
+                           std::span<const netlist::NodeId> goals = {}) {
     ++acquires_;
     ++outstanding_;
     if (outstanding_ > peak_outstanding_) peak_outstanding_ = outstanding_;
     if (free_.empty()) {
       ++constructions_;
       all_.push_back(std::make_unique<FrameModel>(circuit_, std::move(fault),
-                                                  max_frames));
+                                                  max_frames, goals));
       return {all_.back().get(), this};
     }
     FrameModel* m = free_.back();
     free_.pop_back();
-    m->reset(std::move(fault), max_frames);
+    m->reset(std::move(fault), max_frames, goals);
     return {m, this};
   }
 
   /// Pool-less fallback: a handle that owns a freshly built model.
-  static FrameModelHandle standalone(const netlist::Circuit& c,
-                                     std::optional<fault::Fault> fault,
-                                     unsigned max_frames) {
-    return {new FrameModel(c, std::move(fault), max_frames), nullptr};
+  static FrameModelHandle standalone(
+      const netlist::Circuit& c, std::optional<fault::Fault> fault,
+      unsigned max_frames, std::span<const netlist::NodeId> goals = {}) {
+    return {new FrameModel(c, std::move(fault), max_frames, goals), nullptr};
   }
 
   const netlist::Circuit& circuit() const { return circuit_; }

@@ -7,11 +7,25 @@ namespace gatpg::atpg {
 using sim::State3;
 using sim::V3;
 
+namespace {
+
+/// The nodes `goals` constrain: the search reads nothing outside their
+/// fan-in cone, so its model keeps only that cone (FrameModel::reset()).
+std::vector<netlist::NodeId> goal_nodes(const std::vector<Objective>& goals) {
+  std::vector<netlist::NodeId> nodes;
+  nodes.reserve(goals.size());
+  for (const Objective& g : goals) nodes.push_back(g.node);
+  return nodes;
+}
+
+}  // namespace
+
 FrameGoalSearch::FrameGoalSearch(const netlist::Circuit& c,
                                  std::vector<Objective> goals,
                                  FrameModelPool* pool)
-    : model_h_(pool ? pool->acquire(std::nullopt, 1)
-                    : FrameModelPool::standalone(c, std::nullopt, 1)),
+    : model_h_(pool ? pool->acquire(std::nullopt, 1, goal_nodes(goals))
+                    : FrameModelPool::standalone(c, std::nullopt, 1,
+                                                 goal_nodes(goals))),
       model_(*model_h_),
       stack_(model_),
       goals_(std::move(goals)) {}
@@ -102,16 +116,10 @@ DeterministicJustifier::DeterministicJustifier(const netlist::Circuit& c,
       own_pool_(pool ? nullptr : std::make_unique<FrameModelPool>(c)),
       pool_(pool ? pool : own_pool_.get()) {}
 
-std::string DeterministicJustifier::key_of(const State3& s) {
-  std::string k(s.size(), 'X');
-  for (std::size_t i = 0; i < s.size(); ++i) k[i] = sim::v3_char(s[i]);
-  return k;
-}
-
 DeterministicJustifier::Outcome DeterministicJustifier::justify(
     const State3& target, const util::Deadline& deadline) {
   stats_ = SearchStats{};
-  std::vector<std::string> path;
+  std::vector<const State3*> path;
   const Outcome out =
       justify_rec(target, limits_.max_justify_depth, path, deadline);
   if (store_ && out.status == Status::kUnjustifiable) {
@@ -123,14 +131,14 @@ DeterministicJustifier::Outcome DeterministicJustifier::justify(
 }
 
 DeterministicJustifier::Outcome DeterministicJustifier::justify_rec(
-    const State3& target, unsigned depth, std::vector<std::string>& path,
+    const State3& target, unsigned depth, std::vector<const State3*>& path,
     const util::Deadline& deadline) {
   const bool trivial = std::all_of(target.begin(), target.end(),
                                    [](V3 v) { return v == V3::kX; });
   if (trivial) return {Status::kJustified, {}};
 
-  const std::string key = key_of(target);
-  if (std::find(path.begin(), path.end(), key) != path.end()) {
+  if (std::any_of(path.begin(), path.end(),
+                  [&](const State3* p) { return *p == target; })) {
     // Requirement cycle: a minimal justification never repeats a
     // requirement, so this branch is safely abandoned.
     return {Status::kUnjustifiable, {}};
@@ -164,7 +172,7 @@ DeterministicJustifier::Outcome DeterministicJustifier::justify_rec(
       return {any_aborted ? Status::kAborted : Status::kUnjustifiable, {}};
     }
     const State3 previous = search.minimized_state();
-    path.push_back(key);
+    path.push_back(&target);
     Outcome sub = justify_rec(previous, depth - 1, path, deadline);
     path.pop_back();
     if (sub.status == Status::kJustified) {

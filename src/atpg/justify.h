@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "atpg/limits.h"
@@ -31,14 +30,19 @@ namespace gatpg::atpg {
 
 /// Enumerates assignments of one combinational frame satisfying a set of
 /// node-value goals.  Used per reverse time frame by the justifier; exposed
-/// for unit tests.
+/// for unit tests.  Its fault-free one-frame model keeps only the goals'
+/// fan-in cone (FrameModel::reset()): every node the search reads (goal
+/// values, backtrace fanins and XOR siblings) lies in it, and
+/// minimization and extraction read assignments, so the search decides
+/// exactly as on a full model while each decision evaluates only the cone
+/// gates it changes.
 class FrameGoalSearch {
  public:
   enum class Step { kSolution, kExhausted, kAborted };
 
   /// `pool` (optional) recycles the frame model across searches — the
   /// justifier builds one FrameGoalSearch per recursion level per fault, so
-  /// pooling turns that into a reset.
+  /// pooling turns that into a reset.  The goal nodes fix the model's cone.
   FrameGoalSearch(const netlist::Circuit& c, std::vector<Objective> goals,
                   FrameModelPool* pool = nullptr);
 
@@ -106,10 +110,11 @@ class DeterministicJustifier {
   const SearchStats& stats() const { return stats_; }
 
  private:
+  /// `path` holds the requirements of the enclosing recursion levels (each
+  /// outlives the levels below it).
   Outcome justify_rec(const sim::State3& target, unsigned depth,
-                      std::vector<std::string>& path,
+                      std::vector<const sim::State3*>& path,
                       const util::Deadline& deadline);
-  static std::string key_of(const sim::State3& s);
 
   const netlist::Circuit& c_;
   SearchLimits limits_;

@@ -2,33 +2,68 @@
 // reference_frames.h: the whole observable state of a model, and the
 // in-place greedy state minimization the deterministic engines run on
 // their search models.
+//
+// A goal-cone model (FrameModel::reset() with goal nodes) specifies only
+// the cells of its cone, so its checks take a NodeScope from goal_cone();
+// every other model is checked on all nodes (the default, empty scope).
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "atpg/frame_model.h"
 #include "helpers/reference_frames.h"
 
 namespace gatpg::test {
 
+/// The nodes whose cells a check compares: scope[n] != 0, or every node
+/// when empty.
+using NodeScope = std::vector<char>;
+
+inline bool in_scope(const NodeScope& scope, netlist::NodeId n) {
+  return scope.empty() || scope[n] != 0;
+}
+
+/// The goal cone of `goals`, computed independently of the model: the goal
+/// nodes plus the transitive fan-in of every combinational gate in it
+/// (PIs, flip-flops and constants end the walk).
+inline NodeScope goal_cone(const netlist::Circuit& c,
+                           std::span<const netlist::NodeId> goals) {
+  NodeScope scope(c.node_count(), 0);
+  std::vector<netlist::NodeId> todo(goals.begin(), goals.end());
+  while (!todo.empty()) {
+    const netlist::NodeId n = todo.back();
+    todo.pop_back();
+    if (scope[n]) continue;
+    scope[n] = 1;
+    if (!netlist::is_combinational(c.type(n))) continue;
+    for (netlist::NodeId in : c.fanins(n)) todo.push_back(in);
+  }
+  return scope;
+}
+
 /// Asserts that every observable of `m` equals the oracle's recomputation
 /// from `pis` (one vector per active frame) and `state`: window size, both
-/// value planes of every active frame, the fault-effect summaries, the
-/// D-frontier (contents *and* order), and the extracted vectors/state.
+/// value planes of every active frame (on the nodes of `scope`), the
+/// fault-effect summaries, the D-frontier (contents *and* order), and the
+/// extracted vectors/state.
 inline void expect_matches_oracle(const netlist::Circuit& c,
                                   const std::optional<fault::Fault>& fault,
                                   const atpg::FrameModel& m,
                                   const sim::Sequence& pis,
                                   const sim::State3& state,
-                                  const std::string& context) {
+                                  const std::string& context,
+                                  const NodeScope& scope = {}) {
   const auto frames = static_cast<unsigned>(pis.size());
   ASSERT_EQ(m.frame_count(), frames) << context;
   const ReferenceFrames ref = reference_frames(c, fault, pis, state);
   for (unsigned t = 0; t < frames; ++t) {
     for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+      if (!in_scope(scope, n)) continue;
       ASSERT_EQ(m.good(t, n), ref.good[t][n])
           << context << " good frame " << t << " node " << c.name(n);
       ASSERT_EQ(m.faulty(t, n), ref.faulty[t][n])
@@ -56,19 +91,21 @@ inline void expect_matches_oracle(const netlist::Circuit& c,
 /// every observable unchanged, matching the oracle.  Also checks that the
 /// returned state is exactly the greedy index-order clearing computed on
 /// the oracle, where `keeps(ReferenceFrames)` says whether a candidate
-/// state still meets the minimizer's goal.  Returns the minimized state.
+/// state still meets the minimizer's goal.  `scope` as in
+/// expect_matches_oracle.  Returns the minimized state.
 template <typename Minimize, typename Keeps>
 sim::State3 expect_minimizes_in_place(const netlist::Circuit& c,
                                       const std::optional<fault::Fault>& fault,
                                       const atpg::FrameModel& m,
                                       Minimize&& minimize, Keeps&& keeps,
-                                      const std::string& context) {
+                                      const std::string& context,
+                                      const NodeScope& scope = {}) {
   const std::size_t mark = m.trail_mark();
   const sim::Sequence pis = m.extract_vectors();
   const sim::State3 state = m.extract_state();
   const sim::State3 got = minimize();
   EXPECT_EQ(m.trail_mark(), mark) << context;
-  expect_matches_oracle(c, fault, m, pis, state, context + " after");
+  expect_matches_oracle(c, fault, m, pis, state, context + " after", scope);
 
   sim::State3 greedy = state;
   for (std::size_t i = 0; i < greedy.size(); ++i) {

@@ -5,9 +5,11 @@
 // skews — the model must agree with the naive recompute-everything oracle
 // of tests/helpers/reference_frames.h on both value planes of every active
 // frame, the fault-effect summaries, and the D-frontier contents *and*
-// order.  FrameModelPool reuse (reset-and-reuse instead of per-fault
-// construction) must be bit-identical and must retain buffer capacity
-// across shrink/grow cycles.
+// order.  Goal-cone models (fault-free, one frame, restricted to the fan-in
+// cone of a goal set) must agree with the oracle on every cone cell.
+// FrameModelPool reuse (reset-and-reuse instead of per-fault construction)
+// must be bit-identical and must retain buffer capacity across shrink/grow
+// cycles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -44,17 +46,21 @@ struct Assignments {
 void expect_matches_oracle(const netlist::Circuit& c,
                            const std::optional<Fault>& fault,
                            const FrameModel& m, const Assignments& a,
-                           const std::string& context) {
+                           const std::string& context,
+                           const test::NodeScope& scope = {}) {
   const sim::Sequence active(a.pis.begin(), a.pis.begin() + a.frames);
-  test::expect_matches_oracle(c, fault, m, active, a.state, context);
+  test::expect_matches_oracle(c, fault, m, active, a.state, context, scope);
 }
 
-/// Asserts that two models agree on every observable (pool-reuse tests).
+/// Asserts that two models agree on every observable (pool-reuse tests),
+/// comparing the cells of the nodes in `scope`.
 void expect_agree(const netlist::Circuit& c, const FrameModel& x,
-                  const FrameModel& y, const std::string& context) {
+                  const FrameModel& y, const std::string& context,
+                  const test::NodeScope& scope = {}) {
   ASSERT_EQ(x.frame_count(), y.frame_count()) << context;
   for (unsigned t = 0; t < x.frame_count(); ++t) {
     for (netlist::NodeId n = 0; n < c.node_count(); ++n) {
+      if (!test::in_scope(scope, n)) continue;
       ASSERT_EQ(x.good(t, n), y.good(t, n)) << context << " " << c.name(n);
       ASSERT_EQ(x.faulty(t, n), y.faulty(t, n)) << context << " " << c.name(n);
     }
@@ -75,14 +81,19 @@ void expect_agree(const netlist::Circuit& c, const FrameModel& x,
 /// One randomized push/backtrack session.  Pushed ops mirror DecisionStack
 /// usage: a trail mark and the assignments are recorded before each op, so
 /// backtracking restores the model via undo_to + set_frame_count and the
-/// oracle's inputs from the saved copy.
+/// oracle's inputs from the saved copy.  Non-empty `goals` runs a
+/// fault-free one-frame goal-cone model, checked on its cone.
 void run_random_session(const netlist::Circuit& c,
                         const std::optional<Fault>& fault, unsigned ops,
-                        std::uint64_t seed) {
-  FrameModel m(c, fault, kMaxFrames);
+                        std::uint64_t seed,
+                        const std::vector<netlist::NodeId>& goals = {}) {
+  const unsigned max_frames = goals.empty() ? kMaxFrames : 1;
+  const test::NodeScope scope =
+      goals.empty() ? test::NodeScope{} : test::goal_cone(c, goals);
+  FrameModel m(c, fault, max_frames, goals);
   const std::size_t npi = c.primary_inputs().size();
   const std::size_t nff = c.flip_flops().size();
-  Assignments a{sim::Sequence(kMaxFrames, sim::Vector3(npi, V3::kX)),
+  Assignments a{sim::Sequence(max_frames, sim::Vector3(npi, V3::kX)),
                 sim::State3(nff, V3::kX), 1};
 
   struct PushedOp {
@@ -94,9 +105,10 @@ void run_random_session(const netlist::Circuit& c,
   util::Rng rng(seed);
   const V3 values[3] = {V3::k0, V3::k1, V3::kX};
   const std::string base =
-      c.name() + (fault ? " fault " + fault::to_string(c, *fault)
-                        : " no-fault");
-  expect_matches_oracle(c, fault, m, a, base + " construction");
+      c.name() +
+      (fault ? " fault " + fault::to_string(c, *fault) : " no-fault") +
+      (goals.empty() ? "" : " cone of " + std::to_string(goals.size()));
+  expect_matches_oracle(c, fault, m, a, base + " construction", scope);
   for (unsigned op = 0; op < ops; ++op) {
     const std::string context = base + " op " + std::to_string(op);
     const std::uint64_t kind = rng.below(10);
@@ -109,7 +121,7 @@ void run_random_session(const netlist::Circuit& c,
       a = popped.before;
     } else {
       stack.push_back({m.trail_mark(), a});
-      if (kind < 5 && a.frames < kMaxFrames) {
+      if (kind < 5 && a.frames < max_frames) {
         ASSERT_TRUE(m.extend()) << context;
         ++a.frames;
       } else if (nff > 0 && kind < 7) {
@@ -125,14 +137,14 @@ void run_random_session(const netlist::Circuit& c,
         a.pis[frame][pi] = v;
       }
     }
-    expect_matches_oracle(c, fault, m, a, context);
+    expect_matches_oracle(c, fault, m, a, context, scope);
   }
 
   // Full unwind: the trail must restore the exact post-construction state.
   if (!stack.empty()) m.undo_to(stack.front().mark);
   m.set_frame_count(1);
-  const FrameModel fresh(c, fault, kMaxFrames);
-  expect_agree(c, m, fresh, base + " unwound");
+  const FrameModel fresh(c, fault, max_frames, goals);
+  expect_agree(c, m, fresh, base + " unwound", scope);
 }
 
 /// A spread of faults across the collapsed list of `universe` (first and
@@ -179,6 +191,29 @@ TEST(FrameModelIncr, RandomizedOpsAgreeOnAllRegistryCircuits) {
     if (const auto f = dff_pin_transition(c)) faults.push_back(*f);
     std::uint64_t seed = 17;
     for (const Fault& f : faults) run_random_session(c, f, ops, seed++);
+  }
+}
+
+TEST(FrameModelIncr, GoalConeSessionsAgreeOnAllRegistryCircuits) {
+  // Goal sets like the justifier's (flip-flop D inputs), then arbitrary
+  // nodes; duplicates may occur and must be harmless.
+  for (const std::string& name : gen::registry_names()) {
+    const auto c = gen::make_circuit(name);
+    const bool large = c.node_count() > 1500;
+    const unsigned ops = large ? 12 : 48;
+    const auto ffs = c.flip_flops();
+    util::Rng rng(0xc0e0 + c.node_count());
+    for (int set = 0; set < 3; ++set) {
+      std::vector<netlist::NodeId> goals;
+      const std::size_t count = 1 + rng.below(4);
+      for (std::size_t k = 0; k < count; ++k) {
+        goals.push_back(set < 2 && !ffs.empty()
+                            ? c.fanins(ffs[rng.below(ffs.size())])[0]
+                            : static_cast<netlist::NodeId>(
+                                  rng.below(c.node_count())));
+      }
+      run_random_session(c, std::nullopt, ops, 41 + set, goals);
+    }
   }
 }
 
@@ -267,6 +302,50 @@ TEST(FrameModelPool, ResetIsBitIdenticalToFreshConstruction) {
   reused.assign_pi(0, 0, V3::k1);
   fresh.assign_pi(0, 0, V3::k1);
   expect_agree(c, reused, fresh, "reset-vs-fresh after assign");
+}
+
+TEST(FrameModelPool, GoalConeResetIsBitIdenticalToFreshConstruction) {
+  const auto c = gen::make_circuit("g298");
+  const auto ffs = c.flip_flops();
+  ASSERT_GE(ffs.size(), 3u);
+  const std::vector<netlist::NodeId> cone_a = {c.fanins(ffs[0])[0],
+                                               c.fanins(ffs[1])[0]};
+  const std::vector<netlist::NodeId> cone_b = {c.fanins(ffs.back())[0]};
+  const std::size_t npi = c.primary_inputs().size();
+  FrameModel reused(c, std::nullopt, 1, cone_a);
+  util::Rng rng(5);
+  for (int i = 0; i < 6; ++i) {
+    reused.assign_pi(0, rng.below(npi), rng.bit() ? V3::k1 : V3::k0);
+    reused.assign_state(rng.below(ffs.size()), rng.bit() ? V3::k1 : V3::k0);
+  }
+
+  // Cone A -> cone B: equal to a fresh cone-B model on cone B.
+  reused.reset(std::nullopt, 1, cone_b);
+  FrameModel fresh_b(c, std::nullopt, 1, cone_b);
+  const test::NodeScope scope_b = test::goal_cone(c, cone_b);
+  expect_agree(c, reused, fresh_b, "cone reset-vs-fresh", scope_b);
+  EXPECT_EQ(reused.trail_mark(), 0u);
+  EXPECT_EQ(reused.stats().gate_evals, fresh_b.stats().gate_evals);
+  const std::uint64_t cone_build_evals = fresh_b.stats().gate_evals;
+  reused.assign_state(0, V3::k1);
+  fresh_b.assign_state(0, V3::k1);
+  expect_agree(c, reused, fresh_b, "cone after assign", scope_b);
+  sim::State3 state(ffs.size(), V3::kX);
+  state[0] = V3::k1;
+  test::expect_matches_oracle(c, std::nullopt, reused,
+                              sim::Sequence(1, sim::Vector3(npi, V3::kX)),
+                              state, "cone vs oracle", scope_b);
+
+  // Cone -> full: every cell is kept again.
+  reused.reset(std::nullopt, 1);
+  const FrameModel fresh_full(c, std::nullopt, 1);
+  expect_agree(c, reused, fresh_full, "full reset-vs-fresh");
+  EXPECT_EQ(reused.stats().gate_evals, fresh_full.stats().gate_evals);
+  EXPECT_LT(cone_build_evals, fresh_full.stats().gate_evals);
+  reused.assign_state(0, V3::k1);
+  test::expect_matches_oracle(c, std::nullopt, reused,
+                              sim::Sequence(1, sim::Vector3(npi, V3::kX)),
+                              state, "full vs oracle");
 }
 
 TEST(FrameModelPool, BufferCapacityRetainedAcrossShrinkGrowCycles) {

@@ -5,6 +5,7 @@
 #include "atpg/justify.h"
 #include "gen/registry.h"
 #include "gen/s27.h"
+#include "helpers/full_goal_search.h"
 #include "helpers/random_circuit.h"
 #include "helpers/model_checks.h"
 #include "helpers/reference_sim.h"
@@ -35,6 +36,53 @@ std::vector<Objective> frame_goals(const netlist::Circuit& c,
     }
   }
   return goals;
+}
+
+/// The goal nodes of `goals`: what a FrameGoalSearch restricts its model to.
+std::vector<netlist::NodeId> goal_nodes(const std::vector<Objective>& goals) {
+  std::vector<netlist::NodeId> nodes;
+  for (const Objective& g : goals) nodes.push_back(g.node);
+  return nodes;
+}
+
+/// All 26 non-trivial s27 target cubes.
+std::vector<State3> s27_cubes() {
+  std::vector<State3> cubes;
+  for (int code = 1; code < 27; ++code) {
+    State3 target(3, V3::kX);
+    for (int i = 0, k = code; i < 3; ++i, k /= 3) {
+      target[i] = k % 3 == 0 ? V3::kX : (k % 3 == 1 ? V3::k0 : V3::k1);
+    }
+    cubes.push_back(target);
+  }
+  return cubes;
+}
+
+/// `count` cubes of `c`: even trials are states reached by random
+/// simulation, odd ones random cubes (some unsatisfiable).
+std::vector<State3> sampled_cubes(const netlist::Circuit& c,
+                                  std::uint64_t seed, int count) {
+  util::Rng rng(seed);
+  const std::size_t nff = c.flip_flops().size();
+  std::vector<State3> cubes;
+  for (int trial = 0; trial < count; ++trial) {
+    State3 target(nff, V3::kX);
+    if (trial % 2 == 0) {
+      test::ReferenceSimulator ref(c);
+      for (const auto& v : test::random_sequence(c, rng, 6)) {
+        ref.apply(v);
+        ref.clock();
+      }
+      target = ref.state();
+    } else {
+      for (auto& v : target) {
+        const auto pick = rng.below(4);
+        v = pick == 0 ? V3::k0 : (pick == 1 ? V3::k1 : V3::kX);
+      }
+    }
+    cubes.push_back(target);
+  }
+  return cubes;
 }
 
 /// Verifies a justification sequence: from the all-X state, after applying
@@ -110,11 +158,12 @@ struct GoalRun {
 
 /// Enumerates up to `max_solutions` solutions of `target`'s frame goals.
 /// With `minimize`, minimized_state() runs after every solution and is
-/// checked to leave the model untouched and to equal the oracle's greedy
-/// clearing.
+/// checked to leave the model's goal cone untouched and to equal the
+/// oracle's greedy clearing.
 GoalRun enumerate_goals(const netlist::Circuit& c, const State3& target,
                         bool minimize, int max_solutions = 6) {
   const std::vector<Objective> goals = frame_goals(c, target);
+  const test::NodeScope cone = test::goal_cone(c, goal_nodes(goals));
   FrameGoalSearch search(c, goals);
   SearchStats stats;
   GoalRun r;
@@ -133,7 +182,7 @@ GoalRun enumerate_goals(const netlist::Circuit& c, const State3& target,
                                  return ref.good[0][g.node] == g.value;
                                });
           },
-          c.name() + " solution " + std::to_string(s));
+          c.name() + " solution " + std::to_string(s), cone);
     }
   }
   r.decisions = stats.decisions;
@@ -147,11 +196,7 @@ TEST(FrameGoalSearch, InPlaceMinimizationIsInvisibleToTheSearch) {
   // never minimizes does.  s27: every non-trivial target cube.
   const auto s27 = gen::make_s27();
   int solutions = 0;
-  for (int code = 1; code < 27; ++code) {
-    State3 target(3, V3::kX);
-    for (int i = 0, k = code; i < 3; ++i, k /= 3) {
-      target[i] = k % 3 == 0 ? V3::kX : (k % 3 == 1 ? V3::k0 : V3::k1);
-    }
+  for (const State3& target : s27_cubes()) {
     const GoalRun minimized = enumerate_goals(s27, target, true);
     EXPECT_EQ(minimized, enumerate_goals(s27, target, false));
     solutions += static_cast<int>(minimized.vectors.size());
@@ -161,30 +206,96 @@ TEST(FrameGoalSearch, InPlaceMinimizationIsInvisibleToTheSearch) {
   // g298: states reached by random simulation, plus random cubes (some
   // unsatisfiable, which must exhaust identically too).
   const auto c = gen::make_circuit("g298");
-  util::Rng rng(11);
-  const std::size_t nff = c.flip_flops().size();
   solutions = 0;
-  for (int trial = 0; trial < 8; ++trial) {
-    State3 target(nff, V3::kX);
-    if (trial % 2 == 0) {
-      test::ReferenceSimulator ref(c);
-      for (const auto& v : test::random_sequence(c, rng, 6)) {
-        ref.apply(v);
-        ref.clock();
-      }
-      target = ref.state();
-    } else {
-      for (auto& v : target) {
-        const auto pick = rng.below(4);
-        v = pick == 0 ? V3::k0 : (pick == 1 ? V3::k1 : V3::kX);
-      }
-    }
+  int trial = 0;
+  for (const State3& target : sampled_cubes(c, 11, 8)) {
     const GoalRun minimized = enumerate_goals(c, target, true);
     EXPECT_EQ(minimized, enumerate_goals(c, target, false))
-        << "trial " << trial;
+        << "trial " << trial++;
     solutions += static_cast<int>(minimized.vectors.size());
   }
   EXPECT_GT(solutions, 0);
+}
+
+/// One goal search, step by step: next() up to `max_solutions` times (until
+/// it stops finding solutions), minimized_state() after each solution.
+/// gate_evals is the implication effort, which the comparison leaves out.
+struct SearchTrace {
+  std::vector<FrameGoalSearch::Step> steps;
+  std::vector<sim::Sequence> vectors;
+  std::vector<State3> states;
+  long decisions = 0;
+  long backtracks = 0;
+  long gate_evals = 0;
+
+  bool operator==(const SearchTrace& o) const {
+    return steps == o.steps && vectors == o.vectors && states == o.states &&
+           decisions == o.decisions && backtracks == o.backtracks;
+  }
+};
+
+template <typename Search>
+SearchTrace trace_search(Search& search, long max_backtracks,
+                         int max_solutions = 6) {
+  SearchStats stats;
+  SearchTrace r;
+  for (int s = 0; s < max_solutions; ++s) {
+    const auto step =
+        search.next(util::Deadline::unlimited(), max_backtracks, stats);
+    r.steps.push_back(step);
+    if (step != FrameGoalSearch::Step::kSolution) break;
+    r.vectors.push_back(search.model().extract_vectors());
+    r.states.push_back(search.minimized_state());
+  }
+  r.decisions = stats.decisions;
+  r.backtracks = stats.backtracks;
+  r.gate_evals = stats.gate_evals;
+  return r;
+}
+
+/// Runs the production (goal-cone) search and the full-model oracle on
+/// `target`'s frame goals and checks they agree step for step.  Returns
+/// {cone, full} gate evaluations.
+std::pair<long, long> expect_cone_matches_full(const netlist::Circuit& c,
+                                               const State3& target,
+                                               long max_backtracks,
+                                               const std::string& context) {
+  const std::vector<Objective> goals = frame_goals(c, target);
+  FrameGoalSearch cone(c, goals);
+  test::FullModelGoalSearch full(c, goals);
+  const SearchTrace got = trace_search(cone, max_backtracks);
+  const SearchTrace want = trace_search(full, max_backtracks);
+  EXPECT_EQ(got, want) << context;
+  EXPECT_FALSE(got.steps.empty()) << context;
+  return {got.gate_evals, want.gate_evals};
+}
+
+TEST(FrameGoalSearch, GoalConeSearchMatchesFullModelSearch) {
+  // Restricting the search model to the goals' fan-in cone must change
+  // only the implication effort: steps, solutions, minimized states,
+  // decisions and backtracks equal the full-model oracle's.
+  const auto s27 = gen::make_s27();
+  for (const State3& target : s27_cubes()) {
+    expect_cone_matches_full(s27, target, 50000, "s27");
+  }
+  // The g298 trials of InPlaceMinimizationIsInvisibleToTheSearch.
+  const auto g298 = gen::make_circuit("g298");
+  int trial = 0;
+  for (const State3& target : sampled_cubes(g298, 11, 8)) {
+    expect_cone_matches_full(g298, target, 50000,
+                             "g298 trial " + std::to_string(trial++));
+  }
+  // am2910 (the hitec_lanes circuit), on a smaller backtrack budget: an
+  // aborted search must abort identically.  Each cube's cone leaves gates
+  // out, so the restricted search evaluates strictly fewer.
+  const auto am2910 = gen::make_circuit("am2910");
+  trial = 0;
+  for (const State3& target : sampled_cubes(am2910, 5, 4)) {
+    const std::string context = "am2910 trial " + std::to_string(trial++);
+    const auto [cone_evals, full_evals] =
+        expect_cone_matches_full(am2910, target, 2000, context);
+    EXPECT_LT(cone_evals, full_evals) << context;
+  }
 }
 
 TEST(FrameGoalSearch, PooledSearchDrawsOneModel) {
@@ -322,14 +433,24 @@ TEST_P(JustifyReachable, ReachedStatesAreJustified) {
   const auto c = test::make_random_circuit(spec);
   util::Rng rng(GetParam());
   test::ReferenceSimulator ref(c);
-  for (const auto& v : test::random_sequence(c, rng, 5)) {
-    ref.apply(v);
-    ref.clock();
-  }
-  const State3 reached = ref.state();
+  // At least five random vectors, then more until some flip-flop is
+  // defined; only a circuit that stays all-X for the whole bound skips.
+  constexpr int kMinPrefix = 5;
+  constexpr int kMaxPrefix = 64;
+  State3 reached;
   bool any_defined = false;
-  for (V3 v : reached) any_defined |= v != V3::kX;
-  if (!any_defined) GTEST_SKIP() << "simulation left all flip-flops X";
+  for (int step = 0; step < kMaxPrefix; ++step) {
+    ref.apply(test::random_vector(c, rng));
+    ref.clock();
+    reached = ref.state();
+    any_defined =
+        std::any_of(reached.begin(), reached.end(),
+                    [](V3 v) { return v != V3::kX; });
+    if (any_defined && step + 1 >= kMinPrefix) break;
+  }
+  if (!any_defined) {
+    GTEST_SKIP() << kMaxPrefix << " vectors left all flip-flops X";
+  }
 
   DeterministicJustifier j(c, limits());
   const auto out = j.justify(reached, util::Deadline::unlimited());
