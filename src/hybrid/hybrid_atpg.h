@@ -151,10 +151,11 @@ class HybridEngine : public session::Engine {
   const char* name() const override { return "ga-hitec"; }
   void run(session::Session& session, const session::PassConfig& pass,
            const util::Deadline& deadline) override;
-  /// One targeted fault (round-robin over the undetected set).  Returns
-  /// newly detected count (incidental detections included).
+  /// One targeted fault (round-robin over the undetected set) under the
+  /// schedule's last pass: the alternating hybrid's deterministic phase.
+  /// Returns newly detected count (incidental detections included).
   std::size_t step(session::Session& session,
-                   const util::Deadline& deadline) override;
+                   const util::Deadline& deadline);
 
   /// Snapshot hooks: the X-fill RNG stream, the stepwise cursor, and the
   /// virtual model-pool tallies/inventory (restored as baselines + prewarm

@@ -105,7 +105,8 @@ void HybridEngine::run_speculative(session::Session& s,
                                    const util::Deadline& pass_deadline,
                                    unsigned lanes) {
   session::FaultManager& fm = s.faults();
-  const unsigned window = s.config().target_parallel.resolved_window();
+  // Speculation window: faults past the committed frontier in flight at once.
+  const unsigned window = 2 * lanes;
   if (!lane_pool_) lane_pool_ = std::make_unique<util::ThreadPool>();
   lane_pool_->ensure_workers(lanes);
 

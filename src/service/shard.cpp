@@ -209,7 +209,6 @@ ShardedResult run_sharded(const netlist::Circuit& c,
     hybrid::HybridConfig& cfg = configs[s];
     cfg.seed = shard_seed(job.hybrid.seed, s);
     cfg.target_parallel.lanes = lanes;
-    cfg.target_parallel.window = job.hybrid.target_parallel.window;
 
     session::SessionConfig scfg = cfg.session_config();
     if (!job.checkpoint_path.empty()) {

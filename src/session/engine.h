@@ -2,12 +2,12 @@
 //
 // An Engine is a strategy for resolving faults against the shared session
 // substrate (FaultManager + TestSetBuilder + FaultSimulator): the GA-HITEC
-// hybrid, the deterministic HITEC baseline (the hybrid engine under a
-// deterministic-only schedule), the simulation-based GA, the deterministic
-// single-target engine, random patterns, and compositions of these (the
-// alternating hybrid).  Session::run drives one engine through a
-// PassSchedule; the stepwise interface lets composite engines interleave
-// units of work from several engines over one fault population.
+// hybrid (the HITEC baseline is the same engine under a deterministic-only
+// schedule), the simulation-based GA, random patterns, and the alternating
+// hybrid.  Session::run drives one engine through a PassSchedule.  The
+// alternating hybrid interleaves the simulation-based GA and the hybrid
+// engine through their own step() members (one GA round, one targeted
+// fault); stepping is not part of this interface.
 #pragma once
 
 #include "session/pass.h"
@@ -35,14 +35,6 @@ class Engine {
   /// reports through session.counters().
   virtual void run(Session& session, const PassConfig& pass,
                    const util::Deadline& deadline) = 0;
-
-  /// Optional stepwise interface for composition: one engine-defined unit
-  /// of work (a GA round, one targeted fault).  Returns the number of newly
-  /// detected faults.  Engines that do not support stepping return 0.
-  virtual std::size_t step(Session& /*session*/,
-                           const util::Deadline& /*deadline*/) {
-    return 0;
-  }
 
   // -- Snapshot hooks --------------------------------------------------------
   // Engine-private progress that lives outside the session substrate: RNG

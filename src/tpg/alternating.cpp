@@ -1,137 +1,9 @@
 #include "tpg/alternating.h"
 
-#include <array>
-
-#include "atpg/detengine.h"
-#include "atpg/justify.h"
+#include "netlist/depth.h"
 #include "serialize/archive.h"
 
 namespace gatpg::tpg {
-
-using sim::Sequence;
-using sim::V3;
-
-DetTargetEngine::DetTargetEngine(const netlist::Circuit& c,
-                                 const atpg::SearchLimits& limits,
-                                 util::Rng& rng)
-    : c_(c),
-      limits_(limits),
-      rng_(rng),
-      obs_dist_(atpg::share_observation_distances(c)),
-      model_pool_(c) {}
-
-std::size_t DetTargetEngine::step(session::Session& s,
-                                  const util::Deadline&) {
-  last_ = {};
-  session::FaultManager& fm = s.faults();
-  // Round-robin over unresolved faults so repeated switches make progress.
-  const std::size_t target = fm.next_undetected(next_target_);
-  if (target == fm.size()) return 0;  // everything resolved
-  last_.had_target = true;
-  next_target_ = target + 1;
-  ++s.counters().targeted;
-
-  const fault::Fault& f = fm.fault(target);
-  const auto fault_deadline =
-      util::Deadline::after_seconds(limits_.time_limit_s);
-  atpg::ForwardEngine forward(c_, f, limits_, obs_dist_, &model_pool_);
-  atpg::DeterministicJustifier justifier(c_, limits_, nullptr, &model_pool_);
-  atpg::SearchStats det_total;  // justifier stats, summed over attempts
-  bool produced = false;
-  std::size_t newly = 0;
-  for (int attempt = 0; attempt < 8 && !produced; ++attempt) {
-    const auto status = forward.next_solution(fault_deadline);
-    if (status == atpg::ForwardStatus::kUntestable) {
-      fm.mark_untestable(target);
-      last_.resolved = true;
-      break;
-    }
-    if (status != atpg::ForwardStatus::kSolved) break;
-    const auto required = forward.required_state();
-    Sequence test;
-    bool needs_state = false;
-    for (V3 v : required) needs_state |= v != V3::kX;
-    if (needs_state) {
-      const auto just = justifier.justify(required, fault_deadline);
-      const atpg::SearchStats& js = justifier.stats();
-      det_total.decisions += js.decisions;
-      det_total.backtracks += js.backtracks;
-      det_total.gate_evals += js.gate_evals;
-      det_total.events += js.events;
-      if (just.status != atpg::DeterministicJustifier::Status::kJustified) {
-        continue;
-      }
-      test = just.sequence;
-    }
-    const auto vectors = forward.vectors();
-    test.insert(test.end(), vectors.begin(), vectors.end());
-    for (auto& v : test) {
-      for (auto& bit : v) {
-        if (bit == V3::kX) bit = rng_.bit() ? V3::k1 : V3::k0;
-      }
-    }
-    if (!s.simulator().would_detect(target, test)) continue;
-    newly = s.commit_test(std::move(test));
-    fm.absorb_detections(s.simulator().detected());
-    produced = true;
-    last_.resolved = true;
-    ++s.counters().committed_tests;
-  }
-
-  // Deterministic-engine effort accounting (per fault and cumulative).
-  const atpg::SearchStats& fs = forward.stats();
-  session::TargetEffort effort;
-  effort.fault_index = target;
-  effort.decisions = fs.decisions + det_total.decisions;
-  effort.backtracks = fs.backtracks + det_total.backtracks;
-  effort.gate_evals = fs.gate_evals + det_total.gate_evals;
-  effort.events = fs.events + det_total.events;
-  session::EngineCounters& counters = s.counters();
-  counters.det_decisions += effort.decisions;
-  counters.det_backtracks += effort.backtracks;
-  counters.det_gate_evals += effort.gate_evals;
-  counters.det_events += effort.events;
-  // Absolute pool tallies (not deltas): pool reuse keeps constructions at
-  // a handful per session instead of one per targeted fault.  The resume
-  // baselines continue a checkpointed run's totals (zero otherwise).
-  counters.det_model_builds =
-      pool_builds_base_ + static_cast<long>(model_pool_.constructions());
-  counters.det_model_acquires =
-      pool_acquires_base_ + static_cast<long>(model_pool_.acquires());
-  if (s.observer()) s.observer()->on_target_end(s, effort);
-  return newly;
-}
-
-void DetTargetEngine::run(session::Session& s, const session::PassConfig&,
-                          const util::Deadline& deadline) {
-  while (!deadline.expired() && !s.stop_requested()) {
-    step(s, deadline);
-    if (!last_.had_target) break;
-    s.checkpoint_tick();  // one targeted fault = one unit of work
-  }
-}
-
-void DetTargetEngine::save_state(serialize::Writer& w) const {
-  for (const std::uint64_t word : rng_.state_words()) w.u64(word);
-  w.u64(next_target_);
-  w.i64(pool_builds_base_ + static_cast<long>(model_pool_.constructions()));
-  w.i64(pool_acquires_base_ + static_cast<long>(model_pool_.acquires()));
-  w.u64(model_pool_.inventory());
-}
-
-void DetTargetEngine::load_state(serialize::Reader& r) {
-  std::array<std::uint64_t, 4> words;
-  for (std::uint64_t& word : words) word = r.u64();
-  rng_.set_state_words(words);
-  next_target_ = static_cast<std::size_t>(r.u64());
-  pool_builds_base_ = static_cast<long>(r.i64());
-  pool_acquires_base_ = static_cast<long>(r.i64());
-  // Rebuild the checkpointed inventory without counting, so post-resume
-  // construction only happens where the uninterrupted pool would also grow.
-  model_pool_.prewarm(static_cast<std::size_t>(r.u64()));
-  pool_builds_base_ -= static_cast<long>(model_pool_.constructions());
-  pool_acquires_base_ -= static_cast<long>(model_pool_.acquires());
-}
 
 namespace {
 SimGenConfig make_sim_config(const AlternatingConfig& config) {
@@ -143,15 +15,32 @@ SimGenConfig make_sim_config(const AlternatingConfig& config) {
   sim_config.seed = config.seed;
   return sim_config;
 }
+
+/// The deterministic phase's engine config: one deterministic pass at the
+/// `det_limits` time and backtrack caps, at most 8 forward solutions per
+/// target, state store off.
+hybrid::HybridConfig make_det_config(const AlternatingConfig& config) {
+  session::PassConfig pass;
+  pass.mode = session::JustifyMode::kDeterministic;
+  pass.time_limit_s = config.det_limits.time_limit_s;
+  pass.max_backtracks = config.det_limits.max_backtracks;
+  hybrid::HybridConfig det_config;
+  det_config.schedule.passes = {pass};
+  det_config.max_forward_frames = config.det_limits.max_forward_frames;
+  det_config.max_justify_depth = config.det_limits.max_justify_depth;
+  det_config.max_solutions_per_fault = 8;
+  return det_config;
+}
 }  // namespace
 
 AlternatingEngine::AlternatingEngine(const netlist::Circuit& c,
                                      const AlternatingConfig& config)
     : config_(config),
       sim_config_(make_sim_config(config)),
+      det_config_(make_det_config(config)),
       rng_(config.seed ^ 0xfeedULL),
       simgen_(c, sim_config_),
-      det_(c, config_.det_limits, rng_) {}
+      det_(c, det_config_, netlist::sequential_depth(c), rng_) {}
 
 void AlternatingEngine::run(session::Session& s, const session::PassConfig&,
                             const util::Deadline& deadline) {
@@ -174,14 +63,15 @@ void AlternatingEngine::run(session::Session& s, const session::PassConfig&,
       barren_rounds_ = newly == 0 ? barren_rounds_ + 1 : 0;
       s.checkpoint_tick();  // one committed GA round = one unit of work
     }
-    if (deadline.expired() || s.stop_requested()) break;
+    if (deadline.expired() || s.stop_requested() || fm.all_resolved()) break;
     barren_rounds_ = 0;
 
     // --- Deterministic phase: one targeted fault --------------------------
+    // The target is resolved if it (or anything else) left the undetected
+    // set: detected, incidentally detected, or proven untestable.
+    const std::size_t unresolved = fm.undetected_count();
     det_.step(s, deadline);
-    const DetTargetEngine::Outcome& outcome = det_.last_outcome();
-    if (!outcome.had_target) break;  // everything resolved
-    det_failures_ = outcome.resolved ? 0 : det_failures_ + 1;
+    det_failures_ = fm.undetected_count() < unresolved ? 0 : det_failures_ + 1;
     s.checkpoint_tick();  // one targeted fault = one unit of work
   }
 }

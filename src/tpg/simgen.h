@@ -60,7 +60,7 @@ class SimGenEngine : public session::Engine {
   /// One GA round: evolves a sequence against a sample of the undropped
   /// faults and commits the best.  Returns the newly detected count.
   std::size_t step(session::Session& session,
-                   const util::Deadline& deadline) override;
+                   const util::Deadline& deadline);
 
   /// Snapshot hooks: the sampling RNG stream, the per-round GA seed
   /// counter, and the stagnation counter (hoisted out of run()'s locals so

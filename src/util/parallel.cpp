@@ -18,11 +18,6 @@ unsigned TargetParallelConfig::resolved_lanes() const {
   return hw == 0 ? 1 : hw;
 }
 
-unsigned TargetParallelConfig::resolved_window() const {
-  if (window != 0) return window;
-  return 2 * resolved_lanes();
-}
-
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -52,15 +52,8 @@ struct TargetParallelConfig {
   /// 0 = one lane per hardware thread; N > 1 = N lanes.
   unsigned lanes = 1;
 
-  /// Speculation window: how many faults past the committed frontier may be
-  /// in flight at once.  0 = 2 * resolved lanes.
-  unsigned window = 0;
-
   /// The effective lane count (0 resolved to hardware_concurrency).
   unsigned resolved_lanes() const;
-
-  /// The effective window (0 resolved to 2 * resolved_lanes()).
-  unsigned resolved_window() const;
 };
 
 /// A persistent pool of worker threads.  Tasks are arbitrary callables;

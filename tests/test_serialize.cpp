@@ -22,6 +22,7 @@
 #include "session/session.h"
 #include "session/test_set_builder.h"
 #include "state/state_store.h"
+#include "tpg/alternating.h"
 #include "util/fields.h"
 #include "util/rng.h"
 
@@ -672,6 +673,72 @@ TEST_P(KillResume, MidPassCheckpointResumesBitIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, KillResume, ::testing::Values(1u, 4u));
+
+// The alternating hybrid's snapshot hooks (phase counters, the GA engine's
+// streams, the deterministic engine's cursor, X-fill RNG and pool tallies):
+// g386 stopped after a GA round or a deterministic target and resumed into
+// a fresh session and engine finishes bit-identical to the uninterrupted
+// run.  The config binds no wall clock, so both runs are pure functions of
+// it, and its tiny GA leaves testable faults to the deterministic phase, so
+// X-fill draws happen both before and after the stops.
+class AlternatingKillResume : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(AlternatingKillResume, MidRunCheckpointResumesBitIdentical) {
+  const netlist::Circuit c = gen::make_circuit("g386");
+  tpg::AlternatingConfig cfg;
+  cfg.population = 8;
+  cfg.generations = 1;
+  cfg.sequence_length = 2;
+  cfg.fault_sample = 8;
+  cfg.switch_after = 1;
+  cfg.time_limit_s = 1000.0;
+  cfg.det_limits.time_limit_s = 1000.0;
+  cfg.det_limits.max_backtracks = 300;
+  cfg.det_failures_to_stop = 4;
+  cfg.seed = 9;
+  cfg.faultsim.parallel.threads = GetParam();
+  const session::PassSchedule schedule =
+      session::PassSchedule::single(cfg.time_limit_s);
+  session::SessionConfig scfg;
+  scfg.faultsim = cfg.faultsim;
+
+  session::SessionResult reference;
+  {
+    session::Session s(c, scfg);
+    tpg::AlternatingEngine engine(c, cfg);
+    reference = s.run(engine, schedule);
+  }
+  ASSERT_GT(reference.counters.targeted, 0);
+
+  // Tick 1 is the first GA round; ticks 400 and 401 fall in the
+  // alternation, one after a GA round and one after a deterministic target.
+  for (const long stop : {1L, 400L, 401L}) {
+    SCOPED_TRACE("stop tick " + std::to_string(stop));
+    const std::string snap = testing::TempDir() + "alt_kr_t" +
+                             std::to_string(GetParam()) + ".snap";
+    std::remove(snap.c_str());
+    {
+      session::SessionConfig stopping = scfg;
+      stopping.checkpoint.path = snap;
+      stopping.checkpoint.stop_after_ticks = stop;
+      session::Session s(c, stopping);
+      tpg::AlternatingEngine engine(c, cfg);
+      s.run(engine, schedule);
+    }
+    std::FILE* f = std::fopen(snap.c_str(), "rb");
+    ASSERT_NE(f, nullptr) << "the stop never fired";
+    std::fclose(f);
+
+    session::Session resumed(c, scfg);
+    tpg::AlternatingEngine engine(c, cfg);
+    resumed.resume(snap, engine);
+    expect_identical(reference, resumed.run(engine, schedule));
+    std::remove(snap.c_str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, AlternatingKillResume,
+                         ::testing::Values(1u, 4u));
 
 }  // namespace
 }  // namespace gatpg

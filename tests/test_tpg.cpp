@@ -136,27 +136,49 @@ TEST(Alternating, ResolvesS27Completely) {
   EXPECT_EQ(fault::grade_sequence(c, r.test_set).detected, r.detected());
 }
 
+/// The AlternatingG386 golden's config (test_session.cpp): a small GA and no
+/// binding wall-clock limit.  The deterministic phase is capped by
+/// backtracks only, so the run is a pure function of the config.
+AlternatingConfig bounded_g386_config() {
+  AlternatingConfig cfg;
+  cfg.population = 16;
+  cfg.generations = 2;
+  cfg.sequence_length = 12;
+  cfg.fault_sample = 16;
+  cfg.switch_after = 1;
+  cfg.time_limit_s = 1000.0;
+  cfg.det_limits.time_limit_s = 1000.0;
+  cfg.det_limits.max_backtracks = 300;
+  cfg.det_failures_to_stop = 4;
+  cfg.seed = 9;
+  return cfg;
+}
+
 TEST(Alternating, SwitchesToDeterministicPhase) {
   // g386's redundancy starves the GA quickly; the deterministic phase must
   // get invoked.
   const auto c = gen::make_circuit("g386");
-  AlternatingConfig cfg;
-  cfg.switch_after = 1;
-  cfg.time_limit_s = 3.0;
-  cfg.det_limits.time_limit_s = 0.05;
-  const auto r = alternating_hybrid_generate(c, cfg);
+  const auto r = alternating_hybrid_generate(c, bounded_g386_config());
   EXPECT_GT(r.counters.targeted, 0);
 }
 
 TEST(Alternating, UntestableClaimsConsistentWithGrading) {
   const auto c = gen::make_circuit("g386");
-  AlternatingConfig cfg;
-  cfg.switch_after = 1;
-  cfg.time_limit_s = 3.0;
-  cfg.det_limits.time_limit_s = 0.05;
-  const auto r = alternating_hybrid_generate(c, cfg);
-  // No fault can be both untestable and detected.
+  const auto r = alternating_hybrid_generate(c, bounded_g386_config());
   EXPECT_LE(r.detected() + r.untestable(), r.total_faults);
+  // Independent grading of the run's own test set detects none of the
+  // faults it claims untestable.
+  const auto faults = fault::collapse(c).faults;
+  ASSERT_EQ(r.fault_state.size(), faults.size());
+  std::vector<fault::Fault> claimed;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (r.fault_state[i] == session::FaultStatus::kUntestable) {
+      claimed.push_back(faults[i]);
+    }
+  }
+  EXPECT_EQ(claimed.size(), r.untestable());
+  EXPECT_GT(claimed.size(), 0u);
+  EXPECT_EQ(fault::grade_sequence(c, claimed, r.test_set).detected, 0u);
 }
 
 }  // namespace
