@@ -473,26 +473,13 @@ class FrameModelPool {
   std::size_t outstanding() const { return outstanding_; }
 
   /// Resets the peak-outstanding watermark; subsequent acquires raise it
-  /// again.  The speculative targeting layer brackets each fault with
+  /// again.  HybridEngine brackets each target with
   /// begin_peak_window()/peak_outstanding() to account pool demand in a
   /// lane-count-independent way.
   void begin_peak_window() { peak_outstanding_ = outstanding_; }
 
   /// Highest outstanding() seen since the last begin_peak_window().
   std::size_t peak_outstanding() const { return peak_outstanding_; }
-
-  /// Pre-builds free models until the inventory reaches `inventory` —
-  /// snapshot resume recreates a checkpointed pool's inventory this way so
-  /// subsequent demand grows (or not) exactly like the uninterrupted run's
-  /// pool.  Deliberately moves neither constructions() nor acquires(): the
-  /// resumed engine continues the checkpointed tallies, and inventory
-  /// rebuilds are not new work.
-  void prewarm(std::size_t inventory) {
-    while (all_.size() < inventory) {
-      all_.push_back(std::make_unique<FrameModel>(circuit_, std::nullopt, 1u));
-      free_.push_back(all_.back().get());
-    }
-  }
 
  private:
   friend class FrameModelHandle;

@@ -63,10 +63,14 @@ TargetResult HybridEngine::solve_target(const fault::Fault& f,
           ? config_.max_justify_depth
           : std::clamp(4 * std::max(1u, depth_), 8u, 64u);
 
+  // Pool demand of this target: every model it acquires is released by its
+  // end, so its peak is what a serial pool must hold at once.
+  fx.pool->begin_peak_window();
+  const std::uint64_t acquires_before = fx.pool->acquires();
+
   ForwardEngine forward(c_, f, limits, obs_dist_, fx.pool);
   const GaStateJustifier ga_justifier(c_);
-  atpg::DeterministicJustifier det_justifier(
-      c_, limits, fx.store->enabled() ? fx.store : nullptr, fx.pool);
+  atpg::DeterministicJustifier det_justifier(c_, limits, fx.store, fx.pool);
   // DeterministicJustifier resets its stats per justify() call; accumulate
   // them here across the attempt loop.
   atpg::SearchStats det_total;
@@ -88,6 +92,9 @@ TargetResult HybridEngine::solve_target(const fault::Fault& f,
   fx.counters->det_backtracks += result.effort.backtracks;
   fx.counters->det_gate_evals += result.effort.gate_evals;
   fx.counters->det_events += result.effort.events;
+  fx.counters->det_model_acquires +=
+      static_cast<long>(fx.pool->acquires() - acquires_before);
+  result.pool_peak = fx.pool->peak_outstanding();
   return result;
 }
 
@@ -108,20 +115,18 @@ TargetOutcome HybridEngine::target_fault(session::Session& s,
   fx.deadline = &deadline;
   fx.ga_parallel = config_.parallel;
 
-  model_pool_.begin_peak_window();
-  const std::uint64_t acquires_before = model_pool_.acquires();
   TargetResult result =
       solve_target(s.faults().fault(fault_index), fault_index, pass, fx);
+  return commit_target(s, result);
+}
 
-  // Commit: extend the session test set and drop everything it detects.
+TargetOutcome HybridEngine::commit_target(session::Session& s,
+                                          TargetResult& result) {
   if (result.outcome.detected) s.commit_test(std::move(result.candidate));
-
-  fold_pool_window(model_pool_.acquires() - acquires_before,
-                   model_pool_.peak_outstanding());
-  // Absolute pool tallies (not deltas): ≤ a handful of constructions per
-  // session is the pool-reuse invariant bench_detengine asserts.  The
-  // resume baselines are zero except after load_state.
-  mirror_pool_counters(s.counters());
+  // A serial pool builds a model only when a target holds more at once than
+  // any target before it, so its construction count is the running max.
+  long& builds = s.counters().det_model_builds;
+  builds = std::max(builds, static_cast<long>(result.pool_peak));
   if (s.observer()) s.observer()->on_target_end(s, result.effort);
   return result.outcome;
 }
@@ -135,7 +140,6 @@ TargetOutcome HybridEngine::attempt_solutions(
   TargetOutcome outcome;
   const util::Deadline& deadline = *fx.deadline;
   state::StateStore& store = *fx.store;
-  const bool use_store = store.enabled();
 
   // True while every justification failure so far was a completed proof of
   // unjustifiability; together with forward exhaustion this upgrades
@@ -150,7 +154,7 @@ TargetOutcome HybridEngine::attempt_solutions(
     State3 required;
     Sequence vectors;
     bool from_cache = false;
-    if (use_store && attempt == 0) {
+    if (attempt == 0) {
       // Satellite: the target's first excitation/propagation solution (and
       // its desired state) is computed once and reused across the per-pass
       // retry loop — the excitation state of a fault does not change
@@ -192,7 +196,7 @@ TargetOutcome HybridEngine::attempt_solutions(
       // kSolved.
       required = forward.required_state();
       vectors = forward.vectors();
-      if (use_store && !store.cached_forward(fault_index)) {
+      if (!store.cached_forward(fault_index)) {
         store.cache_forward(fault_index, vectors, required);
       }
     }
@@ -220,17 +224,13 @@ TargetOutcome HybridEngine::attempt_solutions(
         justified = true;
         ++fx.counters->no_justification_needed;
       } else {
-        bool proven_impossible = false;
+        // A stored proof: the rejection counts toward untestability exactly
+        // like a completed deterministic exhaustion, so
+        // all_rejections_proven stays true.
+        const bool proven_impossible = store.known_unjustifiable(required);
         std::optional<Sequence> cached;
-        if (use_store) {
-          if (store.known_unjustifiable(required)) {
-            // A stored proof: the rejection counts toward untestability
-            // exactly like a completed deterministic exhaustion, so
-            // all_rejections_proven stays true.
-            proven_impossible = true;
-          } else {
-            cached = store.lookup_justified(f, required, required, current);
-          }
+        if (!proven_impossible) {
+          cached = store.lookup_justified(f, required, required, current);
         }
         if (cached) {
           justification = std::move(*cached);
@@ -248,19 +248,17 @@ TargetOutcome HybridEngine::attempt_solutions(
           ga_config.parallel = fx.ga_parallel;
           ga_config.seed = config_.seed ^ (0x9e3779b9ULL * (fault_index + 1)) ^
                            (attempt << 20);
-          if (use_store) {
-            const std::size_t max_seeds = static_cast<std::size_t>(
-                store.config().ga_seed_fraction * pass.ga_population);
-            ga_config.seeds = store.seed_sequences(required, max_seeds);
-          }
+          const std::size_t max_seeds = static_cast<std::size_t>(
+              store.config().ga_seed_fraction * pass.ga_population);
+          ga_config.seeds = store.seed_sequences(required, max_seeds);
           const GaJustifyResult ga = ga_justifier.justify(
               f, required, required, current, ga_config, deadline);
           if (ga.success) {
             ++fx.counters->ga_successes;
-            if (use_store) store.record_justified(required, ga.sequence);
+            store.record_justified(required, ga.sequence);
             justification = ga.sequence;
             justified = true;
-          } else if (use_store && !ga.sequence.empty()) {
+          } else if (!ga.sequence.empty()) {
             // Satellite: the best individual's sequence is a near miss for
             // this cube; a later (bigger) GA pass hunting it resumes here.
             store.record_near_miss(required, ga.sequence);
@@ -269,10 +267,8 @@ TargetOutcome HybridEngine::attempt_solutions(
         }
       }
     } else {
-      std::optional<Sequence> cached;
-      if (use_store) {
-        cached = store.lookup_justified(f, required, required, fx.good_state);
-      }
+      std::optional<Sequence> cached =
+          store.lookup_justified(f, required, required, fx.good_state);
       if (cached) {
         justification = std::move(*cached);
         justified = true;
@@ -286,7 +282,7 @@ TargetOutcome HybridEngine::attempt_solutions(
         det_total.events += ds.events;
         if (det.status == atpg::DeterministicJustifier::Status::kJustified) {
           ++fx.counters->det_justify_successes;
-          if (use_store) store.record_justified(required, det.sequence);
+          store.record_justified(required, det.sequence);
           justification = det.sequence;
           justified = true;
         } else if (det.status ==
@@ -349,41 +345,6 @@ void HybridEngine::resolve_target(session::Session& s, std::size_t fault_index,
   s.faults().absorb_detections(s.simulator().detected());
 }
 
-void HybridEngine::run(session::Session& s, const session::PassConfig& pass,
-                       const util::Deadline& pass_deadline) {
-  // Speculative lanes only for passes bounded by backtracks alone: a
-  // wall-clock limit makes each target's outcome timing-dependent, which
-  // speculation cannot replay bit-identically, so those passes stay serial
-  // (see DESIGN.md §4j).
-  const unsigned lanes = s.config().target_parallel.resolved_lanes();
-  if (lanes > 1 && pass.time_limit_s <= 0 && pass.pass_budget_s <= 0) {
-    run_speculative(s, pass, pass_deadline, lanes);
-    return;
-  }
-  session::FaultManager& fm = s.faults();
-  // The pass cursor lives in the FaultManager so a mid-pass checkpoint
-  // resumes the ascending scan at the exact next target; begin_pass()
-  // rewinds it, so an uninterrupted pass scans from 0 as before.
-  for (std::size_t i = fm.pass_cursor(); i < fm.size(); ++i) {
-    if (pass_deadline.expired() || s.stop_requested()) break;
-    if (fm.status(i) != FaultStatus::kUndetected) {
-      fm.set_pass_cursor(i + 1);
-      continue;
-    }
-    if (s.simulator().detected()[i]) {
-      // Incidentally detected by an earlier test.
-      fm.mark_detected(i);
-      fm.set_pass_cursor(i + 1);
-      continue;
-    }
-    resolve_target(s, i, target_fault(s, i, pass));
-    fm.set_pass_cursor(i + 1);
-    // One fully-completed unit of work: statuses applied, detections
-    // absorbed, cursor advanced — a consistent checkpoint point.
-    s.checkpoint_tick();
-  }
-}
-
 std::size_t HybridEngine::step(session::Session& s,
                                const util::Deadline& deadline) {
   session::FaultManager& fm = s.faults();
@@ -407,9 +368,6 @@ std::size_t HybridEngine::step(session::Session& s,
 void HybridEngine::save_state(serialize::Writer& w) const {
   for (const std::uint64_t word : rng_.state_words()) w.u64(word);
   w.u64(next_target_);
-  w.i64(pool_builds_base_ + virt_builds_);
-  w.i64(pool_acquires_base_ + virt_acquires_);
-  w.u64(virt_inventory_);
 }
 
 void HybridEngine::load_state(serialize::Reader& r) {
@@ -417,26 +375,30 @@ void HybridEngine::load_state(serialize::Reader& r) {
   for (std::uint64_t& word : words) word = r.u64();
   rng_.set_state_words(words);
   next_target_ = r.u64();
-  pool_builds_base_ = static_cast<long>(r.i64());
-  pool_acquires_base_ = static_cast<long>(r.i64());
-  // The checkpointed totals become the baselines; the virtual tallies
-  // restart at zero against the checkpointed inventory, so post-resume
-  // demand only counts builds where the uninterrupted run would have.
-  // The real pool is prewarmed (uncounted) to the same inventory so its
-  // behavior matches the accounting.
-  virt_builds_ = 0;
-  virt_acquires_ = 0;
-  virt_inventory_ = r.u64();
-  model_pool_.prewarm(virt_inventory_);
+}
+
+void prefilter_untestable(session::Session& s) {
+  const netlist::Circuit& c = s.circuit();
+  SearchLimits pre;
+  pre.max_backtracks = kPrefilterBacktracks;
+  pre.max_forward_frames = 4;
+  const auto obs_dist = atpg::share_observation_distances(c);
+  atpg::FrameModelPool pool(c);
+  session::FaultManager& fm = s.faults();
+  for (std::size_t i = 0; i < fm.size(); ++i) {
+    ForwardEngine fe(c, fm.fault(i), pre, obs_dist, &pool);
+    if (fe.next_solution(util::Deadline::unlimited()) ==
+        ForwardStatus::kUntestable) {
+      fm.mark_untestable(i);
+    }
+  }
 }
 
 HybridAtpg::HybridAtpg(const netlist::Circuit& c, HybridConfig config)
     : c_(c),
       config_(std::move(config)),
       faults_(fault::collapse(c, config_.fault_model)),
-      depth_(config_.sequential_depth_override
-                 ? config_.sequential_depth_override
-                 : netlist::sequential_depth(c)),
+      depth_(netlist::sequential_depth(c)),
       rng_(config_.seed) {}
 
 session::SessionConfig HybridConfig::session_config() const {
@@ -453,22 +415,7 @@ session::SessionResult HybridAtpg::run(session::ProgressObserver* observer) {
   session::Session s(c_, faults_, config_.session_config());
   s.set_observer(observer);
 
-  if (config_.prefilter_untestable) {
-    SearchLimits pre;
-    pre.time_limit_s = config_.prefilter_time_s;
-    pre.max_backtracks = config_.prefilter_backtracks;
-    pre.max_forward_frames = 4;
-    const auto obs_dist = atpg::share_observation_distances(c_);
-    atpg::FrameModelPool pre_pool(c_);
-    for (std::size_t i = 0; i < faults_.size(); ++i) {
-      ForwardEngine fe(c_, faults_.faults[i], pre, obs_dist, &pre_pool);
-      const auto st =
-          fe.next_solution(util::Deadline::after_seconds(pre.time_limit_s));
-      if (st == ForwardStatus::kUntestable) {
-        s.faults().mark_untestable(i);
-      }
-    }
-  }
+  if (config_.prefilter_untestable) prefilter_untestable(s);
 
   HybridEngine engine(c_, config_, depth_, rng_);
   return s.run(engine, config_.schedule);

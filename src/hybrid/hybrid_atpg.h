@@ -46,8 +46,6 @@ struct HybridConfig {
   /// Fault universe the generator targets (stuck-at by default; transition
   /// faults run the same Fig. 1 loop over two-frame launch/capture tests).
   fault::FaultUniverse fault_model = fault::FaultUniverse::kStuckAt;
-  /// 0 = compute from the circuit (netlist::sequential_depth).
-  unsigned sequential_depth_override = 0;
   /// Propagation window; 0 = auto (clamped, see implementation).
   unsigned max_forward_frames = 0;
   /// Reverse-time depth; 0 = auto.
@@ -68,19 +66,16 @@ struct HybridConfig {
   /// which overrides faultsim.parallel so one knob sizes every pool).
   fault::FaultSimConfig faultsim;
   /// Conclusion-section option: cheap combinational-exhaustion prescreen
-  /// that marks easy untestables before pass 1 (bench_prefilter).
+  /// that marks easy untestables before pass 1 (prefilter_untestable()
+  /// below; bench_prefilter).
   bool prefilter_untestable = false;
-  double prefilter_time_s = 0.02;
-  long prefilter_backtracks = 200;
   /// Cross-fault state-knowledge layer (justified-sequence cache,
   /// unjustifiable-cube proofs, GA seeding, forward-solution reuse).
-  /// Disabled by default; disabled runs are bit-identical to the
-  /// store-free code path.
+  /// Disabled by default; a disabled store is inert.
   state::StateStoreConfig state_store;
   /// Speculative per-fault targeting lanes (see DESIGN.md §4j).  Only
   /// engaged for passes without wall-clock limits (time_limit_s and
-  /// pass_budget_s both <= 0); results are bit-identical to serial at any
-  /// lane count.
+  /// pass_budget_s both <= 0); results are bit-identical at any lane count.
   util::TargetParallelConfig target_parallel;
 
   /// The session-layer config a run over this config uses: fault model,
@@ -121,11 +116,14 @@ struct TargetOutcome {
 };
 
 /// A solved target, not yet committed: the outcome, the per-fault effort
-/// row, and (when detected) the candidate test awaiting commit_test.
+/// row, (when detected) the candidate test awaiting commit_test, and the
+/// most FrameModels the solve held at once (folded into
+/// EngineCounters::det_model_builds by max at commit).
 struct TargetResult {
   TargetOutcome outcome;
   session::TargetEffort effort;
   sim::Sequence candidate;
+  std::size_t pool_peak = 0;
 };
 
 /// Speculation-efficiency counters of the target-parallel scheduler.
@@ -157,14 +155,13 @@ class HybridEngine : public session::Engine {
   std::size_t step(session::Session& session,
                    const util::Deadline& deadline);
 
-  /// Snapshot hooks: the X-fill RNG stream, the stepwise cursor, and the
-  /// virtual model-pool tallies/inventory (restored as baselines + prewarm
-  /// so the mirrored absolute counters continue the checkpointed totals).
+  /// Snapshot hooks: the X-fill RNG stream and the stepwise cursor.
   void save_state(serialize::Writer& w) const override;
   void load_state(serialize::Reader& r) override;
 
   /// Solves one fault against the given facilities without touching any
-  /// session or engine state: every read and write goes through `fx`.
+  /// session or engine state: every read and write goes through `fx`
+  /// (including the target's det_model_acquires into fx.counters).
   /// Serial targeting and the speculative lanes share this exact code, so
   /// a lane's answer from snapshot state equals the serial answer whenever
   /// the snapshot still matches the committed state.
@@ -177,9 +174,20 @@ class HybridEngine : public session::Engine {
   const SpecStats& spec_stats() const { return spec_stats_; }
 
  private:
+  /// The speculative lanes of one pass (src/hybrid/target_parallel.cpp):
+  /// lanes solve faults ahead of the committed frontier; results commit
+  /// strictly in fault order and only when their launch epoch is current.
+  class Lanes;
+
+  /// Solves one fault against the live session and commits it.
   TargetOutcome target_fault(session::Session& session,
                              std::size_t fault_index,
                              const session::PassConfig& pass);
+  /// The one commit point of a solved target, serial or speculative:
+  /// extends the test set, raises det_model_builds to the target's pool
+  /// peak, and fires on_target_end.
+  TargetOutcome commit_target(session::Session& session,
+                              TargetResult& result);
   /// The Fig. 1 attempt loop of solve_target; `det_total` accumulates the
   /// deterministic justifier's per-call SearchStats across attempts and
   /// `candidate` receives the verified test on detection.
@@ -194,33 +202,8 @@ class HybridEngine : public session::Engine {
                                   sim::Sequence& candidate) const;
   void resolve_target(session::Session& session, std::size_t fault_index,
                       const TargetOutcome& outcome);
-  /// Speculative scheduler (src/hybrid/target_parallel.cpp): lanes solve
-  /// faults ahead of the committed frontier; results commit strictly in
-  /// fault order and only when their launch epoch is still current.
-  void run_speculative(session::Session& session,
-                       const session::PassConfig& pass,
-                       const util::Deadline& pass_deadline, unsigned lanes);
   static void fill_x(sim::Sequence& seq, util::Rng& rng);
   unsigned ga_sequence_length(const session::PassConfig& pass) const;
-
-  /// Folds one target's pool demand (acquire count and peak concurrently
-  /// checked-out models) into the virtual tallies.  In serial mode this
-  /// reproduces the real pool's constructions()/acquires() exactly (a
-  /// target's models are all released by its end, so the pool constructs
-  /// precisely when the target's peak exceeds the inventory so far); in
-  /// lane mode it reproduces what the serial pool *would* have tallied,
-  /// keeping the mirrored counters lane-count-invariant.
-  void fold_pool_window(std::uint64_t acquires_delta, std::size_t peak) {
-    virt_acquires_ += static_cast<long>(acquires_delta);
-    if (peak > virt_inventory_) {
-      virt_builds_ += static_cast<long>(peak - virt_inventory_);
-      virt_inventory_ = peak;
-    }
-  }
-  void mirror_pool_counters(session::EngineCounters& counters) const {
-    counters.det_model_builds = pool_builds_base_ + virt_builds_;
-    counters.det_model_acquires = pool_acquires_base_ + virt_acquires_;
-  }
 
   const netlist::Circuit& c_;
   const HybridConfig& config_;
@@ -230,20 +213,9 @@ class HybridEngine : public session::Engine {
   atpg::ObsDistances obs_dist_;
   /// FrameModel pool shared by every per-fault ForwardEngine and
   /// DeterministicJustifier on the committer thread: per-target model
-  /// construction becomes a reset-and-reuse.  Lanes use their own pools;
-  /// the counters mirror the *virtual* tallies below, which are identical
-  /// in both modes.
+  /// construction becomes a reset-and-reuse.  Lanes use their own pools.
   atpg::FrameModelPool model_pool_;
   std::size_t next_target_ = 0;  // stepwise round-robin cursor
-  /// Checkpointed pool tallies carried across a resume: the mirrored
-  /// counters report base + the virtual tallies, so a resumed engine
-  /// continues the uninterrupted totals (zero for a never-resumed engine).
-  long pool_builds_base_ = 0;
-  long pool_acquires_base_ = 0;
-  /// Virtual pool accounting (see fold_pool_window).
-  long virt_builds_ = 0;
-  long virt_acquires_ = 0;
-  std::size_t virt_inventory_ = 0;
   /// Worker pool for the speculative lanes, created on first parallel pass.
   /// Engine-owned rather than util::shared_pool(): commits run
   /// parallel_for_chunks (fault sim) on the shared pool, and lane tasks
@@ -251,6 +223,17 @@ class HybridEngine : public session::Engine {
   std::unique_ptr<util::ThreadPool> lane_pool_;
   SpecStats spec_stats_;
 };
+
+/// Bound of the prefilter's per-fault search; with no wall clock, the
+/// prefilter's verdicts are a pure function of the circuit and fault list.
+inline constexpr long kPrefilterBacktracks = 200;
+
+/// Conclusion-section prescreen: one four-frame excitation/propagation
+/// search per fault of `session` (kPrefilterBacktracks backtracks, no wall
+/// clock) marks the faults it proves untestable.  Both HybridAtpg::run and
+/// service::run_sharded apply it when HybridConfig::prefilter_untestable is
+/// set.
+void prefilter_untestable(session::Session& session);
 
 class HybridAtpg {
  public:

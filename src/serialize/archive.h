@@ -36,8 +36,10 @@ namespace gatpg::serialize {
 /// short-lived checkpoint artifacts, not a long-term interchange format).
 /// Version history: 1 = original session snapshot; 2 = fault-model axis
 /// (IDNT carries the session's FaultUniverse); 3 = IDNT drops the fault-sim
-/// group width; 4 = IDNT drops the fault-sim engine choice (one engine).
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// group width; 4 = IDNT drops the fault-sim engine choice (one engine);
+/// 5 = the hybrid engine payload drops its model-pool ledger (the pool
+/// tallies live in CNTR alone) and STOR drops the constant store caps.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Any structural problem with an archive: bad magic/version/sentinel,
 /// digest mismatch, truncation, section tag/length mismatch, or a

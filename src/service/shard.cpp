@@ -171,9 +171,7 @@ ShardedResult run_sharded(const netlist::Circuit& c,
                           const ShardJobConfig& job,
                           const ShardEventFn& events, WarmStoreCache* warm) {
   const unsigned shards = std::max(1u, job.shards);
-  const unsigned depth = job.hybrid.sequential_depth_override
-                             ? job.hybrid.sequential_depth_override
-                             : netlist::sequential_depth(c);
+  const unsigned depth = netlist::sequential_depth(c);
   const std::uint64_t circuit_key = fault::identity_digest(full);
 
   // Worker count is fixed up front so the targeting-lane budget below can
@@ -198,8 +196,9 @@ ShardedResult run_sharded(const netlist::Circuit& c,
   }
 
   // Phase 1 (serial): one session + engine per shard, resumed from its
-  // snapshot or warm-seeded as requested.  HybridEngine keeps references to
-  // its config and RNG, so both live in parallel arrays.
+  // snapshot, or else prefiltered and warm-seeded as requested.
+  // HybridEngine keeps references to its config and RNG, so both live in
+  // parallel arrays.
   std::vector<hybrid::HybridConfig> configs(shards, job.hybrid);
   std::vector<std::unique_ptr<util::Rng>> rngs(shards);
   std::vector<std::unique_ptr<session::Session>> sessions(shards);
@@ -233,8 +232,10 @@ ShardedResult run_sharded(const netlist::Circuit& c,
         resumed = true;
       }
     }
-    if (!resumed && warm) {
-      warm->seed(*sessions[s], shards, s, circuit_key);
+    if (!resumed) {
+      // A resumed shard restores its prefiltered statuses from the snapshot.
+      if (cfg.prefilter_untestable) hybrid::prefilter_untestable(*sessions[s]);
+      if (warm) warm->seed(*sessions[s], shards, s, circuit_key);
     }
   }
 

@@ -45,10 +45,11 @@ struct EngineCounters {
   long det_backtracks = 0;
   long det_gate_evals = 0;  // implication gate evaluations (both planes)
   long det_events = 0;      // incremental-implication event-queue pops
-  // FrameModel pooling: absolute tallies of the engine's model pool (not
-  // per-pass deltas).  builds ≪ acquires proves per-fault models are being
-  // reset-and-reused instead of reconstructed; engines without a pool
-  // leave both zero.
+  // FrameModel pooling, as a serial pool would tally it at any lane count:
+  // acquires sum over targets, builds is the most models any one target
+  // held at once (a serial pool builds exactly up to that inventory).
+  // builds ≪ acquires proves per-fault models are being reset-and-reused
+  // instead of reconstructed; engines without a pool leave both zero.
   long det_model_builds = 0;
   long det_model_acquires = 0;
   // State-knowledge layer effectiveness (mirrored from the session's

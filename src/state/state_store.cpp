@@ -268,6 +268,7 @@ std::vector<Sequence> StateStore::seed_sequences(const State3& desired,
 
 const StateStore::ForwardSolution* StateStore::cached_forward(
     std::size_t fault_index) const {
+  if (!config_.enabled) return nullptr;
   if (fault_index < forward_valid_.size() && forward_valid_[fault_index]) {
     return &forward_[fault_index];
   }
@@ -378,12 +379,6 @@ std::uint64_t StateStore::digest() const {
 void StateStore::save(serialize::Writer& w) const {
   w.begin_section("STOR");
   w.boolean(config_.enabled);
-  w.u64(config_.max_justified);
-  w.u64(config_.max_unjustifiable);
-  w.u64(config_.max_reachable);
-  w.u64(config_.max_near_misses);
-  w.u32(config_.max_verifies_per_lookup);
-  w.f64(config_.ga_seed_fraction);
 
   w.u64(justified_.size());
   for (const JustifiedEntry& e : justified_) {
@@ -430,22 +425,9 @@ void StateStore::save(serialize::Writer& w) const {
 
 void StateStore::load(serialize::Reader& r) {
   r.enter_section("STOR");
-  const bool enabled = r.boolean();
-  const std::uint64_t max_justified = r.u64();
-  const std::uint64_t max_unjustifiable = r.u64();
-  const std::uint64_t max_reachable = r.u64();
-  const std::uint64_t max_near_misses = r.u64();
-  const std::uint32_t max_verifies = r.u32();
-  const double seed_fraction = r.f64();
-  if (enabled != config_.enabled || max_justified != config_.max_justified ||
-      max_unjustifiable != config_.max_unjustifiable ||
-      max_reachable != config_.max_reachable ||
-      max_near_misses != config_.max_near_misses ||
-      max_verifies != config_.max_verifies_per_lookup ||
-      seed_fraction != config_.ga_seed_fraction) {
+  if (r.boolean() != config_.enabled) {
     throw serialize::SnapshotError(
-        "snapshot: StateStore config mismatch (eviction/seeding would "
-        "diverge from the checkpointed run)");
+        "snapshot: StateStore enabled flag mismatch");
   }
 
   const std::size_t ffs = c_.flip_flops().size();

@@ -31,11 +31,11 @@
 //
 // Determinism rules: every index is a plain insertion-ordered vector scanned
 // linearly (no pointer or hash iteration order can leak into results);
-// eviction is FIFO; ranking ties break on a monotonic insertion stamp.  All
-// store access happens on the serial engine thread — the worker pools never
-// touch it — so results are thread-count-independent by construction.  With
-// `StateStoreConfig{enabled = false}` (the default) every method is an inert
-// no-op and the engines reproduce their store-free behavior bit-identically.
+// eviction is FIFO at constant caps; ranking ties break on a monotonic
+// insertion stamp.  All store access happens on the serial engine thread —
+// the worker pools never touch it — so results are thread-count-independent
+// by construction.  With `StateStoreConfig{enabled = false}` (the default)
+// every method returns early, so callers never branch on enabled().
 #pragma once
 
 #include <cstdint>
@@ -56,20 +56,20 @@ class Reader;
 namespace gatpg::state {
 
 struct StateStoreConfig {
-  /// Master switch; false leaves every engine bit-identical to the
-  /// store-free code path.
+  /// Master switch; a disabled store is inert (every method returns early),
+  /// so engines run exactly as without a store.
   bool enabled = false;
   /// Capacity caps (FIFO eviction beyond them).
-  std::size_t max_justified = 512;
-  std::size_t max_unjustifiable = 1024;
-  std::size_t max_reachable = 1024;
-  std::size_t max_near_misses = 256;
+  static constexpr std::size_t max_justified = 512;
+  static constexpr std::size_t max_unjustifiable = 1024;
+  static constexpr std::size_t max_reachable = 1024;
+  static constexpr std::size_t max_near_misses = 256;
   /// Covering justified-cache entries re-verified per lookup before
   /// declaring a miss (bounds the verify cost of popular cubes).
-  unsigned max_verifies_per_lookup = 4;
+  static constexpr unsigned max_verifies_per_lookup = 4;
   /// Fraction of each GA population seeded from the reachable/near-miss
   /// log (the rest stays random).
-  double ga_seed_fraction = 0.25;
+  static constexpr double ga_seed_fraction = 0.25;
 };
 
 /// Effectiveness counters, mirrored into session::EngineCounters so
@@ -247,10 +247,9 @@ class StateStore {
   std::uint64_t digest() const;
   /// Serializes all four caches, the stamp counter, and the stats.  Shared
   /// trace sequences are deduplicated through a first-appearance table so
-  /// the O(len)-not-O(len^2) sharing survives the round trip.  Config caps
-  /// are recorded and verified by load() (a resumed store with different
-  /// caps would evict differently and break determinism), and every cube
-  /// and vector must be as wide as this circuit's flip-flops or PIs.
+  /// the O(len)-not-O(len^2) sharing survives the round trip.  The enabled
+  /// flag is recorded and verified by load(), and every cube and vector
+  /// must be as wide as this circuit's flip-flops or PIs.
   void save(serialize::Writer& w) const;
   void load(serialize::Reader& r);
 

@@ -48,8 +48,8 @@ struct ParallelConfig {
 /// engine state, with results committed strictly in fault order so the run
 /// stays bit-identical to serial.
 struct TargetParallelConfig {
-  /// 1 = serial targeting (exact legacy path, never spawns a lane pool);
-  /// 0 = one lane per hardware thread; N > 1 = N lanes.
+  /// 1 = each target solved inline by the pass scan (no lane pool, no
+  /// snapshots); 0 = one lane per hardware thread; N > 1 = N lanes.
   unsigned lanes = 1;
 
   /// The effective lane count (0 resolved to hardware_concurrency).

@@ -145,9 +145,11 @@ TEST(Archive, HeaderAndDigestValidation) {
 
   // Archives from earlier format versions fail at the header, with the
   // version named (version 2 still carried the fault-sim group width in
-  // IDNT and version 3 the engine choice, which this build would otherwise
+  // IDNT, version 3 the engine choice and version 4 the hybrid engine's
+  // pool ledger and the store caps, which this build would otherwise
   // mis-decode).
-  for (const std::uint8_t old : {std::uint8_t{2}, std::uint8_t{3}}) {
+  for (const std::uint8_t old :
+       {std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{4}}) {
     std::vector<std::uint8_t> stale = good;
     stale[8] = old;
     stale[9] = stale[10] = stale[11] = 0;
@@ -319,11 +321,9 @@ TEST(StateStoreSnapshot, RoundTripAndConfigGuard) {
   ASSERT_NE(loaded.cached_forward(4), nullptr);
   EXPECT_EQ(loaded.cached_forward(4)->vectors, seq);
 
-  // A store configured with different cache caps would evict differently;
-  // load() must reject the archive rather than diverge.
-  state::StateStoreConfig other = cfg;
-  other.max_justified = cfg.max_justified / 2;
-  state::StateStore mismatched(c, other);
+  // A disabled store cannot take an enabled store's content; load() must
+  // reject the archive rather than diverge.
+  state::StateStore mismatched(c, state::StateStoreConfig{});
   serialize::Reader r2(archive);
   EXPECT_THROW(mismatched.load(r2), serialize::SnapshotError);
 }
@@ -335,17 +335,11 @@ TEST(StateStoreSnapshot, ClearAfterPartialLoadRestoresTheColdState) {
   cfg.enabled = true;
 
   // Forge a structurally valid archive (good header and digest) that passes
-  // the config guard but carries an invalid ternary byte, so load() throws
-  // only after it has started repopulating the caches.
+  // the enabled-flag check but carries an invalid ternary byte, so load()
+  // throws only after it has started repopulating the caches.
   serialize::Writer w;
   w.begin_section("STOR");
   w.boolean(cfg.enabled);
-  w.u64(cfg.max_justified);
-  w.u64(cfg.max_unjustifiable);
-  w.u64(cfg.max_reachable);
-  w.u64(cfg.max_near_misses);
-  w.u32(cfg.max_verifies_per_lookup);
-  w.f64(cfg.ga_seed_fraction);
   w.u64(1);   // one justified entry
   w.u64(1);   // cube of one literal
   w.u8(0);    // a valid ternary value

@@ -121,19 +121,40 @@ TEST(StateStoreUnit, DisabledStoreIsInert) {
 
 TEST(StateStoreUnit, JustifiedDedupAndFifoCap) {
   const auto c = gen::make_circuit("s27");
-  StateStoreConfig cfg = enabled_config();
-  cfg.max_justified = 2;
-  StateStore store(c, cfg);
+  StateStore store(c, enabled_config());
   store.record_justified(cube("XXX"), {});  // trivial: skipped
   EXPECT_EQ(store.justified_size(), 0u);
   store.record_justified(cube("0XX"), {Vector3{V3::k0}});
   store.record_justified(cube("0XX"), {Vector3{V3::k1}});  // duplicate cube
   EXPECT_EQ(store.justified_size(), 1u);
   EXPECT_EQ(store.stats().seq_inserts, 1);
-  store.record_justified(cube("1XX"), {Vector3{V3::k0}});
-  store.record_justified(cube("X1X"), {Vector3{V3::k0}});  // evicts 0XX
-  EXPECT_EQ(store.justified_size(), 2u);
-  EXPECT_EQ(store.stats().seq_inserts, 3);
+
+  // The cap is a constant; g382's 18 flip-flops give enough distinct fully
+  // specified cubes (cube n spells n in binary) to fill the cache past it.
+  const auto big = gen::make_circuit("g382");
+  const std::size_t cap = StateStoreConfig::max_justified;
+  const Sequence witness{Vector3(big.primary_inputs().size(), V3::k0)};
+  const auto nth_cube = [&](std::size_t n) {
+    State3 s(big.flip_flops().size());
+    for (std::size_t k = 0; k < s.size(); ++k) {
+      s[k] = ((n >> k) & 1) ? V3::k1 : V3::k0;
+    }
+    return s;
+  };
+  ASSERT_GT(std::size_t{1} << big.flip_flops().size(), cap + 1);
+  StateStore full(big, enabled_config());
+  for (std::size_t n = 0; n < cap; ++n) {
+    full.record_justified(nth_cube(n), witness);
+  }
+  EXPECT_EQ(full.justified_size(), cap);
+  full.record_justified(nth_cube(cap), witness);  // evicts cube 0
+  EXPECT_EQ(full.justified_size(), cap);
+  EXPECT_EQ(full.stats().seq_inserts, static_cast<long>(cap) + 1);
+  full.record_justified(nth_cube(1), witness);  // still cached: a duplicate
+  EXPECT_EQ(full.stats().seq_inserts, static_cast<long>(cap) + 1);
+  full.record_justified(nth_cube(0), witness);  // evicted: inserted again
+  EXPECT_EQ(full.stats().seq_inserts, static_cast<long>(cap) + 2);
+  EXPECT_EQ(full.justified_size(), cap);
 }
 
 TEST(StateStoreUnit, UnjustifiableSubsumptionMaintenance) {

@@ -3,13 +3,15 @@
 // targeting lanes must be bit-identical to the serial run — tests, segments,
 // fault statuses, every engine and store counter, all three digests, and the
 // exact on_target_end observer sequence — with the state store on and off.
-// Also covers mid-pass kill-and-resume at 4 lanes, speculation-ledger
-// consistency, the epoch rule (only shared-state writes end an epoch), and
-// the wall-clock-pass opt-out (deadline passes stay serial).
+// Also covers mid-pass kill-and-resume at 4 lanes and across lane counts
+// (1 -> 4 and 4 -> 1), speculation-ledger consistency, the epoch rule (only
+// shared-state writes end an epoch), and the wall-clock-pass opt-out
+// (deadline passes stay serial).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/faultlist.h"
@@ -141,9 +143,46 @@ TEST(TargetParallelGates, OnlySharedWritesEndEpochs) {
 }
 
 // ---------------------------------------------------------------------------
-// Kill-and-resume at 4 lanes: a mid-pass snapshot records only committed
-// state (the committed cursor, no in-flight speculation), so resuming must
-// land on the same bits as the uninterrupted serial run.
+// Kill-and-resume: a mid-pass snapshot records only committed state (the
+// committed cursor, no in-flight speculation), so resuming must land on the
+// same bits as the uninterrupted one-lane run.
+
+/// Stops a run of `write_cfg` after `stop` checkpoint ticks (writing one
+/// snapshot to a file named by `tag`) and finishes it from that snapshot in
+/// a fresh session and engine under `resume_cfg`.  When the stop never
+/// fires, the run completed uninterrupted and its result is returned.
+session::SessionResult kill_and_resume(const netlist::Circuit& c,
+                                       const fault::FaultList& faults,
+                                       const hybrid::HybridConfig& write_cfg,
+                                       const hybrid::HybridConfig& resume_cfg,
+                                       long stop, const std::string& tag) {
+  const std::string snap = testing::TempDir() + "tp_" + tag + ".snap";
+  std::remove(snap.c_str());
+  session::SessionResult partial;
+  {
+    session::SessionConfig scfg = write_cfg.session_config();
+    scfg.checkpoint.path = snap;
+    scfg.checkpoint.stop_after_ticks = stop;
+    session::Session s(c, faults, scfg);
+    util::Rng rng(write_cfg.seed);
+    hybrid::HybridEngine engine(c, write_cfg, netlist::sequential_depth(c),
+                                rng);
+    partial = s.run(engine, write_cfg.schedule);
+  }
+  std::FILE* f = std::fopen(snap.c_str(), "rb");
+  if (!f) return partial;
+  std::fclose(f);
+
+  session::Session resumed(c, faults, resume_cfg.session_config());
+  util::Rng rng(resume_cfg.seed);
+  hybrid::HybridEngine engine(c, resume_cfg, netlist::sequential_depth(c),
+                              rng);
+  resumed.resume(snap, engine);
+  const session::SessionResult finished =
+      resumed.run(engine, resume_cfg.schedule);
+  std::remove(snap.c_str());
+  return finished;
+}
 
 TEST(TargetParallelKillResume, MidPassSnapshotResumesBitIdentical) {
   const unsigned lanes = 4;
@@ -155,43 +194,45 @@ TEST(TargetParallelKillResume, MidPassSnapshotResumesBitIdentical) {
     const hybrid::HybridConfig cfg = lane_config(lanes, true);
     const RunOutput reference = run_once(c, faults, lane_config(1, true));
 
-    const auto kill_and_resume = [&](long stop) -> session::SessionResult {
-      const std::string snap =
-          testing::TempDir() + "tp_" + name + ".snap";
-      std::remove(snap.c_str());
-      session::SessionResult partial;
-      {
-        session::SessionConfig scfg = cfg.session_config();
-        scfg.checkpoint.path = snap;
-        scfg.checkpoint.stop_after_ticks = stop;
-        session::Session s(c, faults, scfg);
-        util::Rng rng(cfg.seed);
-        hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c),
-                                    rng);
-        partial = s.run(engine, cfg.schedule);
-      }
-      std::FILE* f = std::fopen(snap.c_str(), "rb");
-      if (!f) return partial;  // stop never fired: completed uninterrupted
-      std::fclose(f);
-
-      session::Session resumed(c, faults, cfg.session_config());
-      util::Rng rng(cfg.seed);
-      hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
-      resumed.resume(snap, engine);
-      const session::SessionResult finished =
-          resumed.run(engine, cfg.schedule);
-      std::remove(snap.c_str());
-      return finished;
-    };
-
     {
       SCOPED_TRACE("stop tick 1");
-      expect_identical(reference.result, kill_and_resume(1));
+      expect_identical(reference.result,
+                       kill_and_resume(c, faults, cfg, cfg, 1, name));
     }
     {
       const long stop = 2 + static_cast<long>(pick.below(6));
       SCOPED_TRACE("stop tick " + std::to_string(stop));
-      expect_identical(reference.result, kill_and_resume(stop));
+      expect_identical(reference.result,
+                       kill_and_resume(c, faults, cfg, cfg, stop, name));
+    }
+  }
+}
+
+// The lane count is execution shape, not state: a checkpoint written at one
+// lane resumes at four, and the reverse, onto the uninterrupted run's bits —
+// digests, tests and every EngineCounters field, the model-pool tallies
+// included.
+TEST(TargetParallelKillResume, CheckpointResumesAcrossLaneCounts) {
+  util::Rng pick(0xFACE);
+  for (const std::string& name : gen::registry_names()) {
+    SCOPED_TRACE("circuit " + name);
+    const netlist::Circuit c = gen::make_circuit(name);
+    const fault::FaultList faults = capped_faults(c, 32);
+    const RunOutput reference = run_once(c, faults, lane_config(1, true));
+    EXPECT_GT(reference.result.counters.det_model_builds, 0);
+    EXPECT_GT(reference.result.counters.det_model_acquires,
+              reference.result.counters.det_model_builds);
+    const long stops[] = {1, 2 + static_cast<long>(pick.below(6))};
+    for (const auto& [write, resume] : {std::pair{1u, 4u}, std::pair{4u, 1u}}) {
+      for (const long stop : stops) {
+        SCOPED_TRACE("lanes " + std::to_string(write) + " -> " +
+                     std::to_string(resume) + ", stop tick " +
+                     std::to_string(stop));
+        expect_identical(
+            reference.result,
+            kill_and_resume(c, faults, lane_config(write, true),
+                            lane_config(resume, true), stop, name + "_x"));
+      }
     }
   }
 }
