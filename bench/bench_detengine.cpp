@@ -316,14 +316,15 @@ int main(int argc, char** argv) {
     lanes_wall_total += row.parallel.wall_s;
     std::printf(
         "%-8s serial=%8.2fms  lanes(%u)=%8.2fms  x%.2f  spec=%ld "
-        "committed=%ld discarded=%ld epochs=%ld wasted_evals=%ld  "
-        "identity %s\n",
+        "committed=%ld discarded=%ld epochs=%ld lane_pool_builds=%ld "
+        "wasted_evals=%ld  identity %s\n",
         name.c_str(), row.serial.wall_s * 1e3, lanes,
         row.parallel.wall_s * 1e3,
         row.parallel.wall_s > 0 ? row.serial.wall_s / row.parallel.wall_s
                                 : 0.0,
         row.parallel.spec.speculated, row.parallel.spec.committed,
         row.parallel.spec.discarded, row.parallel.spec.epochs,
+        row.parallel.spec.lane_pool_builds,
         row.parallel.spec.wasted_gate_evals, row.identical ? "OK" : "FAILED");
     targeting.push_back(std::move(row));
   }

@@ -12,6 +12,10 @@ GaEngine::GaEngine(GaConfig config) : config_(config), rng_(config.seed) {
   if (config_.chromosome_bits == 0) {
     throw std::invalid_argument("chromosome_bits must be nonzero");
   }
+  const double p = config_.mutation_probability;
+  if (p > 0.0 && p < 1.0) {
+    mutation_threshold_ = util::Rng::chance_threshold(p);
+  }
 }
 
 Chromosome GaEngine::random_chromosome() {
@@ -31,8 +35,15 @@ void GaEngine::crossover(const Chromosome& a, const Chromosome& b,
 }
 
 void GaEngine::mutate(Chromosome& c) {
+  // rng_.chance(p) per bit, draw for draw: no draw at the edges.
+  const double p = config_.mutation_probability;
+  if (p <= 0.0) return;
+  if (p >= 1.0) {
+    for (auto& bit : c) bit ^= 1;
+    return;
+  }
   for (auto& bit : c) {
-    if (rng_.chance(config_.mutation_probability)) bit ^= 1;
+    if (rng_() < mutation_threshold_) bit ^= 1;
   }
 }
 
@@ -108,6 +119,9 @@ GaResult GaEngine::run(const BatchEvaluator& evaluate) {
       population[i] = random_chromosome();
     }
   }
+  // Children breed into `next`, which then swaps with `population`: after
+  // the first generation no chromosome is allocated.
+  std::vector<Chromosome> next(n, Chromosome(config_.chromosome_bits));
   std::vector<double> fitness(n, 0.0);
 
   GaResult result;
@@ -132,17 +146,13 @@ GaResult GaEngine::run(const BatchEvaluator& evaluate) {
     if (gen == config_.generations) break;
 
     const std::vector<std::size_t> parents = select_parents(fitness);
-    std::vector<Chromosome> next;
-    next.reserve(n);
     for (std::size_t i = 0; i + 1 < parents.size(); i += 2) {
-      Chromosome c1, c2;
-      crossover(population[parents[i]], population[parents[i + 1]], c1, c2);
-      mutate(c1);
-      mutate(c2);
-      next.push_back(std::move(c1));
-      next.push_back(std::move(c2));
+      crossover(population[parents[i]], population[parents[i + 1]], next[i],
+                next[i + 1]);
+      mutate(next[i]);
+      mutate(next[i + 1]);
     }
-    population = std::move(next);
+    population.swap(next);
   }
   return result;
 }

@@ -77,6 +77,7 @@ class GaEngine {
 
  private:
   Chromosome random_chromosome();
+  /// Overwrites the existing children c1, c2 (no allocation once sized).
   void crossover(const Chromosome& a, const Chromosome& b, Chromosome& c1,
                  Chromosome& c2);
   void mutate(Chromosome& c);
@@ -84,6 +85,8 @@ class GaEngine {
 
   GaConfig config_;
   util::Rng rng_;
+  /// util::Rng::chance_threshold(mutation_probability), for 0 < p < 1.
+  std::uint64_t mutation_threshold_ = 0;
 };
 
 }  // namespace gatpg::ga

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 namespace gatpg::hybrid {
 
@@ -27,6 +29,118 @@ Sequence decode(const ga::Chromosome& chromosome, std::size_t num_pi,
     }
   }
   return seq;
+}
+
+/// The part of the circuit the GA's results depend on: the sequential
+/// fan-in of the required flip-flops R by depth.  Depth 0 is the
+/// combinational fan-in of R's D inputs; a flip-flop read by the depth-d
+/// cone joins at depth d + 1, and its D input's fan-in with it.  Frame t of
+/// L runs depth min(L - 1 - t, max_depth()): R then latches correctly in
+/// every frame (the early exit reads it after each one), and whatever the
+/// depth-d cone reads was latched one frame earlier at depth d + 1 or more.
+/// Each depth's lists are prefixes of one walk, since depth d + 1 only adds
+/// to depth d; the gate list is a post-order walk, an evaluation order.
+/// Built in O(cone) on top of one node-sized mark array.
+///
+/// A transition fault's launch line needs no cone of its own.  Its good
+/// value in frame t only gates the fault's overrides in frame t + 1, which
+/// matter only if the fault site is in frame t + 1's cone.  The launch
+/// line is the site or a fanin of it, so it is then in frame t + 1's cone
+/// too (or a flip-flop that cone reads), and frame t's cone contains that.
+class GoalCone {
+ public:
+  GoalCone(const netlist::Circuit& c, std::span<const std::uint32_t> required)
+      : c_(c), seen_(c.node_count(), 0) {
+    for (const std::uint32_t i : required) visit(c.flip_flops()[i]);
+    std::size_t begin = 0;
+    while (true) {
+      const std::size_t end = ffs_.size();
+      ff_end_.push_back(end);
+      for (std::size_t i = begin; i < end; ++i) {
+        walk(c.fanins(c.flip_flops()[ffs_[i]])[0]);
+      }
+      gate_end_.push_back(gates_.size());
+      if (ffs_.size() == end) break;  // no new flip-flop is read
+      begin = end;
+    }
+  }
+
+  unsigned max_depth() const {
+    return static_cast<unsigned>(gate_end_.size() - 1);
+  }
+  std::span<const NodeId> gates(unsigned depth) const {
+    return {gates_.data(), gate_end_[depth]};
+  }
+  std::span<const std::uint32_t> flip_flops(unsigned depth) const {
+    return {ffs_.data(), ff_end_[depth]};
+  }
+
+ private:
+  /// Marks `n`: an unseen gate goes on the walk stack, an unseen flip-flop
+  /// joins the next depth.
+  void visit(NodeId n) {
+    if (seen_[n]) return;
+    seen_[n] = 1;
+    if (netlist::is_combinational(c_.type(n))) {
+      stack_.push_back({n, 0});
+    } else if (c_.ff_index(n) >= 0) {
+      ffs_.push_back(static_cast<std::uint32_t>(c_.ff_index(n)));
+    }
+  }
+
+  /// Lists the unseen combinational fan-in of `root` in post-order.
+  void walk(NodeId root) {
+    visit(root);
+    while (!stack_.empty()) {
+      auto& [n, next] = stack_.back();
+      const auto fanins = c_.fanins(n);
+      if (next < fanins.size()) {
+        visit(fanins[next++]);  // may grow the stack: n and next go stale
+        continue;
+      }
+      gates_.push_back(n);
+      stack_.pop_back();
+    }
+  }
+
+  const netlist::Circuit& c_;
+  std::vector<char> seen_;  // [node]
+  std::vector<NodeId> gates_;
+  std::vector<std::uint32_t> ffs_;
+  std::vector<std::size_t> gate_end_;  // [depth]
+  std::vector<std::size_t> ff_end_;    // [depth]
+  std::vector<std::pair<NodeId, std::uint32_t>> stack_;
+};
+
+/// A required flip-flop literal: the slots whose value matches it are
+/// `one ? v1 : v0` of its packed value.
+struct Literal {
+  NodeId ff;
+  bool one;
+};
+
+std::vector<Literal> literals_of(const netlist::Circuit& c,
+                                 const State3& desired) {
+  std::vector<Literal> lits;
+  for (std::size_t i = 0; i < desired.size(); ++i) {
+    if (desired[i] != V3::kX) {
+      lits.push_back({c.flip_flops()[i], desired[i] == V3::k1});
+    }
+  }
+  return lits;
+}
+
+/// Adds each slot's number of matching literals to `hits`.
+void count_matches(const sim::SequenceSimulator& m,
+                   std::span<const Literal> lits, std::size_t count,
+                   unsigned* hits) {
+  for (const Literal lit : lits) {
+    const PackedV3 v = m.value(lit.ff);
+    const std::uint64_t w = lit.one ? v.v1 : v.v0;
+    for (std::size_t s = 0; s < count; ++s) {
+      hits[s] += static_cast<unsigned>((w >> s) & 1);
+    }
+  }
 }
 
 }  // namespace
@@ -56,6 +170,24 @@ GaJustifyResult GaStateJustifier::justify(
       fault.pin == fault::kOutputPin
           ? fault.node
           : c_.fanins(fault.node)[static_cast<std::size_t>(fault.pin)];
+
+  // Only the required flip-flops R are scored, so each frame runs only
+  // what R still depends on (see GoalCone).  Both machines run the same
+  // cone even when the fault lies outside it: the faulty machine starts
+  // all-X and the good one from current_good_state, so they differ anyway.
+  const std::vector<Literal> good_lits = literals_of(c_, desired_good);
+  const std::vector<Literal> faulty_lits = literals_of(c_, desired_faulty);
+  std::vector<std::uint32_t> required;
+  for (std::size_t i = 0; i < desired_good.size(); ++i) {
+    if (desired_good[i] != V3::kX || desired_faulty[i] != V3::kX) {
+      required.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  const GoalCone cone(c_, required);
+  // Each flip-flop outside a machine's literals matches in every slot.
+  const std::size_t num_ff = c_.flip_flops().size();
+  const auto good_free = static_cast<unsigned>(num_ff - good_lits.size());
+  const auto faulty_free = static_cast<unsigned>(num_ff - faulty_lits.size());
 
   ga::GaConfig ga_config;
   ga_config.population_size = config.population;
@@ -88,9 +220,11 @@ GaJustifyResult GaStateJustifier::justify(
   // atomic stop flag lets higher batches abandon early without affecting
   // the result.
   struct Machines {
-    explicit Machines(const netlist::Circuit& c) : good(c), faulty(c) {}
+    explicit Machines(const netlist::Circuit& c)
+        : good(c), faulty(c), pi_words(c.primary_inputs().size()) {}
     sim::SequenceSimulator good;
     sim::SequenceSimulator faulty;
+    std::vector<PackedV3> pi_words;
   };
   std::vector<std::optional<Machines>> lanes(
       util::max_lanes(config.parallel, config.population, 64));
@@ -124,14 +258,15 @@ GaJustifyResult GaStateJustifier::justify(
           }
           sim::SequenceSimulator& good = lanes[lane]->good;
           sim::SequenceSimulator& faulty = lanes[lane]->faulty;
+          std::vector<PackedV3>& pi_words = lanes[lane]->pi_words;
           good.set_state(current_good_state);
           if (trans) faulty.set_override_activity(0);
           faulty.reset();
 
           // With 64 independent candidates nearly every gate changes every
-          // frame, so each frame is one levelized sweep and a bare latch.
-          std::vector<PackedV3> pi_words(num_pi);
-          for (unsigned t = 0; t < config.sequence_length; ++t) {
+          // frame, so each frame is one sweep of the cone and a bare latch.
+          const unsigned length = config.sequence_length;
+          for (unsigned t = 0; t < length; ++t) {
             // A lower batch already matched: this batch cannot win, and on
             // success every fitness value is zeroed anyway.
             if (batch > best_batch.load(std::memory_order_acquire)) return;
@@ -144,8 +279,11 @@ GaJustifyResult GaStateJustifier::justify(
               }
               pi_words[i] = {ones, ~ones};
             }
-            good.sweep_packed(pi_words);
-            faulty.sweep_packed(pi_words);
+            const unsigned depth = std::min(length - 1 - t, cone.max_depth());
+            const auto gates = cone.gates(depth);
+            const auto ffs = cone.flip_flops(depth);
+            good.sweep_packed(pi_words, gates);
+            faulty.sweep_packed(pi_words, gates);
             if (trans) {
               // Launch activity for frame t+1, read off the settled good
               // frame; the latch mask must be in place before the clock
@@ -153,12 +291,12 @@ GaJustifyResult GaStateJustifier::justify(
               const PackedV3 lv = good.value(launch_line);
               const std::uint64_t next_act = fault.stuck_at ? lv.v1 : lv.v0;
               faulty.set_latch_override_activity(next_act);
-              good.latch();
-              faulty.latch();
+              good.latch(ffs);
+              faulty.latch(ffs);
               faulty.set_override_activity(next_act);
             } else {
-              good.latch();
-              faulty.latch();
+              good.latch(ffs);
+              faulty.latch(ffs);
             }
 
             const std::uint64_t match =
@@ -177,14 +315,15 @@ GaJustifyResult GaStateJustifier::justify(
             }
           }
 
+          unsigned good_hits[64];
+          unsigned faulty_hits[64];
+          std::fill_n(good_hits, count, good_free);
+          std::fill_n(faulty_hits, count, faulty_free);
+          count_matches(good, good_lits, count, good_hits);
+          count_matches(faulty, faulty_lits, count, faulty_hits);
           for (std::size_t s = 0; s < count; ++s) {
-            const double raw =
-                config.good_weight *
-                    good.state_match_count(desired_good,
-                                           static_cast<unsigned>(s)) +
-                config.faulty_weight *
-                    faulty.state_match_count(desired_faulty,
-                                             static_cast<unsigned>(s));
+            const double raw = config.good_weight * good_hits[s] +
+                               config.faulty_weight * faulty_hits[s];
             fitness[base + s] = config.square_fitness ? raw * raw : raw;
           }
         });

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "atpg/detengine.h"
@@ -136,6 +137,10 @@ struct SpecStats {
   long discarded = 0;   ///< lane results thrown away (recomputed inline)
   long wasted_gate_evals = 0;  ///< gate evals spent on discarded results
   long epochs = 0;      ///< epoch ends (shared-state mutations) in lane runs
+  /// Lane-local FrameModelPools constructed; the engine keeps them across
+  /// passes, so this stays at most the speculation window (2 x lanes).
+  /// Timing-dependent: it counts how many lane tasks overlapped.
+  long lane_pool_builds = 0;
 };
 
 /// The per-fault targeted engine (Fig. 1).  Reusable standalone against any
@@ -178,6 +183,41 @@ class HybridEngine : public session::Engine {
   /// lanes solve faults ahead of the committed frontier; results commit
   /// strictly in fault order and only when their launch epoch is current.
   class Lanes;
+  /// Lane-local FrameModelPools, recycled across lane tasks and passes.
+  /// The ThreadPool does not pin tasks to threads, so pools are checked out
+  /// per task, not per thread; at most the speculation window exist at once.
+  class LanePools {
+   public:
+    explicit LanePools(const netlist::Circuit& c) : c_(c) {}
+
+    std::unique_ptr<atpg::FrameModelPool> acquire() {
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        if (!free_.empty()) {
+          std::unique_ptr<atpg::FrameModelPool> pool =
+              std::move(free_.back());
+          free_.pop_back();
+          return pool;
+        }
+        ++builds_;
+      }
+      return std::make_unique<atpg::FrameModelPool>(c_);
+    }
+
+    void release(std::unique_ptr<atpg::FrameModelPool> pool) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      free_.push_back(std::move(pool));
+    }
+
+    /// Pools constructed so far; read only while no lane task runs.
+    long builds() const { return builds_; }
+
+   private:
+    const netlist::Circuit& c_;
+    std::mutex mu_;
+    std::vector<std::unique_ptr<atpg::FrameModelPool>> free_;
+    long builds_ = 0;
+  };
 
   /// Solves one fault against the live session and commits it.
   TargetOutcome target_fault(session::Session& session,
@@ -221,6 +261,7 @@ class HybridEngine : public session::Engine {
   /// parallel_for_chunks (fault sim) on the shared pool, and lane tasks
   /// parked in front of those chunks would serialize every commit.
   std::unique_ptr<util::ThreadPool> lane_pool_;
+  std::unique_ptr<LanePools> lane_model_pools_;
   SpecStats spec_stats_;
 };
 

@@ -28,7 +28,6 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -68,36 +67,6 @@ struct SpecTask {
   std::future<void> done;
 };
 
-/// Lane-local FrameModelPools, recycled across tasks.  The ThreadPool does
-/// not pin tasks to threads, so pools are checked out per task, not per
-/// thread; at most `window` exist at once.
-class LanePools {
- public:
-  explicit LanePools(const netlist::Circuit& c) : c_(c) {}
-
-  std::unique_ptr<atpg::FrameModelPool> acquire() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        std::unique_ptr<atpg::FrameModelPool> pool = std::move(free_.back());
-        free_.pop_back();
-        return pool;
-      }
-    }
-    return std::make_unique<atpg::FrameModelPool>(c_);
-  }
-
-  void release(std::unique_ptr<atpg::FrameModelPool> pool) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(pool));
-  }
-
- private:
-  const netlist::Circuit& c_;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<atpg::FrameModelPool>> free_;
-};
-
 }  // namespace
 
 class HybridEngine::Lanes {
@@ -108,10 +77,10 @@ class HybridEngine::Lanes {
         s_(s),
         pass_(pass),
         window_(2 * std::size_t{lanes}),
-        pools_(engine.c_),
         next_spec_(s.faults().pass_cursor()) {
     if (!engine_.lane_pool_) {
       engine_.lane_pool_ = std::make_unique<util::ThreadPool>();
+      engine_.lane_model_pools_ = std::make_unique<LanePools>(engine_.c_);
     }
     engine_.lane_pool_->ensure_workers(lanes);
     snap_ = make_snapshot();
@@ -120,13 +89,14 @@ class HybridEngine::Lanes {
   Lanes& operator=(const Lanes&) = delete;
 
   /// Cancels and waits for every task still running: tasks reference this
-  /// object's pools and snapshots.
+  /// object's snapshots and the engine's pools.
   ~Lanes() {
     retire_inflight();
     for (SpecTask& t : zombies_) {
       t.done.wait();
       account_discarded(t);
     }
+    engine_.spec_stats_.lane_pool_builds = engine_.lane_model_pools_->builds();
   }
 
   /// Solves and commits target `i`, the scan's next undetected fault:
@@ -206,7 +176,8 @@ class HybridEngine::Lanes {
     const sim::V3 launch_prev = s_.simulator().launch_prev(j);
     t.done = engine_.lane_pool_->submit(
         [engine = &engine_, j, f, faulty_state, launch_prev, snap = snap_,
-         result = t.result, pools = &pools_, pass = &pass_]() {
+         result = t.result, pools = engine_.lane_model_pools_.get(),
+         pass = &pass_]() {
           std::unique_ptr<atpg::FrameModelPool> pool = pools->acquire();
           util::Rng rng;
           rng.set_state_words(snap->rng_words);
@@ -295,7 +266,6 @@ class HybridEngine::Lanes {
   const session::PassConfig& pass_;
   /// Speculation window: faults past the committed frontier in flight.
   const std::size_t window_;
-  LanePools pools_;
   std::uint64_t epoch_ = 0;
   std::shared_ptr<EpochSnapshot> snap_;
   std::deque<SpecTask> inflight_;

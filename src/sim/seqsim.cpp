@@ -177,17 +177,18 @@ void SequenceSimulator::apply_packed(const std::vector<PackedV3>& pi_values) {
   queue_.drain([this](NodeId n) { return evaluate(n); });
 }
 
-void SequenceSimulator::sweep_packed(std::span<const PackedV3> pi_values) {
+void SequenceSimulator::sweep_packed(std::span<const PackedV3> pi_values,
+                                     std::span<const NodeId> gates) {
   const auto pis = circuit_.primary_inputs();
   if (pi_values.size() != pis.size()) {
     throw std::invalid_argument("sweep_packed: PI arity mismatch");
   }
   for (std::size_t i = 0; i < pis.size(); ++i) values_[pis[i]] = pi_values[i];
   force_source_overrides();
-  const auto topo = circuit_.topo_order();
-  for (NodeId g : topo) values_[g] = gate_value(g);
-  gate_evals_ += topo.size();
-  first_vector_ = false;
+  for (NodeId g : gates) values_[g] = gate_value(g);
+  gate_evals_ += gates.size();
+  // Only a whole sweep leaves no stale gate behind to trace events from.
+  first_vector_ = gates.size() != circuit_.gate_count();
 }
 
 void SequenceSimulator::apply_vector(const Vector3& v) {
@@ -217,10 +218,12 @@ void SequenceSimulator::clock() {
   queue_.drain([this](NodeId n) { return evaluate(n); });
 }
 
-void SequenceSimulator::latch() {
+void SequenceSimulator::latch(std::span<const std::uint32_t> ff_indices) {
   const auto ffs = circuit_.flip_flops();
-  compute_next_state();
-  for (std::size_t i = 0; i < ffs.size(); ++i) values_[ffs[i]] = next_state_[i];
+  for (const std::uint32_t i : ff_indices) {
+    next_state_[i] = next_state_packed(i);
+  }
+  for (const std::uint32_t i : ff_indices) values_[ffs[i]] = next_state_[i];
   first_vector_ = true;
 }
 
@@ -300,18 +303,6 @@ State3 SequenceSimulator::state(unsigned slot) const {
     s[i] = values_[ffs[i]].get(slot);
   }
   return s;
-}
-
-unsigned SequenceSimulator::state_match_count(const State3& desired,
-                                              unsigned slot) const {
-  const auto ffs = circuit_.flip_flops();
-  unsigned count = 0;
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (desired[i] == V3::kX || desired[i] == values_[ffs[i]].get(slot)) {
-      ++count;
-    }
-  }
-  return count;
 }
 
 std::uint64_t SequenceSimulator::state_match_mask(const State3& desired) const {

@@ -16,9 +16,12 @@
 // self-contained mode: the machine carries its own state and traces its own
 // events from vector to vector.  sweep_packed()/latch() is the oblivious
 // mode for high-activity workloads (the GA's 64 independent random
-// candidates change nearly every gate each frame): one levelized pass over
-// every gate per frame, and a clock edge that does not settle the logic the
-// next sweep re-evaluates anyway.  apply_differential() is the PROOFS
+// candidates change nearly every gate each frame): one pass over a caller's
+// gate list per frame, and a clock edge over a caller's flip-flop list that
+// does not settle the logic the next sweep re-evaluates anyway.  The GA
+// passes the depth-bounded goal cone of the flip-flops it scores, so the
+// gates and flip-flops outside it go stale and are never read.
+// apply_differential() is the PROOFS
 // differential mode driven by FaultSimulator: the caller supplies the good
 // machine's settled node values for the frame, the machine overlays the
 // per-slot faulty flip-flop state and its fault overrides, and only the
@@ -123,10 +126,18 @@ class SequenceSimulator {
   /// events through the combinational logic.  Does not clock.
   void apply_packed(const std::vector<PackedV3>& pi_values);
 
-  /// Applies one packed input vector and evaluates every gate once in level
-  /// order, regardless of which inputs changed.  Afterwards every node value
-  /// is settled, exactly as after apply_packed().  Does not clock.
-  void sweep_packed(std::span<const PackedV3> pi_values);
+  /// Applies one packed input vector and evaluates each gate of `gates`
+  /// once, in list order, regardless of which inputs changed.  `gates` must
+  /// list every gate after its combinational fanins, and each listed gate's
+  /// combinational fanins must be listed too (a fan-in-closed cone, in
+  /// evaluation order); those gates then settle exactly as after
+  /// apply_packed(), and the rest keep stale values.  Does not clock.
+  void sweep_packed(std::span<const PackedV3> pi_values,
+                    std::span<const netlist::NodeId> gates);
+  /// The whole circuit: every gate of topo_order().
+  void sweep_packed(std::span<const PackedV3> pi_values) {
+    sweep_packed(pi_values, circuit_.topo_order());
+  }
 
   /// Broadcast convenience: applies the same scalar vector to all slots.
   void apply_vector(const Vector3& v);
@@ -135,11 +146,13 @@ class SequenceSimulator {
   /// for the next apply call.
   void clock();
 
-  /// The clock() edge without its settle: latches the flip-flop next state
-  /// but leaves the combinational logic stale, so only flip-flop reads
-  /// (state(), state_match_*) are meaningful until the next
-  /// apply_packed()/sweep_packed(), which then evaluates every gate.
-  void latch();
+  /// The clock() edge without its settle, on the flip-flops of `ff_indices`
+  /// (indices into Circuit::flip_flops()): latches their next state and
+  /// leaves the combinational logic stale, so only their reads are
+  /// meaningful until the next sweep; a following apply_packed() evaluates
+  /// every gate.  Listed flip-flops latch as one edge (one may feed
+  /// another); the rest keep their value.
+  void latch(std::span<const std::uint32_t> ff_indices);
 
   /// Applies every vector of a sequence (apply + clock each cycle).
   void run_sequence(const Sequence& seq);
@@ -177,10 +190,6 @@ class SequenceSimulator {
 
   /// Current state (one slot).
   State3 state(unsigned slot = 0) const;
-
-  /// Number of flip-flops whose slot-`slot` value matches `desired`
-  /// (desired kX always matches — "requires no particular value").
-  unsigned state_match_count(const State3& desired, unsigned slot) const;
 
   /// Per-slot mask of "all flip-flops match `desired`".
   std::uint64_t state_match_mask(const State3& desired) const;

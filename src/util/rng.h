@@ -74,13 +74,31 @@ class Rng {
                     below(static_cast<std::uint64_t>(hi - lo) + 1));
   }
 
-  /// True with probability p (p clamped to [0,1]).
+  /// True with probability p (p clamped to [0,1]).  Draws nothing when
+  /// p <= 0 or p >= 1.
   bool chance(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
-    constexpr double kScale =
-        1.0 / static_cast<double>(std::numeric_limits<std::uint64_t>::max());
-    return static_cast<double>((*this)()) * kScale < p;
+    return static_cast<double>((*this)()) * kChanceScale < p;
+  }
+
+  /// The draw bound of chance(p) for 0 < p < 1: chance(p) is exactly
+  /// `(*this)() < chance_threshold(p)`, so a loop drawing against one p can
+  /// compare integers instead of converting every draw.  The predicate
+  /// double(x) * kChanceScale < p falls from true to false once as x grows,
+  /// and the bound is where, found by binary search.
+  static std::uint64_t chance_threshold(double p) {
+    std::uint64_t lo = 0;  // the answer lies in [lo, hi]
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max();
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (static_cast<double>(mid) * kChanceScale < p) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
   }
 
   /// A random bit.
@@ -108,6 +126,9 @@ class Rng {
   }
 
  private:
+  static constexpr double kChanceScale =
+      1.0 / static_cast<double>(std::numeric_limits<std::uint64_t>::max());
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

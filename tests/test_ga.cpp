@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <string>
 
 #include "ga/genetic.h"
 
@@ -234,6 +235,82 @@ TEST(Mutation, FlipsApproximatelyExpectedFraction) {
   }
   EXPECT_LT(static_cast<double>(flips) / static_cast<double>(bits), 0.2);
 }
+
+// Breeding stream pin: an FNV-1a digest of every population the engine
+// hands to the evaluator, over both selection schemes, a seeded initial
+// population and the mutation-probability edge cases.  The expected values
+// were recorded before the engine reused its population buffers and drew
+// mutations against a precomputed threshold, so any change to the draw
+// order, the draw count or a draw's outcome shows up here.
+struct BreedCase {
+  SelectionScheme selection;
+  bool seeded;
+  double mutation_probability;
+  std::uint64_t digest;
+};
+
+class GaEngineBreeding : public ::testing::TestWithParam<BreedCase> {};
+
+TEST_P(GaEngineBreeding, PopulationDigestIsPinned) {
+  const BreedCase& bc = GetParam();
+  GaConfig cfg;
+  cfg.population_size = 12;
+  cfg.generations = 7;
+  cfg.chromosome_bits = 37;
+  cfg.selection = bc.selection;
+  cfg.mutation_probability = bc.mutation_probability;
+  cfg.seed = 17;
+  if (bc.seeded) {
+    // Shorter, exact and longer than chromosome_bits, to exercise padding
+    // and truncation.
+    cfg.seeds = {Chromosome(5, 1), Chromosome(37, 1), Chromosome(50, 0)};
+    cfg.seeds[2][3] = 1;
+  }
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  auto mix = [&](std::uint64_t x) {
+    digest ^= x;
+    digest *= 0x100000001b3ULL;
+  };
+  const GaResult r = GaEngine(cfg).run(
+      [&](std::span<const Chromosome> pop, std::span<double> fit) {
+        mix(pop.size());
+        for (std::size_t i = 0; i < pop.size(); ++i) {
+          double score = 0.0;
+          for (std::size_t b = 0; b < pop[i].size(); ++b) {
+            mix(pop[i][b]);
+            score += pop[i][b] * static_cast<double>((b * 7) % 5);
+          }
+          fit[i] = score;
+        }
+        return false;
+      });
+  mix(static_cast<std::uint64_t>(r.best_fitness));
+  for (const std::uint8_t bit : r.best) mix(bit);
+  EXPECT_EQ(digest, bc.digest) << std::hex << digest;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, GaEngineBreeding,
+    ::testing::Values(
+        BreedCase{SelectionScheme::kTournamentWithoutReplacement, false, 0.0,
+                  0x26ffd30aced81c95ULL},
+        BreedCase{SelectionScheme::kTournamentWithoutReplacement, false,
+                  1.0 / 64.0, 0xc9dc374d59791773ULL},
+        BreedCase{SelectionScheme::kTournamentWithoutReplacement, false, 1.0,
+                  0xdae239a53250e2a0ULL},
+        BreedCase{SelectionScheme::kTournamentWithoutReplacement, true,
+                  1.0 / 64.0, 0x61fe381fea7db04fULL},
+        BreedCase{SelectionScheme::kProportionate, false, 0.0,
+                  0x8228a961c7b3f337ULL},
+        BreedCase{SelectionScheme::kProportionate, false, 1.0 / 64.0,
+                  0x513c36036345c248ULL},
+        BreedCase{SelectionScheme::kProportionate, false, 1.0,
+                  0x7cf307ee9405333eULL},
+        BreedCase{SelectionScheme::kProportionate, true, 1.0 / 64.0,
+                  0xd4f068856baa2a32ULL}),
+    [](const ::testing::TestParamInfo<BreedCase>& info) {
+      return std::to_string(info.index);
+    });
 
 }  // namespace
 }  // namespace gatpg::ga

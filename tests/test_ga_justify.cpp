@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 
@@ -312,13 +313,14 @@ GaJustifyResult oracle_justify(const netlist::Circuit& c,
 bool expect_matches_oracle(const netlist::Circuit& c, const fault::Fault& f,
                            const State3& desired_good,
                            const State3& desired_faulty,
-                           const State3& current_good, std::uint64_t seed) {
+                           const State3& current_good, std::uint64_t seed,
+                           unsigned sequence_length = 8) {
   bool success = false;
   for (const std::size_t population : {64u, 128u}) {
     GaJustifyConfig cfg;
     cfg.population = population;
     cfg.generations = population == 64 ? 4 : 3;
-    cfg.sequence_length = 8;
+    cfg.sequence_length = sequence_length;
     cfg.seed = seed;
     const GaJustifyResult want = oracle_justify(
         c, f, desired_good, desired_faulty, current_good, cfg);
@@ -343,7 +345,10 @@ bool expect_matches_oracle(const netlist::Circuit& c, const fault::Fault& f,
 }
 
 /// Stuck-at and transition faults on a gate output, a gate input pin, and a
-/// flip-flop D pin and Q output, plus a stuck-at fault on a primary input.
+/// flip-flop D pin and Q output, a stuck-at fault on a primary input, and
+/// transition faults whose launch line is a primary input (its stem, and a
+/// gate pin it drives when there is one).  The transition faults' launch
+/// lines thus cover a gate, a flip-flop and a primary input.
 std::vector<fault::Fault> oracle_faults(const netlist::Circuit& c,
                                         util::Rng& rng) {
   const auto topo = c.topo_order();
@@ -353,7 +358,8 @@ std::vector<fault::Fault> oracle_faults(const netlist::Circuit& c,
   const netlist::NodeId pin_gate = topo[rng.below(topo.size())];
   const int pin = static_cast<int>(rng.below(c.fanin_count(pin_gate)));
   const netlist::NodeId ff = ffs[rng.below(ffs.size())];
-  return {
+  const netlist::NodeId pi = pis[rng.below(pis.size())];
+  std::vector<fault::Fault> faults = {
       {gate, fault::kOutputPin, rng.bit()},
       {pin_gate, pin, rng.bit()},
       {pis[rng.below(pis.size())], fault::kOutputPin, rng.bit()},
@@ -363,16 +369,43 @@ std::vector<fault::Fault> oracle_faults(const netlist::Circuit& c,
       fault::make_transition(pin_gate, pin, rng.bit()),
       fault::make_transition(ff, 0, rng.bit()),
       fault::make_transition(ff, fault::kOutputPin, rng.bit()),
+      fault::make_transition(pi, fault::kOutputPin, rng.bit()),
   };
+  for (const netlist::NodeId g : c.fanouts(pi)) {
+    if (!netlist::is_combinational(c.type(g))) continue;
+    const auto fanins = c.fanins(g);
+    const auto at = std::find(fanins.begin(), fanins.end(), pi);
+    faults.push_back(fault::make_transition(
+        g, static_cast<int>(at - fanins.begin()), rng.bit()));
+    break;
+  }
+  return faults;
 }
 
-/// Checks every oracle fault against three goals: the good and faulty
+/// A goal with one or two literals on random flip-flops, copied from
+/// `values` (a reached state) where it is defined and random elsewhere.
+State3 sparse_goal(const State3& values, util::Rng& rng) {
+  State3 goal(values.size(), V3::kX);
+  const unsigned literals = 1 + static_cast<unsigned>(rng.below(2));
+  for (unsigned k = 0; k < literals; ++k) {
+    const std::size_t i = rng.below(values.size());
+    goal[i] = values[i] != V3::kX ? values[i]
+                                  : (rng.bit() ? V3::k1 : V3::k0);
+  }
+  return goal;
+}
+
+/// Checks every oracle fault against five goals: the good and faulty
 /// states one random sequence reaches (often justifiable, exercising the
-/// early exit), and a fully specified random good or faulty state (often
-/// not, exercising full fitness evaluation and evolution on each machine).
-/// Returns {successes, failures}.
+/// early exit), a fully specified random good or faulty state (often not,
+/// exercising full fitness evaluation and evolution on each machine), and a
+/// sparse good-only or faulty-only goal of one or two literals, whose goal
+/// cone leaves most of the circuit out.  `sparse_only` keeps just the two
+/// sparse goals and the transition faults.  Returns {successes, failures}.
 std::pair<int, int> check_circuit(const netlist::Circuit& c,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed,
+                                  unsigned sequence_length = 8,
+                                  bool sparse_only = false) {
   util::Rng rng(seed);
   const std::size_t num_ff = c.flip_flops().size();
   test::ReferenceSimulator warm(c);
@@ -397,11 +430,20 @@ std::pair<int, int> check_circuit(const netlist::Circuit& c,
     }
     State3 random_state(num_ff);
     for (V3& v : random_state) v = rng.bit() ? V3::k1 : V3::k0;
+    const State3 sparse_good = sparse_goal(good.state(), rng);
+    const State3 sparse_faulty = sparse_goal(bad.state(), rng);
     const std::uint64_t ga_seed = rng();
-    for (const auto& [dg, df] : {std::pair{good.state(), bad.state()},
-                                 std::pair{random_state, all_x},
-                                 std::pair{all_x, random_state}}) {
-      if (expect_matches_oracle(c, f, dg, df, current, ga_seed)) {
+    std::vector<std::pair<State3, State3>> goals = {
+        {sparse_good, all_x}, {all_x, sparse_faulty}};
+    if (sparse_only && !f.is_transition()) continue;
+    if (!sparse_only) {
+      goals.insert(goals.begin(), {{good.state(), bad.state()},
+                                   {random_state, all_x},
+                                   {all_x, random_state}});
+    }
+    for (const auto& [dg, df] : goals) {
+      if (expect_matches_oracle(c, f, dg, df, current, ga_seed,
+                                sequence_length)) {
         ++successes;
       } else {
         ++failures;
@@ -439,15 +481,12 @@ TEST(GaFitnessOracle, MatchesNaiveEvaluatorOnRegistryCircuits) {
   EXPECT_GT(failures, 0);
 }
 
-TEST(GaFitnessOracle, FaultyMachineRestartsAllXEveryBatch) {
-  // A six-bit shift register that shifts only when both enable inputs are
-  // 1, so a candidate ends its sequence still holding part of the state it
-  // started from.  The faulty last stage's D pin is stuck at 0, so the
-  // faulty goal "all ones" is unreachable: every generation is scored, and
-  // the faulty scores (and so the evolution) show whether each batch really
-  // started from all-X.
+/// A shift register that shifts only when both enable inputs are 1, so a
+/// candidate ends its sequence still holding part of the state it started
+/// from.  Stage i's goal cone reaches back i + 1 frames: its sequential
+/// fan-in closure has depth i.
+netlist::Circuit make_hold_register(std::size_t bits) {
   using netlist::GateType;
-  constexpr std::size_t kBits = 6;
   netlist::CircuitBuilder b;
   const std::vector<netlist::NodeId> enables = {b.add_input("e0"),
                                                 b.add_input("e1")};
@@ -455,10 +494,10 @@ TEST(GaFitnessOracle, FaultyMachineRestartsAllXEveryBatch) {
   const netlist::NodeId en = b.add_gate(GateType::kAnd, "en", enables);
   const netlist::NodeId hold = b.add_gate(GateType::kNot, "hold", {en});
   std::vector<netlist::NodeId> q;
-  for (std::size_t i = 0; i < kBits; ++i) {
+  for (std::size_t i = 0; i < bits; ++i) {
     q.push_back(b.add_dff("q" + std::to_string(i)));
   }
-  for (std::size_t i = 0; i < kBits; ++i) {
+  for (std::size_t i = 0; i < bits; ++i) {
     const std::string name = "d" + std::to_string(i);
     const netlist::NodeId load = b.add_gate(GateType::kAnd, name + "_load",
                                             {en, i == 0 ? d : q[i - 1]});
@@ -467,7 +506,17 @@ TEST(GaFitnessOracle, FaultyMachineRestartsAllXEveryBatch) {
     b.set_dff_input(q[i], b.add_gate(GateType::kOr, name, {load, keep}));
   }
   b.mark_output(q.back());
-  const auto c = std::move(b).build("hold_register");
+  return std::move(b).build("hold_register");
+}
+
+TEST(GaFitnessOracle, FaultyMachineRestartsAllXEveryBatch) {
+  // The faulty last stage's D pin is stuck at 0, so the faulty goal "all
+  // ones" is unreachable: every generation is scored, and the faulty scores
+  // (and so the evolution) show whether each batch really started from
+  // all-X.
+  constexpr std::size_t kBits = 6;
+  const auto c = make_hold_register(kBits);
+  const auto q = c.flip_flops();
 
   const fault::Fault f{q.back(), 0, false};
   const State3 all_x(kBits, V3::kX);
@@ -475,6 +524,35 @@ TEST(GaFitnessOracle, FaultyMachineRestartsAllXEveryBatch) {
     EXPECT_FALSE(expect_matches_oracle(c, f, all_x, State3(kBits, V3::k1),
                                        State3(kBits, V3::k0), seed));
   }
+}
+
+TEST(GaFitnessOracle, SequenceLongerThanClosureDepth) {
+  // Sparse goals on one or two stages of a six-stage hold register, whose
+  // closure depth (at most 5) the 8- and 12-frame sequences outrun, so the
+  // early frames run the whole closure and the later ones a shrinking part
+  // of it.  Every oracle fault (launch lines on a gate, a flip-flop and a
+  // primary input) meets each goal shape.
+  const auto c = make_hold_register(6);
+  int successes = 0;
+  int failures = 0;
+  for (const unsigned length : {8u, 12u}) {
+    const auto [s, f] = check_circuit(c, 40 + length, length);
+    successes += s;
+    failures += f;
+  }
+  EXPECT_GT(successes, 0);
+  EXPECT_GT(failures, 0);
+}
+
+TEST(GaFitnessOracle, MatchesNaiveEvaluatorOnDeepClosure) {
+  // am2910's microprogram counter, stack and register closures run several
+  // frames deep; 10-frame sequences with sparse goals leave whole parts of
+  // it out of the early and late frames.  Transition faults only, to keep
+  // the scalar oracle's cost down: their launch cones are the part of the
+  // cone stuck-at faults do not exercise.
+  const auto [s, f] =
+      check_circuit(gen::make_circuit("am2910"), 5, 10, /*sparse_only=*/true);
+  EXPECT_GT(s + f, 0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -74,6 +75,24 @@ TEST(Rng, ChanceApproximatesProbability) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) hits += rng.chance(0.25) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.25, 0.02);
+}
+
+TEST(Rng, ChanceThresholdIsChanceDrawForDraw) {
+  // chance(p) and "draw < chance_threshold(p)" must agree on every draw,
+  // and the threshold must sit exactly where chance's comparison flips.
+  const double scale =
+      1.0 / static_cast<double>(std::numeric_limits<std::uint64_t>::max());
+  for (const double p : {1e-300, 1.0 / 64.0, 0.25, 0.5, 1.0 / 3.0,
+                         0.999999, 1.0 - 0x1.0p-53}) {
+    const std::uint64_t t = Rng::chance_threshold(p);
+    ASSERT_GT(t, 0u) << p;
+    EXPECT_TRUE(static_cast<double>(t - 1) * scale < p) << p;
+    EXPECT_FALSE(static_cast<double>(t) * scale < p) << p;
+    Rng a(31), b(31);
+    for (int i = 0; i < 4000; ++i) {
+      ASSERT_EQ(a.chance(p), b() < t) << p << " draw " << i;
+    }
+  }
 }
 
 TEST(Rng, UniformInHalfOpenInterval) {
