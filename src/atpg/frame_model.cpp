@@ -109,12 +109,10 @@ void FrameModel::reset(std::optional<fault::Fault> fault, unsigned max_frames,
   launch_line_ = kNoFaultNode;
   launch_skew_ = 1;
   if (trans_) {
-    if (fault_->pin == fault::kOutputPin) {
-      launch_line_ = fault_->node;
-    } else {
-      launch_line_ =
-          circuit_.fanins(fault_->node)[static_cast<std::size_t>(fault_->pin)];
-      if (circuit_.type(fault_->node) == GateType::kDff) launch_skew_ = 2;
+    launch_line_ = fault::launch_line(circuit_, *fault_);
+    if (fault_->pin != fault::kOutputPin &&
+        circuit_.type(fault_->node) == GateType::kDff) {
+      launch_skew_ = 2;
     }
   }
   max_frames_ = max_frames;

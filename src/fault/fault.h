@@ -64,6 +64,18 @@ constexpr Fault make_transition(netlist::NodeId node, int pin,
                        : FaultModel::kTransitionSlowToRise};
 }
 
+/// The good-machine line whose value launches a transition fault at this
+/// site: the faulted node's own output for an output (stem) fault, the
+/// driving line for an input-pin (branch) fault.  The fault is active in a
+/// frame iff this line settled to the transition's initial value (stuck_at)
+/// in the frame before.  For a stuck-at fault it is the line whose good
+/// value excites the site.
+inline netlist::NodeId launch_line(const netlist::Circuit& c, const Fault& f) {
+  return f.pin == kOutputPin
+             ? f.node
+             : c.fanins(f.node)[static_cast<std::size_t>(f.pin)];
+}
+
 inline const char* model_suffix(const Fault& f) {
   switch (f.model) {
     case FaultModel::kTransitionSlowToRise:

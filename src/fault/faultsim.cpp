@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "fault/inject.h"
+
 namespace gatpg::fault {
 
 using netlist::NodeId;
@@ -25,19 +27,6 @@ std::uint64_t differing_slots(PackedV3 a, V3 good) {
     default:
       return a.v1 | a.v0;
   }
-}
-
-/// The good-machine line whose *previous-frame* value launches a transition
-/// fault at this site: the faulted node's own output for output faults, the
-/// driving line for input-pin (branch) faults.  The fault is active in a
-/// frame iff that line settled to the transition's initial value in the
-/// frame before (defined-equal; an X launch leaves the fault inactive — a
-/// sound under-approximation, since every reported detection is
-/// simulator-verified).
-NodeId launch_line(const netlist::Circuit& c, const Fault& f) {
-  return f.pin == kOutputPin
-             ? f.node
-             : c.fanins(f.node)[static_cast<std::size_t>(f.pin)];
 }
 
 }  // namespace
@@ -105,13 +94,13 @@ void FaultSimulator::simulate_differential(
   const std::uint64_t good_evals_before = good.gate_evals();
 
   // Excitation-screen site info, one entry per fault: the good-machine line
-  // whose value feeds the fault site, the stuck value, and — for flip-flop
-  // output faults, which also force the *next* state at latch time — the D
-  // line as a second excitation source.  For transition faults `line` doubles
-  // as the launch line (it is the same line by construction) and `stuck` as
-  // the transition's initial value; the stuck-at excitation screen stays a
-  // sound superset for them (activity only further restricts when the
-  // forcing can diverge from the good machine).
+  // whose value feeds the fault site (launch_line), the stuck value, and —
+  // for flip-flop output faults, which also force the *next* state at latch
+  // time — the D line as a second excitation source.  For transition faults
+  // `line` is also the launch line and `stuck` the transition's initial
+  // value; the stuck-at excitation screen stays a sound superset for them
+  // (activity only further restricts when the forcing can diverge from the
+  // good machine).
   struct Site {
     NodeId line = netlist::kNoNode;
     NodeId extra = netlist::kNoNode;
@@ -122,15 +111,11 @@ void FaultSimulator::simulate_differential(
   for (std::size_t i = 0; i < fault_indices.size(); ++i) {
     const Fault& f = faults_[fault_indices[i]];
     Site& s = sites[i];
+    s.line = launch_line(c_, f);
     s.stuck = f.stuck_at ? V3::k1 : V3::k0;
     s.transition = f.is_transition();
-    if (f.pin == kOutputPin) {
-      s.line = f.node;
-      if (c_.type(f.node) == netlist::GateType::kDff) {
-        s.extra = c_.fanins(f.node)[0];
-      }
-    } else {
-      s.line = c_.fanins(f.node)[static_cast<std::size_t>(f.pin)];
+    if (f.pin == kOutputPin && c_.type(f.node) == netlist::GateType::kDff) {
+      s.extra = c_.fanins(f.node)[0];
     }
   }
 
@@ -199,14 +184,8 @@ void FaultSimulator::simulate_differential(
 
           machine.clear_overrides();
           for (std::size_t s = 0; s < count; ++s) {
-            const Fault& f = faults_[fault_indices[order[begin + s]]];
-            const std::uint64_t mask = 1ULL << s;
-            if (f.pin == kOutputPin) {
-              machine.add_output_override(f.node, f.stuck_at, mask);
-            } else {
-              machine.add_input_override(
-                  f.node, static_cast<unsigned>(f.pin), f.stuck_at, mask);
-            }
+            inject(machine, faults_[fault_indices[order[begin + s]]],
+                   1ULL << s);
           }
 
           // Packed faulty present state; unused high slots track the good
@@ -477,22 +456,9 @@ bool FaultSimulator::would_detect_from(const netlist::Circuit& c,
                                        V3 launch_prev) {
   sim::SequenceSimulator good = good_start;  // copy: caller state untouched
   sim::SequenceSimulator faulty(c);
-  const bool trans = f.is_transition();
   const NodeId line = launch_line(c, f);
-  const V3 initial = f.stuck_at ? V3::k1 : V3::k0;
-  if (trans) {
-    // Frame-0 activity from the caller-supplied launch anchor, installed
-    // before the override so even the initial source forcing is gated.
-    const std::uint64_t act0 = launch_prev == initial ? ~0ULL : 0;
-    faulty.set_override_activity(act0);
-    faulty.set_latch_override_activity(act0);
-  }
-  if (f.pin == kOutputPin) {
-    faulty.add_output_override(f.node, f.stuck_at, ~0ULL);
-  } else {
-    faulty.add_input_override(f.node, static_cast<unsigned>(f.pin),
-                              f.stuck_at, ~0ULL);
-  }
+  begin_launch(faulty, f, launch_prev);
+  inject(faulty, f);
   faulty.set_state(faulty_state);
 
   const auto pos = c.primary_outputs();
@@ -504,21 +470,8 @@ bool FaultSimulator::would_detect_from(const netlist::Circuit& c,
       const V3 b = faulty.scalar_value(po);
       if (g != V3::kX && b != V3::kX && g != b) return true;
     }
-    if (trans) {
-      // Next frame's activity comes from this frame's settled good launch
-      // value: the latch mask must be in place before clock() (the latched
-      // forcing lands in the next frame); the current mask rolls over after
-      // it (a change re-baselines the event queue on the next apply).
-      const std::uint64_t next_act =
-          good.scalar_value(line) == initial ? ~0ULL : 0;
-      faulty.set_latch_override_activity(next_act);
-      good.clock();
-      faulty.clock();
-      faulty.set_override_activity(next_act);
-    } else {
-      good.clock();
-      faulty.clock();
-    }
+    end_frame(good, faulty, f, line,
+              [](sim::SequenceSimulator& m) { m.clock(); });
   }
   return false;
 }

@@ -8,6 +8,9 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fault/inject.h"
+#include "ga/codec.h"
+
 namespace gatpg::hybrid {
 
 using netlist::NodeId;
@@ -15,21 +18,8 @@ using sim::PackedV3;
 using sim::Sequence;
 using sim::State3;
 using sim::V3;
-using sim::Vector3;
 
 namespace {
-
-/// Decodes the first `length` vectors of a chromosome.
-Sequence decode(const ga::Chromosome& chromosome, std::size_t num_pi,
-                unsigned length) {
-  Sequence seq(length, Vector3(num_pi));
-  for (unsigned t = 0; t < length; ++t) {
-    for (std::size_t i = 0; i < num_pi; ++i) {
-      seq[t][i] = chromosome[t * num_pi + i] ? V3::k1 : V3::k0;
-    }
-  }
-  return seq;
-}
 
 /// The part of the circuit the GA's results depend on: the sequential
 /// fan-in of the required flip-flops R by depth.  Depth 0 is the
@@ -161,15 +151,9 @@ GaJustifyResult GaStateJustifier::justify(
 
   // Transition faults force conditionally: the faulty machine's overrides
   // are gated per frame by the launch activity derived from the lockstep
-  // good machine (the good value of the launch line in the previous frame
-  // must equal the transition's initial value).  The power-up frame cannot
-  // launch, so each batch starts with a zero current-frame mask; the latch
-  // mask is set before every clock edge.
-  const bool trans = fault.is_transition();
-  const NodeId launch_line =
-      fault.pin == fault::kOutputPin
-          ? fault.node
-          : c_.fanins(fault.node)[static_cast<std::size_t>(fault.pin)];
+  // good machine (fault/inject.h).  Each batch starts from power-up, whose
+  // frame cannot launch.
+  const NodeId launch = fault::launch_line(c_, fault);
 
   // Only the required flip-flops R are scored, so each frame runs only
   // what R still depends on (see GoalCone).  Both machines run the same
@@ -197,16 +181,8 @@ GaJustifyResult GaStateJustifier::justify(
   ga_config.seed = config.seed;
   ga_config.seeds.reserve(config.seeds.size());
   for (const Sequence& seed_seq : config.seeds) {
-    ga::Chromosome chrom(ga_config.chromosome_bits, 0);
-    const std::size_t tmax =
-        std::min<std::size_t>(seed_seq.size(), config.sequence_length);
-    for (std::size_t t = 0; t < tmax; ++t) {
-      const std::size_t width = std::min(num_pi, seed_seq[t].size());
-      for (std::size_t i = 0; i < width; ++i) {
-        if (seed_seq[t][i] == V3::k1) chrom[t * num_pi + i] = 1;
-      }
-    }
-    ga_config.seeds.push_back(std::move(chrom));
+    ga_config.seeds.push_back(
+        ga::encode(seed_seq, num_pi, config.sequence_length));
   }
 
   // Batch evaluator: 64 candidates per bit-parallel simulation, batches
@@ -247,21 +223,15 @@ GaJustifyResult GaStateJustifier::justify(
           const std::size_t count = end - base;
 
           if (!lanes[lane]) {
-            Machines& m = lanes[lane].emplace(c_);
-            if (fault.pin == fault::kOutputPin) {
-              m.faulty.add_output_override(fault.node, fault.stuck_at, ~0ULL);
-            } else {
-              m.faulty.add_input_override(fault.node,
-                                          static_cast<unsigned>(fault.pin),
-                                          fault.stuck_at, ~0ULL);
-            }
+            fault::inject(lanes[lane].emplace(c_).faulty, fault);
           }
           sim::SequenceSimulator& good = lanes[lane]->good;
           sim::SequenceSimulator& faulty = lanes[lane]->faulty;
           std::vector<PackedV3>& pi_words = lanes[lane]->pi_words;
           good.set_state(current_good_state);
-          if (trans) faulty.set_override_activity(0);
+          fault::begin_launch(faulty, fault);
           faulty.reset();
+          const auto batch_chromosomes = population.subspan(base, count);
 
           // With 64 independent candidates nearly every gate changes every
           // frame, so each frame is one sweep of the cone and a bare latch.
@@ -270,34 +240,15 @@ GaJustifyResult GaStateJustifier::justify(
             // A lower batch already matched: this batch cannot win, and on
             // success every fitness value is zeroed anyway.
             if (batch > best_batch.load(std::memory_order_acquire)) return;
-            for (std::size_t i = 0; i < num_pi; ++i) {
-              const std::size_t bit = t * num_pi + i;
-              std::uint64_t ones = 0;
-              for (std::size_t s = 0; s < count; ++s) {
-                ones |= static_cast<std::uint64_t>(population[base + s][bit])
-                        << s;
-              }
-              pi_words[i] = {ones, ~ones};
-            }
+            ga::pack_frame(batch_chromosomes, num_pi, t, pi_words);
             const unsigned depth = std::min(length - 1 - t, cone.max_depth());
             const auto gates = cone.gates(depth);
             const auto ffs = cone.flip_flops(depth);
             good.sweep_packed(pi_words, gates);
             faulty.sweep_packed(pi_words, gates);
-            if (trans) {
-              // Launch activity for frame t+1, read off the settled good
-              // frame; the latch mask must be in place before the clock
-              // edge, the current-frame mask after it.
-              const PackedV3 lv = good.value(launch_line);
-              const std::uint64_t next_act = fault.stuck_at ? lv.v1 : lv.v0;
-              faulty.set_latch_override_activity(next_act);
-              good.latch(ffs);
-              faulty.latch(ffs);
-              faulty.set_override_activity(next_act);
-            } else {
-              good.latch(ffs);
-              faulty.latch(ffs);
-            }
+            fault::end_frame(
+                good, faulty, fault, launch,
+                [ffs](sim::SequenceSimulator& m) { m.latch(ffs); });
 
             const std::uint64_t match =
                 good.state_match_mask(desired_good) &
@@ -333,7 +284,7 @@ GaJustifyResult GaStateJustifier::justify(
       const BatchMatch m = matches[winner];
       result.success = true;
       result.sequence =
-          decode(population[winner * 64 + m.slot], num_pi, m.t + 1);
+          ga::decode(population[winner * 64 + m.slot], num_pi, m.t + 1);
       // Score what was evaluated so far so the engine bookkeeping stays
       // sane, then request termination.
       for (std::size_t s = 0; s < population.size(); ++s) {
@@ -351,7 +302,8 @@ GaJustifyResult GaStateJustifier::justify(
   if (!result.success && !ga_result.best.empty()) {
     // Failure: surface the best individual as a near-miss sequence so the
     // caller can seed later populations from it.
-    result.sequence = decode(ga_result.best, num_pi, config.sequence_length);
+    result.sequence =
+        ga::decode(ga_result.best, num_pi, config.sequence_length);
   }
   return result;
 }

@@ -345,24 +345,20 @@ void HybridEngine::resolve_target(session::Session& s, std::size_t fault_index,
   s.faults().absorb_detections(s.simulator().detected());
 }
 
-std::size_t HybridEngine::step(session::Session& s,
-                               const util::Deadline& deadline) {
+void HybridEngine::step(session::Session& s) {
   session::FaultManager& fm = s.faults();
   const std::size_t target = fm.next_undetected(next_target_);
-  if (target == fm.size()) return 0;
+  if (target == fm.size()) return;
   next_target_ = target + 1;
-  const std::size_t before = fm.detected_count();
   if (s.simulator().detected()[target]) {
     fm.mark_detected(target);
-    return fm.detected_count() - before;
+    return;
   }
   // Stepwise targeting uses the schedule's final (hardest-limits) pass.
   const session::PassConfig pass = config_.schedule.passes.empty()
                               ? session::PassConfig{}
                               : config_.schedule.passes.back();
-  (void)deadline;  // per-fault limits come from the pass config
   resolve_target(s, target, target_fault(s, target, pass));
-  return fm.detected_count() - before;
 }
 
 void HybridEngine::save_state(serialize::Writer& w) const {
@@ -375,23 +371,6 @@ void HybridEngine::load_state(serialize::Reader& r) {
   for (std::uint64_t& word : words) word = r.u64();
   rng_.set_state_words(words);
   next_target_ = r.u64();
-}
-
-void prefilter_untestable(session::Session& s) {
-  const netlist::Circuit& c = s.circuit();
-  SearchLimits pre;
-  pre.max_backtracks = kPrefilterBacktracks;
-  pre.max_forward_frames = 4;
-  const auto obs_dist = atpg::share_observation_distances(c);
-  atpg::FrameModelPool pool(c);
-  session::FaultManager& fm = s.faults();
-  for (std::size_t i = 0; i < fm.size(); ++i) {
-    ForwardEngine fe(c, fm.fault(i), pre, obs_dist, &pool);
-    if (fe.next_solution(util::Deadline::unlimited()) ==
-        ForwardStatus::kUntestable) {
-      fm.mark_untestable(i);
-    }
-  }
 }
 
 HybridAtpg::HybridAtpg(const netlist::Circuit& c, HybridConfig config)
@@ -414,9 +393,6 @@ session::SessionConfig HybridConfig::session_config() const {
 session::SessionResult HybridAtpg::run(session::ProgressObserver* observer) {
   session::Session s(c_, faults_, config_.session_config());
   s.set_observer(observer);
-
-  if (config_.prefilter_untestable) prefilter_untestable(s);
-
   HybridEngine engine(c_, config_, depth_, rng_);
   return s.run(engine, config_.schedule);
 }

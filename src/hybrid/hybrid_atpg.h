@@ -18,7 +18,11 @@
 // Untestability is claimed only on completed exhaustive searches (forward
 // exhaustion with every required state proven unjustifiable, or forward
 // exhaustion before any solution); searches stopped by a limit mark the
-// fault aborted-for-this-pass instead.
+// fault aborted-for-this-pass instead.  This loop is the only source of
+// untestable verdicts.  The paper's conclusion suggests filtering untestable
+// faults out before the GA passes; here pass 1's forward search already
+// proves them before it calls the GA, and a separate pre-pass gained no
+// proof and no speed on any registry circuit (EXPERIMENTS.md).
 //
 // The HITEC baseline is this same engine driven by a deterministic-only
 // schedule (PassSchedule::hitec); fault-state tracking, fault dropping, and
@@ -66,10 +70,6 @@ struct HybridConfig {
   /// Fault-simulator options (window; threads come from `parallel` above,
   /// which overrides faultsim.parallel so one knob sizes every pool).
   fault::FaultSimConfig faultsim;
-  /// Conclusion-section option: cheap combinational-exhaustion prescreen
-  /// that marks easy untestables before pass 1 (prefilter_untestable()
-  /// below; bench_prefilter).
-  bool prefilter_untestable = false;
   /// Cross-fault state-knowledge layer (justified-sequence cache,
   /// unjustifiable-cube proofs, GA seeding, forward-solution reuse).
   /// Disabled by default; a disabled store is inert.
@@ -155,10 +155,9 @@ class HybridEngine : public session::Engine {
   void run(session::Session& session, const session::PassConfig& pass,
            const util::Deadline& deadline) override;
   /// One targeted fault (round-robin over the undetected set) under the
-  /// schedule's last pass: the alternating hybrid's deterministic phase.
-  /// Returns newly detected count (incidental detections included).
-  std::size_t step(session::Session& session,
-                   const util::Deadline& deadline);
+  /// schedule's last pass, whose limits bound it: the alternating hybrid's
+  /// deterministic phase.
+  void step(session::Session& session);
 
   /// Snapshot hooks: the X-fill RNG stream and the stepwise cursor.
   void save_state(serialize::Writer& w) const override;
@@ -264,17 +263,6 @@ class HybridEngine : public session::Engine {
   std::unique_ptr<LanePools> lane_model_pools_;
   SpecStats spec_stats_;
 };
-
-/// Bound of the prefilter's per-fault search; with no wall clock, the
-/// prefilter's verdicts are a pure function of the circuit and fault list.
-inline constexpr long kPrefilterBacktracks = 200;
-
-/// Conclusion-section prescreen: one four-frame excitation/propagation
-/// search per fault of `session` (kPrefilterBacktracks backtracks, no wall
-/// clock) marks the faults it proves untestable.  Both HybridAtpg::run and
-/// service::run_sharded apply it when HybridConfig::prefilter_untestable is
-/// set.
-void prefilter_untestable(session::Session& session);
 
 class HybridAtpg {
  public:

@@ -2,13 +2,12 @@
 
 #include <stdexcept>
 
+#include "ga/codec.h"
+
 namespace gatpg::hybrid {
 
-using netlist::NodeId;
 using sim::PackedV3;
-using sim::Sequence;
 using sim::V3;
-using sim::Vector3;
 
 GaJustifyResult GaOutputJustifier::justify(
     const std::vector<OutputGoal>& goals, const sim::State3& current_state,
@@ -46,15 +45,7 @@ GaJustifyResult GaOutputJustifier::justify(
       std::vector<PackedV3> pi_words(num_pi);
       std::vector<unsigned> best_match(count, 0);
       for (unsigned t = 0; t < config.sequence_length; ++t) {
-        for (std::size_t i = 0; i < num_pi; ++i) {
-          PackedV3 w = PackedV3::broadcast(V3::k0);
-          for (std::size_t s = 0; s < count; ++s) {
-            if (population[base + s][t * num_pi + i]) {
-              w.set(static_cast<unsigned>(s), V3::k1);
-            }
-          }
-          pi_words[i] = w;
-        }
+        ga::pack_frame(population.subspan(base, count), num_pi, t, pi_words);
         machine.apply_packed(pi_words);
 
         std::uint64_t all_match = ~0ULL;
@@ -74,13 +65,7 @@ GaJustifyResult GaOutputJustifier::justify(
           const unsigned slot =
               static_cast<unsigned>(__builtin_ctzll(all_match));
           result.success = true;
-          result.sequence.assign(t + 1, Vector3(num_pi));
-          for (unsigned u = 0; u <= t; ++u) {
-            for (std::size_t i = 0; i < num_pi; ++i) {
-              result.sequence[u][i] =
-                  population[base + slot][u * num_pi + i] ? V3::k1 : V3::k0;
-            }
-          }
+          result.sequence = ga::decode(population[base + slot], num_pi, t + 1);
           for (std::size_t s = 0; s < population.size(); ++s) fitness[s] = 0.0;
           return true;
         }

@@ -196,7 +196,7 @@ ShardedResult run_sharded(const netlist::Circuit& c,
   }
 
   // Phase 1 (serial): one session + engine per shard, resumed from its
-  // snapshot, or else prefiltered and warm-seeded as requested.
+  // snapshot, or else warm-seeded as requested.
   // HybridEngine keeps references to its config and RNG, so both live in
   // parallel arrays.
   std::vector<hybrid::HybridConfig> configs(shards, job.hybrid);
@@ -232,11 +232,7 @@ ShardedResult run_sharded(const netlist::Circuit& c,
         resumed = true;
       }
     }
-    if (!resumed) {
-      // A resumed shard restores its prefiltered statuses from the snapshot.
-      if (cfg.prefilter_untestable) hybrid::prefilter_untestable(*sessions[s]);
-      if (warm) warm->seed(*sessions[s], shards, s, circuit_key);
-    }
+    if (!resumed && warm) warm->seed(*sessions[s], shards, s, circuit_key);
   }
 
   // Phase 2 (parallel): worker w runs shards w, w+W, ... sequentially on

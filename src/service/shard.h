@@ -13,10 +13,8 @@
 // every other worker count must match (test_service.cpp asserts equality
 // through the SessionResult digest hooks).
 //
-// Each shard runs the full GA-HITEC engine over its sub-population (after
-// the same untestability prefilter HybridAtpg::run applies, when enabled)
-// with a shard-mixed RNG seed, its own checkpoint file (`<base>.shardK`),
-// and —
+// Each shard runs the full GA-HITEC engine over its sub-population with a
+// shard-mixed RNG seed, its own checkpoint file (`<base>.shardK`), and —
 // when a WarmStoreCache is supplied — a StateStore pre-seeded from the
 // previous submission of the same (shards, shard) slot, with
 // netlist-specific knowledge dropped when the fault-list identity changed

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "fault/inject.h"
 #include "serialize/archive.h"
 
 namespace gatpg::state {
@@ -75,38 +76,16 @@ bool StateStore::verify(const fault::Fault& fault, const Sequence& sequence,
   good.set_state(current_good);
   faulty.reset();
   faulty.clear_overrides();
-  // Transition faults force conditionally: gate the override per frame by
-  // the launch activity read off the lockstep good machine (same sequencing
-  // as the GA justifier's evaluators).  The power-up frame cannot launch.
-  const bool trans = fault.is_transition();
-  const netlist::NodeId launch_line =
-      fault.pin == fault::kOutputPin
-          ? fault.node
-          : c_.fanins(fault.node)[static_cast<std::size_t>(fault.pin)];
-  if (trans) {
-    faulty.set_override_activity(0);
-    faulty.set_latch_override_activity(0);
-  }
-  if (fault.pin == fault::kOutputPin) {
-    faulty.add_output_override(fault.node, fault.stuck_at, ~0ULL);
-  } else {
-    faulty.add_input_override(fault.node, static_cast<unsigned>(fault.pin),
-                              fault.stuck_at, ~0ULL);
-  }
+  // The faulty machine starts from power-up, whose frame cannot launch a
+  // transition fault.
+  const netlist::NodeId line = fault::launch_line(c_, fault);
+  fault::begin_launch(faulty, fault);
+  fault::inject(faulty, fault);
   for (std::size_t t = 0; t < sequence.size(); ++t) {
     good.apply_vector(sequence[t]);
     faulty.apply_vector(sequence[t]);
-    if (trans) {
-      const sim::PackedV3 lv = good.value(launch_line);
-      const std::uint64_t next_act = fault.stuck_at ? lv.v1 : lv.v0;
-      faulty.set_latch_override_activity(next_act);
-      good.clock();
-      faulty.clock();
-      faulty.set_override_activity(next_act);
-    } else {
-      good.clock();
-      faulty.clock();
-    }
+    fault::end_frame(good, faulty, fault, line,
+                     [](sim::SequenceSimulator& m) { m.clock(); });
     if ((good.state_match_mask(desired_good) &
          faulty.state_match_mask(desired_faulty) & 1ULL) != 0) {
       prefix.assign(sequence.begin(),

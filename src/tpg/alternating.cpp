@@ -70,7 +70,7 @@ void AlternatingEngine::run(session::Session& s, const session::PassConfig&,
     // The target is resolved if it (or anything else) left the undetected
     // set: detected, incidentally detected, or proven untestable.
     const std::size_t unresolved = fm.undetected_count();
-    det_.step(s, deadline);
+    det_.step(s);
     det_failures_ = fm.undetected_count() < unresolved ? 0 : det_failures_ + 1;
     s.checkpoint_tick();  // one targeted fault = one unit of work
   }

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <array>
 
+#include "ga/codec.h"
 #include "serialize/archive.h"
 
 namespace gatpg::tpg {
 
 using sim::Sequence;
-using sim::V3;
-using sim::Vector3;
 
 SimGenEngine::SimGenEngine(const netlist::Circuit& c,
                            const SimGenConfig& config)
@@ -28,20 +27,11 @@ std::size_t SimGenEngine::step(session::Session& s,
   ga_config.chromosome_bits = config_.sequence_length * npi;
   ga_config.seed = config_.seed ^ (0x51ed2701ULL * ++round_counter_);
 
-  auto decode = [&](const ga::Chromosome& chromosome) {
-    Sequence seq(config_.sequence_length, Vector3(npi));
-    for (unsigned t = 0; t < config_.sequence_length; ++t) {
-      for (std::size_t i = 0; i < npi; ++i) {
-        seq[t][i] = chromosome[t * npi + i] ? V3::k1 : V3::k0;
-      }
-    }
-    return seq;
-  };
-
   const auto evaluate = [&](std::span<const ga::Chromosome> population,
                             std::span<double> fitness) {
     for (std::size_t i = 0; i < population.size(); ++i) {
-      const auto what = s.simulator().what_if(sample, decode(population[i]));
+      const auto what = s.simulator().what_if(
+          sample, ga::decode(population[i], npi, config_.sequence_length));
       fitness[i] = static_cast<double>(what.detected) +
                    config_.effect_weight * what.state_effects;
       s.note_evaluations(1);
@@ -51,7 +41,8 @@ std::size_t SimGenEngine::step(session::Session& s,
 
   const ga::GaResult best = ga::GaEngine(ga_config).run(evaluate);
   if (best.best.empty()) return 0;
-  const std::size_t newly = s.commit_test(decode(best.best));
+  const std::size_t newly =
+      s.commit_test(ga::decode(best.best, npi, config_.sequence_length));
   s.faults().absorb_detections(s.simulator().detected());
   return newly;
 }

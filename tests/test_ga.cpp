@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string>
 
+#include "ga/codec.h"
 #include "ga/genetic.h"
 
 namespace gatpg::ga {
@@ -242,12 +243,21 @@ TEST(Mutation, FlipsApproximatelyExpectedFraction) {
 // were recorded before the engine reused its population buffers and drew
 // mutations against a precomputed threshold, so any change to the draw
 // order, the draw count or a draw's outcome shows up here.
+//
+// gtest names each case after the raw bytes of its BreedCase, so the struct
+// must have no padding: padding bytes hold whatever the stack held, which
+// varies with the build and with address-space randomisation, and the case
+// names with them.  `name_tag` fills the three bytes after `seeded`; its
+// values keep each case under the name it has always been listed as.
 struct BreedCase {
   SelectionScheme selection;
   bool seeded;
+  std::uint8_t name_tag[3];
   double mutation_probability;
   std::uint64_t digest;
 };
+static_assert(sizeof(BreedCase) == 4 + 1 + 3 + 8 + 8,
+              "BreedCase must have no padding bytes");
 
 class GaEngineBreeding : public ::testing::TestWithParam<BreedCase> {};
 
@@ -292,25 +302,49 @@ TEST_P(GaEngineBreeding, PopulationDigestIsPinned) {
 INSTANTIATE_TEST_SUITE_P(
     Schemes, GaEngineBreeding,
     ::testing::Values(
-        BreedCase{SelectionScheme::kTournamentWithoutReplacement, false, 0.0,
-                  0x26ffd30aced81c95ULL},
         BreedCase{SelectionScheme::kTournamentWithoutReplacement, false,
-                  1.0 / 64.0, 0xc9dc374d59791773ULL},
-        BreedCase{SelectionScheme::kTournamentWithoutReplacement, false, 1.0,
-                  0xdae239a53250e2a0ULL},
+                  {0x7F, 0, 0}, 0.0, 0x26ffd30aced81c95ULL},
+        BreedCase{SelectionScheme::kTournamentWithoutReplacement, false,
+                  {0x7F, 0, 0}, 1.0 / 64.0, 0xc9dc374d59791773ULL},
+        BreedCase{SelectionScheme::kTournamentWithoutReplacement, false,
+                  {0x55, 0, 0}, 1.0, 0xdae239a53250e2a0ULL},
         BreedCase{SelectionScheme::kTournamentWithoutReplacement, true,
-                  1.0 / 64.0, 0x61fe381fea7db04fULL},
-        BreedCase{SelectionScheme::kProportionate, false, 0.0,
-                  0x8228a961c7b3f337ULL},
-        BreedCase{SelectionScheme::kProportionate, false, 1.0 / 64.0,
-                  0x513c36036345c248ULL},
-        BreedCase{SelectionScheme::kProportionate, false, 1.0,
-                  0x7cf307ee9405333eULL},
-        BreedCase{SelectionScheme::kProportionate, true, 1.0 / 64.0,
-                  0xd4f068856baa2a32ULL}),
+                  {0, 0, 0}, 1.0 / 64.0, 0x61fe381fea7db04fULL},
+        BreedCase{SelectionScheme::kProportionate, false, {0x55, 0, 0},
+                  0.0, 0x8228a961c7b3f337ULL},
+        BreedCase{SelectionScheme::kProportionate, false, {0, 0, 0},
+                  1.0 / 64.0, 0x513c36036345c248ULL},
+        BreedCase{SelectionScheme::kProportionate, false, {0x7F, 0, 0},
+                  1.0, 0x7cf307ee9405333eULL},
+        BreedCase{SelectionScheme::kProportionate, true, {0, 0, 0},
+                  1.0 / 64.0, 0xd4f068856baa2a32ULL}),
     [](const ::testing::TestParamInfo<BreedCase>& info) {
       return std::to_string(info.index);
     });
+
+TEST(GaCodec, EncodeDecodeAndPackAgreeOnTheGeneLayout) {
+  using sim::V3;
+  // Two inputs, three vectors: gene t * 2 + i is input i in vector t.
+  const Chromosome chrom = {1, 0, 0, 1, 1, 1};
+  const sim::Sequence seq = decode(chrom, 2, 3);
+  ASSERT_EQ(seq.size(), 3u);
+  EXPECT_EQ(seq[0], (sim::Vector3{V3::k1, V3::k0}));
+  EXPECT_EQ(seq[1], (sim::Vector3{V3::k0, V3::k1}));
+  EXPECT_EQ(seq[2], (sim::Vector3{V3::k1, V3::k1}));
+  EXPECT_EQ(encode(seq, 2, 3), chrom);
+  // X genes encode as 0, and a short sequence is zero-padded.
+  EXPECT_EQ(encode({{V3::kX, V3::k1}}, 2, 2), (Chromosome{0, 1, 0, 0}));
+
+  // Slot s of input i's word is individual s's gene; other slots read 0.
+  const std::vector<Chromosome> batch = {chrom, {0, 1, 1, 0, 0, 0}};
+  std::vector<sim::PackedV3> words(2);
+  pack_frame(batch, 2, 1, words);
+  EXPECT_EQ(words[0].get(0), V3::k0);
+  EXPECT_EQ(words[0].get(1), V3::k1);
+  EXPECT_EQ(words[1].get(0), V3::k1);
+  EXPECT_EQ(words[1].get(1), V3::k0);
+  EXPECT_EQ(words[1].get(63), V3::k0);
+}
 
 }  // namespace
 }  // namespace gatpg::ga

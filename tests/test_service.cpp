@@ -5,7 +5,6 @@
 // request handling.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -108,27 +107,6 @@ TEST(RunSharded, WorkerCountNeverChangesTheMergedResult) {
                 runs[0].per_shard[s].digests.tests);
     }
   }
-}
-
-TEST(RunSharded, PrefiltersLikeHybridAtpg) {
-  // With an empty schedule the prefilter is all a run does, so a sharded
-  // job's merged statuses must equal the unsharded run's fault for fault.
-  const netlist::Circuit c = gen::make_circuit("g386");
-  const fault::FaultList full = fault::collapse(c);
-  hybrid::HybridConfig cfg = cheap_config();
-  cfg.schedule.passes.clear();
-  cfg.prefilter_untestable = true;
-  const session::SessionResult single = hybrid::HybridAtpg(c, cfg).run();
-  EXPECT_GT(std::count(single.fault_state.begin(), single.fault_state.end(),
-                       session::FaultStatus::kUntestable),
-            0);
-
-  service::ShardJobConfig job;
-  job.shards = 3;
-  job.workers = 1;
-  job.hybrid = cfg;
-  const service::ShardedResult sharded = service::run_sharded(c, full, job);
-  EXPECT_EQ(sharded.merged.fault_state, single.fault_state);
 }
 
 TEST(RunSharded, MergeInterleavesStatusesAndConcatenatesTests) {
