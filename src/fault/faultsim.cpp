@@ -1,6 +1,7 @@
 #include "fault/faultsim.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "fault/inject.h"
 
@@ -14,19 +15,27 @@ using sim::V3;
 
 namespace {
 
-/// Slots of `a` whose value differs from the scalar `good` (any difference,
-/// including defined-vs-X in either direction — the exactness of the
-/// differential screen depends on counting weak differences too, because
-/// they can park into the state and matter later).
-std::uint64_t differing_slots(PackedV3 a, V3 good) {
-  switch (good) {
-    case V3::k1:
-      return ~a.v1;
-    case V3::k0:
-      return ~a.v0;
-    default:
-      return a.v1 | a.v0;
-  }
+static_assert(static_cast<int>(V3::k0) == 0 && static_cast<int>(V3::k1) == 1 &&
+              static_cast<int>(V3::kX) == 2);
+
+/// Slots where `a` and `b` differ (any difference, including defined-vs-X in
+/// either direction — the exactness of the differential screen depends on
+/// counting weak differences too, because they can park into the state and
+/// matter later).
+std::uint64_t differing_slots(PackedV3 a, PackedV3 b) {
+  return (a.v1 ^ b.v1) | (a.v0 ^ b.v0);
+}
+
+/// `a` in the slots of `mask`, `b` elsewhere.
+PackedV3 blend(PackedV3 a, PackedV3 b, std::uint64_t mask) {
+  return {(a.v1 & mask) | (b.v1 & ~mask), (a.v0 & mask) | (b.v0 & ~mask)};
+}
+
+/// Slot `s` of `w`, without a branch (k0 = 0, k1 = 1, kX = 2).
+V3 slot_value(PackedV3 w, unsigned s) {
+  const unsigned b1 = static_cast<unsigned>(w.v1 >> s) & 1;
+  const unsigned b0 = static_cast<unsigned>(w.v0 >> s) & 1;
+  return static_cast<V3>(2 - 2 * b0 - b1);
 }
 
 }  // namespace
@@ -48,6 +57,8 @@ FaultSimulator::FaultSimulator(const netlist::Circuit& c,
       break;
     }
   }
+  d_line_.reserve(c.flip_flops().size());
+  for (const NodeId ff : c.flip_flops()) d_line_.push_back(c.fanins(ff)[0]);
 }
 
 void FaultSimulator::reset_machines() {
@@ -81,268 +92,136 @@ void FaultSimulator::drain_lane_stats(unsigned lanes) const {
 }
 
 void FaultSimulator::simulate_differential(
-    sim::SequenceSimulator& good, const std::vector<std::size_t>& fault_indices,
-    const Sequence& seq, std::vector<State3>& states, std::vector<V3>& launch,
-    std::vector<char>& live, std::vector<Detection>& detections,
+    sim::SequenceSimulator& good, std::span<const std::size_t> fault_indices,
+    const Sequence& seq, std::vector<State3>* persist,
     std::vector<State3>* good_sink) const {
   const auto pos = c_.primary_outputs();
   const auto ffs = c_.flip_flops();
   const std::size_t nff = ffs.size();
+  const std::size_t n = fault_indices.size();
   const std::size_t total = seq.size();
   const std::size_t window = std::max<std::size_t>(1, config_.window);
+  Sweep& sw = sweep_;
 
   const std::uint64_t good_evals_before = good.gate_evals();
 
-  // Excitation-screen site info, one entry per fault: the good-machine line
-  // whose value feeds the fault site (launch_line), the stuck value, and —
-  // for flip-flop output faults, which also force the *next* state at latch
-  // time — the D line as a second excitation source.  For transition faults
-  // `line` is also the launch line and `stuck` the transition's initial
-  // value; the stuck-at excitation screen stays a sound superset for them
-  // (activity only further restricts when the forcing can diverge from the
-  // good machine).
-  struct Site {
-    NodeId line = netlist::kNoNode;
-    NodeId extra = netlist::kNoNode;
-    V3 stuck = V3::k0;
-    bool transition = false;
-  };
-  std::vector<Site> sites(fault_indices.size());
-  for (std::size_t i = 0; i < fault_indices.size(); ++i) {
+  sw.live.assign(n, 1);
+  sw.dets.clear();
+  sw.sites.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const Fault& f = faults_[fault_indices[i]];
-    Site& s = sites[i];
+    Site& s = sw.sites[i];
     s.line = launch_line(c_, f);
+    s.extra = f.pin == kOutputPin && c_.type(f.node) == netlist::GateType::kDff
+                  ? c_.fanins(f.node)[0]
+                  : netlist::kNoNode;
     s.stuck = f.stuck_at ? V3::k1 : V3::k0;
     s.transition = f.is_transition();
-    if (f.pin == kOutputPin && c_.type(f.node) == netlist::GateType::kDff) {
-      s.extra = c_.fanins(f.node)[0];
+  }
+  if (any_transition_) {
+    sw.launch.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sw.launch[i] = launch_prev_[fault_indices[i]];
     }
   }
+  // Rows carry the states from window to window, and keep a what-if's final
+  // states away from the persisted ones.
+  if (!persist || total > window) sw.rows.resize(n * nff);
+  sw.frames.resize(window);
+  sw.po.resize(window);
+  sw.changed_at.resize(window + 1);
+  sw.good_final.resize(nff);
 
-  // Window-reused good-machine recording buffers.
-  std::vector<std::vector<PackedV3>> good_frames(window);
-  std::vector<State3> good_present(window, State3(nff));
-  std::vector<State3> good_next(window, State3(nff));
-  std::vector<std::vector<std::pair<NodeId, V3>>> good_po(window);
-
-  // Dense packing of the still-live sweep positions, in stable fault-index
-  // order.  Built once up front; at every window boundary it is compacted in
-  // place with the liveness the surviving-slot write-back just produced —
-  // one pass over the survivors instead of a rescan of the full fault list.
-  std::vector<std::size_t> order;
-  order.reserve(fault_indices.size());
-  for (std::size_t i = 0; i < fault_indices.size(); ++i) {
-    if (live[i]) order.push_back(i);
-  }
-  std::size_t prev_live = fault_indices.size();
+  // Dense packing of the still-live sweep positions, in stable position
+  // order.  At every window boundary it is compacted in place with the
+  // liveness the surviving-slot write-back just produced — one pass over the
+  // survivors instead of a rescan of the full fault list.
+  sw.order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) sw.order[i] = i;
+  std::size_t prev_live = n;
 
   for (std::size_t t0 = 0; t0 < total; t0 += window) {
     const std::size_t wlen = std::min(window, total - t0);
+    const bool last_window = t0 + wlen == total;
 
     // Pass 1: advance the good machine, recording each settled frame (node
-    // values after apply, before clock), the present/next state scalars the
-    // screen tests against, and the defined primary-output values.
+    // values after apply, before clock), the nodes that changed since the
+    // frame before, and the defined primary-output values.
+    sw.changed.clear();
+    sw.changed_at[0] = 0;
     for (std::size_t k = 0; k < wlen; ++k) {
       good.apply_vector(seq[t0 + k]);
-      good_frames[k] = good.node_values();
-      for (std::size_t ff = 0; ff < nff; ++ff) {
-        good_present[k][ff] = good_frames[k][ffs[ff]].get(0);
-        good_next[k][ff] = good_frames[k][c_.fanins(ffs[ff])[0]].get(0);
+      const std::vector<PackedV3>& now = good.node_values();
+      std::vector<PackedV3>& rec = sw.frames[k];
+      if (k == 0) {
+        rec = now;
+      } else {
+        const std::vector<PackedV3>& prev = sw.frames[k - 1];
+        rec.resize(now.size());
+        for (NodeId v = 0; v < now.size(); ++v) {
+          rec[v] = now[v];
+          if (now[v] != prev[v]) sw.changed.push_back(v);
+        }
       }
-      good_po[k].clear();
+      sw.changed_at[k + 1] = sw.changed.size();
+      sw.po[k].clear();
       for (NodeId p : pos) {
-        const V3 v = good_frames[k][p].get(0);
-        if (v != V3::kX) good_po[k].emplace_back(p, v);
+        const V3 v = now[p].get(0);
+        if (v != V3::kX) sw.po[k].emplace_back(p, v);
       }
-      if (good_sink) good_sink->push_back(good_next[k]);
       good.clock();
+      if (good_sink) good_sink->push_back(good.state());
+    }
+    for (std::size_t ff = 0; ff < nff; ++ff) {
+      sw.good_final[ff] = good.scalar_value(ffs[ff]);
     }
 
-    // Dynamic repack: the maintained `order` packing is already dense and in
-    // stable fault-index order (deterministic and thread-count-independent
-    // by construction); groups are carved from it 64 at a time.
-    if (order.empty()) continue;  // keep advancing the good machine
-    if (t0 > 0 && order.size() < prev_live) {
-      stats_.groups_repacked += (order.size() + 63) / 64;
+    if (!sw.order.empty()) {
+      if (t0 > 0 && sw.order.size() < prev_live) {
+        stats_.groups_repacked += (sw.order.size() + 63) / 64;
+      }
+      prev_live = sw.order.size();
+      const std::size_t n_groups = (sw.order.size() + 63) / 64;
+      if (sw.group_dets.size() < n_groups) sw.group_dets.resize(n_groups);
+      for (std::size_t g = 0; g < n_groups; ++g) sw.group_dets[g].clear();
+      const unsigned lanes =
+          util::max_lanes(config_.parallel, sw.order.size(), 64);
+      ensure_lanes(lanes);
+
+      // Groups are carved 64 at a time from the dense packing, which is in
+      // stable position order (deterministic and thread-count-independent by
+      // construction).
+      util::parallel_for_chunks(
+          config_.parallel, sw.order.size(), 64,
+          [&](std::size_t g, std::size_t begin, std::size_t end,
+              unsigned lane) {
+            simulate_group(lanes_[lane], g, begin, end, t0, wlen, fault_indices,
+                           last_window ? persist : nullptr);
+          });
+
+      drain_lane_stats(lanes);
+      for (std::size_t g = 0; g < n_groups; ++g) {
+        sw.dets.insert(sw.dets.end(), sw.group_dets[g].begin(),
+                       sw.group_dets[g].end());
+      }
+
+      // One-pass repack: reuse the liveness the write-back just produced to
+      // compact the packing in place — next window's dense groups come for
+      // free instead of from a full-fault-list rescan.
+      std::size_t kept = 0;
+      for (const std::size_t i : sw.order) {
+        if (sw.live[i]) sw.order[kept++] = i;
+      }
+      sw.order.resize(kept);
     }
-    prev_live = order.size();
-
-    const std::size_t n_groups = (order.size() + 63) / 64;
-    std::vector<std::vector<Detection>> group_dets(n_groups);
-    const unsigned lanes = util::max_lanes(config_.parallel, order.size(), 64);
-    ensure_lanes(lanes);
-
-    util::parallel_for_chunks(
-        config_.parallel, order.size(), 64,
-        [&](std::size_t g, std::size_t begin, std::size_t end, unsigned lane) {
-          Lane& scratch = lanes_[lane];
-          if (!scratch.machine) {
-            scratch.machine = std::make_unique<sim::SequenceSimulator>(c_);
-          }
-          sim::SequenceSimulator& machine = *scratch.machine;
-          const std::size_t count = end - begin;
-
-          machine.clear_overrides();
-          for (std::size_t s = 0; s < count; ++s) {
-            inject(machine, faults_[fault_indices[order[begin + s]]],
-                   1ULL << s);
-          }
-
-          // Packed faulty present state; unused high slots track the good
-          // state so they never disturb the event propagation.
-          scratch.ff.assign(nff, PackedV3::all_x());
-          for (std::size_t ff = 0; ff < nff; ++ff) {
-            PackedV3 w = PackedV3::broadcast(good_present[0][ff]);
-            for (std::size_t s = 0; s < count; ++s) {
-              w.set(static_cast<unsigned>(s), states[order[begin + s]][ff]);
-            }
-            scratch.ff[ff] = w;
-          }
-
-          // Transition launch anchors, one per slot: the good value of the
-          // slot's launch line in the frame before the current one (window
-          // entry: the caller-carried value).
-          bool group_trans = false;
-          if (any_transition_) {
-            for (std::size_t s = 0; s < count; ++s) {
-              if (sites[order[begin + s]].transition) {
-                group_trans = true;
-                break;
-              }
-            }
-          }
-          std::vector<V3> lprev;
-          if (group_trans) {
-            lprev.resize(count);
-            for (std::size_t s = 0; s < count; ++s) {
-              lprev[s] = launch[order[begin + s]];
-            }
-          }
-
-          std::uint64_t live_mask =
-              count == 64 ? ~0ULL : ((1ULL << count) - 1);
-          for (std::size_t k = 0; k < wlen && live_mask; ++k) {
-            ++scratch.stats.group_vectors;
-
-            // Per-frame override activity: a transition slot forces only
-            // when its launch line held the initial value in the previous
-            // frame (act), and its flip-flop latch forcing only when it
-            // holds it in this frame (act_next — the latch lands in the
-            // next frame).  Stuck-at slots stay unconditionally active.
-            std::uint64_t act = ~0ULL;
-            std::uint64_t act_next = ~0ULL;
-            if (group_trans) {
-              for (std::size_t s = 0; s < count; ++s) {
-                const Site& site = sites[order[begin + s]];
-                if (!site.transition) continue;
-                if (lprev[s] != site.stuck) act &= ~(1ULL << s);
-                const V3 nl = good_frames[k][site.line].get(0);
-                if (nl != site.stuck) act_next &= ~(1ULL << s);
-                lprev[s] = nl;
-              }
-            }
-
-            // Excitation/activity screen: a slot can differ from the good
-            // machine this vector only if its fault site is excited by the
-            // good values or its state carries parked fault effects.
-            std::uint64_t active = 0;
-            for (std::size_t s = 0; s < count; ++s) {
-              const Site& site = sites[order[begin + s]];
-              bool ex = good_frames[k][site.line].get(0) != site.stuck;
-              if (!ex && site.extra != netlist::kNoNode) {
-                ex = good_frames[k][site.extra].get(0) != site.stuck;
-              }
-              active |= static_cast<std::uint64_t>(ex) << s;
-            }
-            for (std::size_t ff = 0; ff < nff; ++ff) {
-              active |= differing_slots(scratch.ff[ff], good_present[k][ff]);
-            }
-            active &= live_mask;
-            if (!active) {
-              // Provable no-op: every live slot equals the good machine
-              // everywhere, so the frame cannot detect and the faulty state
-              // just tracks the good next state.
-              ++scratch.stats.group_vectors_skipped;
-              for (std::size_t ff = 0; ff < nff; ++ff) {
-                scratch.ff[ff] = PackedV3::broadcast(good_next[k][ff]);
-              }
-              continue;
-            }
-
-            if (group_trans) {
-              machine.set_override_activity(act);
-              machine.set_latch_override_activity(act_next);
-            }
-            machine.apply_differential(good_frames[k], scratch.ff);
-
-            std::uint64_t hit = 0;
-            for (const auto& [p, gv] : good_po[k]) {
-              const PackedV3 w = machine.value(p);
-              hit |= gv == V3::k1 ? w.v0 : w.v1;
-            }
-            hit &= live_mask;
-            const bool retired = hit != 0;
-            while (hit) {
-              const unsigned s = static_cast<unsigned>(__builtin_ctzll(hit));
-              hit &= hit - 1;
-              live_mask &= ~(1ULL << s);
-              group_dets[g].push_back(
-                  {static_cast<std::uint32_t>(order[begin + s]),
-                   static_cast<std::uint32_t>(t0 + k)});
-            }
-            // Retire freshly detected slots on the spot: drop their fault
-            // injection and snap their state onto the good machine below, so
-            // they stop generating differential events immediately instead
-            // of at the next repack boundary.
-            if (retired) machine.retain_override_slots(live_mask);
-
-            for (std::size_t ff = 0; ff < nff; ++ff) {
-              // Live slots latch their faulty next state; dead and unused
-              // slots track the good machine (zero-event ghosts).
-              const PackedV3 faulty = machine.next_state_packed(ff);
-              const PackedV3 g_next = PackedV3::broadcast(good_next[k][ff]);
-              scratch.ff[ff] = {(faulty.v1 & live_mask) |
-                                    (g_next.v1 & ~live_mask),
-                                (faulty.v0 & live_mask) |
-                                    (g_next.v0 & ~live_mask)};
-            }
-          }
-
-          // Write back survivors' states; mark detected slots dead.
-          for (std::size_t s = 0; s < count; ++s) {
-            const std::size_t p = order[begin + s];
-            if (!(live_mask & (1ULL << s))) {
-              live[p] = 0;
-              continue;
-            }
-            for (std::size_t ff = 0; ff < nff; ++ff) {
-              states[p][ff] = scratch.ff[ff].get(static_cast<unsigned>(s));
-            }
-          }
-        });
-
-    drain_lane_stats(lanes);
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      detections.insert(detections.end(), group_dets[g].begin(),
-                        group_dets[g].end());
-    }
-
-    // One-pass repack: reuse the liveness the write-back just produced to
-    // compact the packing in place — next window's dense groups come for
-    // free instead of from a full-fault-list rescan.
-    std::size_t kept = 0;
-    for (const std::size_t i : order) {
-      if (live[i]) order[kept++] = i;
-    }
-    order.resize(kept);
 
     // Advance the carried launch anchors to the last frame of this window
     // (the good value each launch line settled to): the next window's groups
     // — and, after the final window, the caller's persisted launch_prev_ —
     // read their entry launches from here.
     if (any_transition_) {
-      for (std::size_t i = 0; i < fault_indices.size(); ++i) {
-        launch[i] = good_frames[wlen - 1][sites[i].line].get(0);
+      for (std::size_t i = 0; i < n; ++i) {
+        sw.launch[i] = sw.frames[wlen - 1][sw.sites[i].line].get(0);
       }
     }
   }
@@ -351,30 +230,201 @@ void FaultSimulator::simulate_differential(
   stats_.good_gate_evals += good.gate_evals() - good_evals_before;
 }
 
+void FaultSimulator::simulate_group(Lane& lane, std::size_t g,
+                                    std::size_t begin, std::size_t end,
+                                    std::size_t t0, std::size_t wlen,
+                                    std::span<const std::size_t> fault_indices,
+                                    std::vector<State3>* persist) const {
+  Sweep& sw = sweep_;
+  const auto ffs = c_.flip_flops();
+  const std::size_t nff = ffs.size();
+  if (!lane.machine) {
+    lane.machine = std::make_unique<sim::SequenceSimulator>(c_);
+  }
+  sim::SequenceSimulator& machine = *lane.machine;
+  // The group's sweep positions, by slot.
+  const std::span<const std::size_t> slots(sw.order.data() + begin,
+                                           end - begin);
+  const std::size_t count = slots.size();
+  const std::uint64_t used = count == 64 ? ~0ULL : ((1ULL << count) - 1);
+
+  machine.clear_overrides();
+  lane.sites.resize(count);
+  bool group_trans = false;
+  for (std::size_t s = 0; s < count; ++s) {
+    inject(machine, faults_[fault_indices[slots[s]]], 1ULL << s);
+    lane.sites[s] = sw.sites[slots[s]];
+    group_trans |= lane.sites[s].transition;
+  }
+  // Transition launch anchors, one per slot: the good value of the slot's
+  // launch line in the frame before the current one (window entry: the
+  // carried value).
+  if (group_trans) {
+    lane.lprev.resize(count);
+    for (std::size_t s = 0; s < count; ++s) {
+      lane.lprev[s] = sw.launch[slots[s]];
+    }
+  }
+
+  // Load the carried states one fault row at a time; unused high slots hold
+  // the good state so they never disturb the event propagation.  The
+  // flip-flops that depart from the good state in some slot form the group's
+  // faulty state, and those slots are the flip-flop part of the screen.
+  const std::vector<PackedV3>& first = sw.frames[0];
+  lane.load.resize(nff);
+  for (std::size_t ff = 0; ff < nff; ++ff) {
+    lane.load[ff] = blend(PackedV3::all_x(), first[ffs[ff]], used);
+  }
+  for (std::size_t s = 0; s < count; ++s) {
+    const V3* row = t0 == 0 ? faulty_state_[fault_indices[slots[s]]].data()
+                            : sw.rows.data() + slots[s] * nff;
+    for (std::size_t ff = 0; ff < nff; ++ff) {
+      lane.load[ff].v1 |= static_cast<std::uint64_t>(row[ff] == V3::k1) << s;
+      lane.load[ff].v0 |= static_cast<std::uint64_t>(row[ff] == V3::k0) << s;
+    }
+  }
+  lane.state.clear();
+  std::uint64_t ff_active = 0;
+  for (std::size_t ff = 0; ff < nff; ++ff) {
+    const std::uint64_t d = differing_slots(lane.load[ff], first[ffs[ff]]);
+    if (!d) continue;
+    lane.state.push_back({static_cast<std::uint32_t>(ff), lane.load[ff]});
+    ff_active |= d;
+  }
+
+  std::uint64_t live_mask = used;
+  std::size_t last = wlen;  // the last frame simulated (wlen: none yet)
+  for (std::size_t k = 0; k < wlen && live_mask; ++k) {
+    ++lane.stats.group_vectors;
+    const std::vector<PackedV3>& frame = sw.frames[k];
+
+    // Per-frame override activity: a transition slot forces only when its
+    // launch line held the initial value in the previous frame (act), and
+    // its flip-flop latch forcing only when it holds it in this frame
+    // (act_next — the latch lands in the next frame).  Stuck-at slots stay
+    // unconditionally active.
+    std::uint64_t act = ~0ULL;
+    std::uint64_t act_next = ~0ULL;
+    if (group_trans) {
+      for (std::size_t s = 0; s < count; ++s) {
+        const Site& site = lane.sites[s];
+        if (!site.transition) continue;
+        if (lane.lprev[s] != site.stuck) act &= ~(1ULL << s);
+        const V3 nl = frame[site.line].get(0);
+        if (nl != site.stuck) act_next &= ~(1ULL << s);
+        lane.lprev[s] = nl;
+      }
+    }
+
+    // Excitation/activity screen: a slot can differ from the good machine
+    // this vector only if its fault site is excited by the good values or
+    // its state carries parked fault effects.
+    std::uint64_t active = ff_active;
+    for (std::size_t s = 0; s < count; ++s) {
+      const Site& site = lane.sites[s];
+      bool ex = frame[site.line].get(0) != site.stuck;
+      if (!ex && site.extra != netlist::kNoNode) {
+        ex = frame[site.extra].get(0) != site.stuck;
+      }
+      active |= static_cast<std::uint64_t>(ex) << s;
+    }
+    // Provable no-op otherwise: every live slot equals the good machine
+    // everywhere (so the faulty state is empty), the frame cannot detect,
+    // and the state just tracks the good next state.
+    if (!(active & live_mask)) {
+      ++lane.stats.group_vectors_skipped;
+      continue;
+    }
+
+    if (group_trans) {
+      machine.set_override_activity(act);
+      machine.set_latch_override_activity(act_next);
+    }
+    // The first simulated frame seeds the whole good frame; later ones reset
+    // what moved since the last simulated frame, skipped frames included.
+    std::span<const NodeId> moved;
+    if (last == wlen) {
+      machine.begin_differential(frame);
+    } else {
+      moved = std::span<const NodeId>(sw.changed)
+                  .subspan(sw.changed_at[last + 1],
+                           sw.changed_at[k + 1] - sw.changed_at[last + 1]);
+    }
+    machine.apply_differential(frame, moved, lane.state);
+    last = k;
+
+    std::uint64_t hit = 0;
+    for (const auto& [p, gv] : sw.po[k]) {
+      const PackedV3 w = machine.value(p);
+      hit |= gv == V3::k1 ? w.v0 : w.v1;
+    }
+    hit &= live_mask;
+    const bool retired = hit != 0;
+    while (hit) {
+      const unsigned s = static_cast<unsigned>(__builtin_ctzll(hit));
+      hit &= hit - 1;
+      live_mask &= ~(1ULL << s);
+      sw.group_dets[g].push_back({static_cast<std::uint32_t>(slots[s]),
+                                  static_cast<std::uint32_t>(t0 + k)});
+    }
+    // Retire freshly detected slots on the spot: drop their fault injection
+    // and snap their state onto the good machine below, so they stop
+    // generating differential events immediately instead of at the next
+    // repack boundary.
+    if (retired) machine.retain_override_slots(live_mask);
+
+    // Next state: the good one, patched at the flip-flops the frame
+    // disturbed.  Live slots latch their faulty next state; dead and unused
+    // slots track the good machine (zero-event ghosts).
+    lane.next.clear();
+    ff_active = 0;
+    for (const std::uint32_t ff : machine.touched_flip_flops()) {
+      const PackedV3 good_next = frame[d_line_[ff]];
+      const PackedV3 v =
+          blend(machine.next_state_packed(ff), good_next, live_mask);
+      const std::uint64_t d = differing_slots(v, good_next);
+      if (!d) continue;
+      lane.next.push_back({ff, v});
+      ff_active |= d;
+    }
+    std::swap(lane.state, lane.next);
+  }
+
+  // Write back survivors' states, one fault row at a time: the good state
+  // after the window, patched with the group's faulty state.  Detected
+  // slots are marked dead (and keep their persisted state).
+  for (std::size_t s = 0; s < count; ++s) {
+    const std::size_t p = slots[s];
+    if (!(live_mask >> s & 1)) {
+      sw.live[p] = 0;
+      continue;
+    }
+    V3* row = persist ? (*persist)[fault_indices[p]].data()
+                      : sw.rows.data() + p * nff;
+    std::copy_n(sw.good_final.data(), nff, row);
+    for (const sim::FfPatch& e : lane.state) {
+      row[e.ff] = slot_value(e.value, static_cast<unsigned>(s));
+    }
+  }
+}
+
 std::vector<std::size_t> FaultSimulator::run(const Sequence& seq) {
   std::vector<std::size_t> newly;
   if (seq.empty()) return newly;
 
-  std::vector<std::size_t> pending;
+  Sweep& sw = sweep_;
+  sw.pending.clear();
   for (std::size_t i = 0; i < faults_.size(); ++i) {
-    if (!detected_[i]) pending.push_back(i);
+    if (!detected_[i]) sw.pending.push_back(i);
   }
-  std::vector<State3> states;
-  states.reserve(pending.size());
-  for (std::size_t i : pending) states.push_back(faulty_state_[i]);
-  std::vector<V3> launch;
-  launch.reserve(pending.size());
-  for (std::size_t i : pending) launch.push_back(launch_prev_[i]);
-  std::vector<char> live(pending.size(), 1);
-  std::vector<Detection> dets;
-
-  simulate_differential(good_, pending, seq, states, launch, live, dets,
-                        good_sink_);
+  // Survivors' states land in faulty_state_; faults detected during this run
+  // keep their pre-run state.
+  simulate_differential(good_, sw.pending, seq, &faulty_state_, good_sink_);
 
   // Report detections in plain group-sweep order regardless of windowing and
   // repacking: group-of-origin (pending position / 64) first, then detection
   // time, then slot.
-  std::sort(dets.begin(), dets.end(),
+  std::sort(sw.dets.begin(), sw.dets.end(),
             [](const Detection& a, const Detection& b) {
               if ((a.pos >> 6) != (b.pos >> 6)) {
                 return (a.pos >> 6) < (b.pos >> 6);
@@ -382,21 +432,17 @@ std::vector<std::size_t> FaultSimulator::run(const Sequence& seq) {
               if (a.t != b.t) return a.t < b.t;
               return a.pos < b.pos;
             });
-  for (const Detection& d : dets) {
-    const std::size_t fi = pending[d.pos];
+  for (const Detection& d : sw.dets) {
+    const std::size_t fi = sw.pending[d.pos];
     detected_[fi] = 1;
     ++num_detected_;
     newly.push_back(fi);
   }
-  // Persist faulty flip-flop states for still-undetected faults only (faults
-  // detected during this run keep their pre-run state).  Launch anchors are
-  // good-machine values, so they advance for every fault uniformly.
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (live[i]) faulty_state_[pending[i]] = std::move(states[i]);
-  }
+  // Launch anchors are good-machine values, so they advance for every fault
+  // uniformly.
   if (any_transition_) {
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      launch_prev_[pending[i]] = launch[i];
+    for (std::size_t i = 0; i < sw.pending.size(); ++i) {
+      launch_prev_[sw.pending[i]] = sw.launch[i];
     }
   }
   return newly;
@@ -409,31 +455,22 @@ FaultSimulator::WhatIf FaultSimulator::what_if(
 
   sim::SequenceSimulator good = good_;  // copy: session state untouched
   good.reset_gate_evals();
-  std::vector<std::size_t> idx(fault_indices.begin(), fault_indices.end());
-  std::vector<State3> states;
-  states.reserve(idx.size());
-  for (std::size_t i : idx) states.push_back(faulty_state_[i]);
-  // Local copy of the launch anchors: what-if continues the session (same
-  // entry launches as run() would use) but must not mutate it.
-  std::vector<V3> launch;
-  launch.reserve(idx.size());
-  for (std::size_t i : idx) launch.push_back(launch_prev_[i]);
-  std::vector<char> live(idx.size(), 1);
-  std::vector<Detection> dets;
+  // The sweep starts from the session's states and launch anchors (as run()
+  // would) and leaves its own in sweep_, so the session is not mutated.
+  simulate_differential(good, fault_indices, seq, nullptr, nullptr);
 
-  simulate_differential(good, idx, seq, states, launch, live, dets, nullptr);
-
-  result.detected = static_cast<unsigned>(dets.size());
+  const Sweep& sw = sweep_;
+  result.detected = static_cast<unsigned>(sw.dets.size());
   // Fault effects parked in the state at sequence end (undetected slots
   // whose faulty flip-flop value is defined and differs from the good
   // machine's defined value).
-  const State3 good_final = good.state();
-  for (std::size_t i = 0; i < idx.size(); ++i) {
-    if (!live[i]) continue;
-    for (std::size_t ff = 0; ff < good_final.size(); ++ff) {
-      const V3 g = good_final[ff];
-      const V3 b = states[i][ff];
-      if (g != V3::kX && b != V3::kX && g != b) {
+  const std::size_t nff = sw.good_final.size();
+  for (std::size_t i = 0; i < fault_indices.size(); ++i) {
+    if (!sw.live[i]) continue;
+    const V3* row = sw.rows.data() + i * nff;
+    for (std::size_t ff = 0; ff < nff; ++ff) {
+      const V3 g = sw.good_final[ff];
+      if (g != V3::kX && row[ff] != V3::kX && g != row[ff]) {
         ++result.state_effects;
         break;
       }

@@ -10,13 +10,17 @@
 // faulty value (X outputs never detect — the standard pessimistic rule).
 //
 // The engine is the PROOFS differential design.  The good machine is
-// simulated once per window of vectors, recording its settled node values per
-// frame; each fault group's machine is then seeded from the good values every
-// vector and only the fault-site and state differences are propagated
-// event-driven through their fanout cones.  Before simulating a group for a
-// vector, a screen checks which slots are excited at their fault site by the
-// good values or carry parked fault effects in their persisted state — a group
-// with no such slot skips the vector entirely (this is where late-ATPG time
+// simulated once per window of vectors, recording its settled node values and
+// which nodes changed per frame; each fault group's machine is seeded from
+// the good values once per window and then reset frame by frame only where
+// it or the good machine moved, and only the fault-site and state
+// differences are propagated event-driven through their fanout cones.  A
+// group's faulty state is kept as the good state plus the flip-flops that
+// depart from it, so a frame costs in proportion to the fault activity, not
+// to the circuit size.  Before simulating a group for a vector, a screen
+// checks which slots are excited at their fault site by the good values or
+// carry parked fault effects in their persisted state — a group with no
+// such slot skips the vector entirely (this is where late-ATPG time
 // goes, when only a handful of hard faults remain).  At every window boundary
 // the still-undetected faults are repacked into dense 64-slot groups in stable
 // fault-index order, so grouping, results, and detection order are
@@ -25,10 +29,11 @@
 //
 // The 64-fault groups are independent, so run() and what_if() fan them out
 // across the shared worker pool (util::parallel), one thread-local
-// SequenceSimulator per lane.  Per-group detections are merged serially in
-// group order, so the returned lists and all member state are bit-identical
-// to the serial sweep for any thread count (threads = 1 runs the groups
-// inline, in order).
+// SequenceSimulator per lane; lanes claim groups as they go, so groups that
+// stay busy do not hold up the rest.  Per-group detections are merged
+// serially in group order, so the returned lists and all member state are
+// bit-identical to the serial sweep for any thread count (threads = 1 runs
+// the groups inline, in order).
 #pragma once
 
 #include <memory>
@@ -200,35 +205,83 @@ class FaultSimulator {
     std::uint32_t t = 0;
   };
 
-  /// Per-lane scratch: the group machine plus packed state and counters,
-  /// owned exclusively by one lane of the worker pool during a sweep.
+  /// Excitation-screen site of one fault: the good-machine line whose value
+  /// feeds the fault site, the stuck value, and — for flip-flop output
+  /// faults, which also force the *next* state at latch time — the D line as
+  /// a second excitation source.  For transition faults `line` is also the
+  /// launch line and `stuck` the transition's initial value; the stuck-at
+  /// screen stays a sound superset for them (activity only further restricts
+  /// when the forcing can diverge from the good machine).
+  struct Site {
+    netlist::NodeId line = netlist::kNoNode;
+    netlist::NodeId extra = netlist::kNoNode;
+    sim::V3 stuck = sim::V3::k0;
+    bool transition = false;
+  };
+
+  /// Per-lane scratch: the group machine, the group's faulty state and
+  /// counters, owned exclusively by one lane of the worker pool during a
+  /// sweep.
   struct Lane {
     std::unique_ptr<sim::SequenceSimulator> machine;
-    std::vector<sim::PackedV3> ff;  ///< per-slot faulty present state
+    /// Faulty present state: the flip-flops departing from the good one
+    /// (dead and unused slots always hold the good value).
+    std::vector<sim::FfPatch> state;
+    std::vector<sim::FfPatch> next;     ///< next state under construction
+    std::vector<sim::PackedV3> load;    ///< group load, one word per flip-flop
+    std::vector<Site> sites;            ///< the group's sites, by slot
+    std::vector<sim::V3> lprev;         ///< transition launch anchors, by slot
     SimStats stats;
+  };
+
+  /// The sweep's per-call buffers, kept across calls so run() and what_if()
+  /// allocate nothing per fault or per frame once warmed up.  Indexed by
+  /// sweep position (the position in the caller's fault list) unless noted.
+  struct Sweep {
+    std::vector<std::size_t> pending;  ///< run(): the undetected faults
+    std::vector<char> live;
+    std::vector<sim::V3> launch;       ///< transition launch anchors
+    /// Faulty states carried between windows (and a what-if's final
+    /// states), one row of flip-flops per position.
+    std::vector<sim::V3> rows;
+    std::vector<Site> sites;
+    std::vector<std::size_t> order;    ///< live positions, densely packed
+    std::vector<Detection> dets;
+    std::vector<std::vector<Detection>> group_dets;  ///< by group, per window
+    // The good machine's window recording: settled node values per frame,
+    // the nodes that changed in frame k (k >= 1) at
+    // changed[changed_at[k] .. changed_at[k + 1]), the defined primary
+    // output values per frame, and the state after the window.
+    std::vector<std::vector<sim::PackedV3>> frames;
+    std::vector<netlist::NodeId> changed;
+    std::vector<std::size_t> changed_at;
+    std::vector<std::vector<std::pair<netlist::NodeId, sim::V3>>> po;
+    sim::State3 good_final;
   };
 
   /// The differential core shared by run() and what_if(): advances `good`
   /// over `seq` window by window and sweeps the faults of `fault_indices`
-  /// differentially against it.  `states` (one per index) and `live` are
-  /// read and updated in place; detections are appended unordered by group.
-  /// `launch` (one V3 per index) carries the transition-fault launch anchor:
-  /// on entry the good value of each fault's launch line in the frame
-  /// preceding `seq`, on exit its value in the last frame of `seq` (run()
-  /// seeds it from and persists it back to launch_prev_; what_if discards
-  /// the local copy, matching its non-mutating contract).  `good_sink`, when
-  /// non-null, receives the good machine's post-clock state for every vector
-  /// (run() forwards good_sink_; what_if passes nullptr).
+  /// differentially against it, starting from their persisted states and
+  /// launch anchors.  Leaves in sweep_: `live` and `launch` per position
+  /// (launch: the good value of each launch line in the last frame, for
+  /// transition sessions) and the detections, unordered by group.  With
+  /// `persist` (run() passes &faulty_state_), the last window writes the
+  /// survivors' states there; otherwise they end in sweep_.rows and the
+  /// persisted states are untouched.  `good_sink`, when non-null, receives
+  /// the good machine's post-clock state for every vector.
   void simulate_differential(sim::SequenceSimulator& good,
-                             const std::vector<std::size_t>& fault_indices,
+                             std::span<const std::size_t> fault_indices,
                              const sim::Sequence& seq,
-                             std::vector<sim::State3>& states,
-                             std::vector<sim::V3>& launch,
-                             std::vector<char>& live,
-                             std::vector<Detection>& detections,
+                             std::vector<sim::State3>* persist,
                              std::vector<sim::State3>* good_sink) const;
 
-  sim::SequenceSimulator& lane_machine(unsigned lane) const;
+  /// One group's part of a window: the positions sw.order[begin, end) on
+  /// `lane`, frames t0 .. t0 + wlen of the sweep (see simulate_differential;
+  /// `persist` is non-null only in the last window).
+  void simulate_group(Lane& lane, std::size_t g, std::size_t begin,
+                      std::size_t end, std::size_t t0, std::size_t wlen,
+                      std::span<const std::size_t> fault_indices,
+                      std::vector<sim::State3>* persist) const;
   void ensure_lanes(unsigned lanes) const;
   /// Serially folds the per-lane counters and machine eval counts into
   /// stats_ after a parallel sweep (sums are schedule-independent).
@@ -250,6 +303,8 @@ class FaultSimulator {
   mutable std::vector<Lane> lanes_;
   std::vector<sim::State3> faulty_state_;  // one per fault
   std::vector<sim::V3> launch_prev_;       // one per fault (see launch_prev())
+  std::vector<netlist::NodeId> d_line_;    // D input of each flip-flop
+  mutable Sweep sweep_;
   mutable SimStats stats_;
   std::vector<sim::State3>* good_sink_ = nullptr;
 };

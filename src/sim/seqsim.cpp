@@ -69,6 +69,7 @@ void SequenceSimulator::add_output_override(NodeId n, bool stuck,
     m.one &= ~slot_mask;
   }
   node_has_out_over_[n] = 1;
+  note_override_ff(n);
   if (!netlist::is_combinational(circuit_.type(n))) {
     overridden_sources_.push_back(n);
     force_source_overrides();
@@ -87,7 +88,13 @@ void SequenceSimulator::add_input_override(NodeId n, unsigned pin, bool stuck,
     m.one &= ~slot_mask;
   }
   node_has_in_over_[n] = 1;
+  note_override_ff(n);
   mark_dirty();
+}
+
+void SequenceSimulator::note_override_ff(NodeId n) {
+  const int ff = circuit_.ff_index(n);
+  if (ff >= 0) override_ffs_.push_back(static_cast<std::uint32_t>(ff));
 }
 
 void SequenceSimulator::clear_overrides() {
@@ -96,6 +103,7 @@ void SequenceSimulator::clear_overrides() {
   std::fill(node_has_out_over_.begin(), node_has_out_over_.end(), 0);
   std::fill(node_has_in_over_.begin(), node_has_in_over_.end(), 0);
   overridden_sources_.clear();
+  override_ffs_.clear();
   act_ = ~0ULL;
   act_latch_ = ~0ULL;
   mark_dirty();
@@ -192,11 +200,11 @@ void SequenceSimulator::sweep_packed(std::span<const PackedV3> pi_values,
 }
 
 void SequenceSimulator::apply_vector(const Vector3& v) {
-  std::vector<PackedV3> packed(v.size());
+  pi_scratch_.resize(v.size());
   for (std::size_t i = 0; i < v.size(); ++i) {
-    packed[i] = PackedV3::broadcast(v[i]);
+    pi_scratch_[i] = PackedV3::broadcast(v[i]);
   }
-  apply_packed(packed);
+  apply_packed(pi_scratch_);
 }
 
 void SequenceSimulator::compute_next_state() {
@@ -227,30 +235,45 @@ void SequenceSimulator::latch(std::span<const std::uint32_t> ff_indices) {
   first_vector_ = true;
 }
 
+void SequenceSimulator::begin_differential(
+    const std::vector<PackedV3>& good_values) {
+  if (good_values.size() != values_.size()) {
+    throw std::invalid_argument("begin_differential: node arity mismatch");
+  }
+  values_ = good_values;
+  written_.clear();
+  ff_mark_.resize(circuit_.flip_flops().size());
+}
+
 void SequenceSimulator::apply_differential(
     const std::vector<PackedV3>& good_values,
-    std::span<const PackedV3> ff_state) {
+    std::span<const NodeId> good_changed, std::span<const FfPatch> ff_state) {
   if (good_values.size() != values_.size()) {
     throw std::invalid_argument("apply_differential: node arity mismatch");
   }
-  values_ = good_values;
+  // Reseed: only the nodes the last frame wrote and those whose good value
+  // moved can differ from this frame's good values.
+  for (const NodeId n : written_) values_[n] = good_values[n];
+  for (const NodeId n : good_changed) values_[n] = good_values[n];
+  written_.clear();
+  auto write = [this](NodeId n, PackedV3 v) {
+    values_[n] = v;
+    written_.push_back(n);
+    queue_.schedule_fanouts(n);
+  };
 
   // Overlay the faulty flip-flop state; differing flip-flops disturb their
   // fanout cones.
   const auto ffs = circuit_.flip_flops();
-  for (std::size_t i = 0; i < ffs.size(); ++i) {
-    if (values_[ffs[i]] == ff_state[i]) continue;
-    values_[ffs[i]] = ff_state[i];
-    queue_.schedule_fanouts(ffs[i]);
+  for (const FfPatch& p : ff_state) {
+    if (values_[ffs[p.ff]] != p.value) write(ffs[p.ff], p.value);
   }
 
   // Re-force stuck sources (PI/flip-flop/constant output faults); a forced
   // value differing from the good baseline is a difference to propagate.
   for (NodeId n : overridden_sources_) {
     const PackedV3 forced = apply_masks(values_[n], out_over_[n], act_);
-    if (forced == values_[n]) continue;
-    values_[n] = forced;
-    queue_.schedule_fanouts(n);
+    if (forced != values_[n]) write(n, forced);
   }
 
   // Wake the combinational fault sites whose forced value actually differs
@@ -269,8 +292,28 @@ void SequenceSimulator::apply_differential(
     queue_.schedule(n);
   }
 
-  queue_.drain([this](NodeId n) { return evaluate(n); });
+  queue_.drain([this](NodeId n) {
+    if (!evaluate(n)) return false;
+    written_.push_back(n);
+    return true;
+  });
   first_vector_ = false;
+
+  // The flip-flops whose next state this frame may have disturbed.
+  touched_ffs_.clear();
+  auto touch = [this](std::uint32_t ff) {
+    if (ff_mark_[ff]) return;
+    ff_mark_[ff] = 1;
+    touched_ffs_.push_back(ff);
+  };
+  for (const std::uint32_t ff : override_ffs_) touch(ff);
+  for (const NodeId n : written_) {
+    for (const NodeId out : circuit_.fanouts(n)) {
+      const int ff = circuit_.ff_index(out);
+      if (ff >= 0) touch(static_cast<std::uint32_t>(ff));
+    }
+  }
+  for (const std::uint32_t ff : touched_ffs_) ff_mark_[ff] = 0;
 }
 
 PackedV3 SequenceSimulator::next_state_packed(std::size_t ff_index) const {

@@ -24,9 +24,12 @@
 // apply_differential() is the PROOFS
 // differential mode driven by FaultSimulator: the caller supplies the good
 // machine's settled node values for the frame, the machine overlays the
-// per-slot faulty flip-flop state and its fault overrides, and only the
-// disturbed fanout cones are re-evaluated — the cost scales with the size of
-// the fault-effect cones instead of with circuit activity.
+// flip-flops whose faulty state departs from the good one and its fault
+// overrides, and only the disturbed fanout cones are re-evaluated.  Between
+// frames it resets only the nodes it wrote and those whose good value
+// changed, and it names the flip-flops whose next state can depart from the
+// good one, so a frame costs in proportion to the fault activity instead of
+// to the circuit size.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +72,14 @@ unsigned cube_agreement(const State3& cube, const State3& state);
 
 /// True iff the cube carries no literal at all (all-X).
 bool cube_is_trivial(const State3& cube);
+
+/// One flip-flop whose packed value departs from the good machine's in some
+/// slot.  A differential machine's faulty state is the good state plus a
+/// list of these.
+struct FfPatch {
+  std::uint32_t ff = 0;  ///< index into Circuit::flip_flops()
+  PackedV3 value;
+};
 
 class SequenceSimulator {
  public:
@@ -159,15 +170,35 @@ class SequenceSimulator {
 
   // -- Differential stepping (PROOFS) ---------------------------------------
 
-  /// One differential frame: seeds every node value from `good_values` (the
-  /// good machine's settled values for this frame, broadcast in all slots),
-  /// overlays the packed per-slot faulty flip-flop state, re-forces stuck
-  /// sources, wakes the fault sites, and event-propagates only the disturbed
-  /// cones.  Afterwards value() reads are consistent faulty values for every
-  /// node, and next_state_packed() yields the faulty next state; the caller
-  /// owns state persistence (clock() is not used in this mode).
+  /// Starts a run of differential frames: seeds every node value from
+  /// `good_values`, the good machine's settled values for the first frame.
+  /// Until the next begin_differential(), the machine may be stepped only by
+  /// apply_differential(), which relies on knowing every node it wrote.
+  void begin_differential(const std::vector<PackedV3>& good_values);
+
+  /// One differential frame.  First reseeds to `good_values` (the good
+  /// machine's settled values for this frame, broadcast in all slots) by
+  /// resetting the nodes the previous frame wrote and the nodes of
+  /// `good_changed`, which must list every node whose good value changed
+  /// since the previous frame (or since begin_differential(); repeats are
+  /// harmless).  Then overlays `ff_state`, the flip-flops whose faulty value
+  /// departs from the good one, re-forces stuck sources, wakes the fault
+  /// sites, and event-propagates only the disturbed cones.  Afterwards
+  /// value() reads are consistent faulty values for every node, and
+  /// next_state_packed() yields the faulty next state of the flip-flops of
+  /// touched_flip_flops(); the caller owns state persistence (clock() is not
+  /// used in this mode).
   void apply_differential(const std::vector<PackedV3>& good_values,
-                          std::span<const PackedV3> ff_state);
+                          std::span<const netlist::NodeId> good_changed,
+                          std::span<const FfPatch> ff_state);
+
+  /// After apply_differential(): the flip-flops whose next state may depart
+  /// from the good machine's, each once — those whose D input the frame
+  /// wrote and those carrying an injected fault.  Every other flip-flop
+  /// latches its good next state.
+  std::span<const std::uint32_t> touched_flip_flops() const {
+    return touched_ffs_;
+  }
 
   /// Faulty next-state value of flip-flop `ff_index` after the current
   /// frame: the settled D-input value with the flip-flop's own input/output
@@ -218,6 +249,7 @@ class SequenceSimulator {
   void compute_next_state();
   void force_source_overrides();
   void mark_dirty();
+  void note_override_ff(netlist::NodeId n);
 
   const netlist::Circuit& circuit_;
   std::vector<PackedV3> values_;
@@ -232,6 +264,8 @@ class SequenceSimulator {
   std::vector<netlist::NodeId> eval_idx_;
   // Scratch for the two-phase clock edge (a flip-flop may feed another).
   std::vector<PackedV3> next_state_;
+  // apply_vector()'s broadcast input vector.
+  std::vector<PackedV3> pi_scratch_;
 
   std::unordered_map<netlist::NodeId, Masks> out_over_;
   std::unordered_map<std::uint64_t, Masks> in_over_;
@@ -242,6 +276,16 @@ class SequenceSimulator {
   // Overridden nodes that are not evaluated combinationally (PIs, DFF
   // outputs, constants) must be re-forced whenever their value is set.
   std::vector<netlist::NodeId> overridden_sources_;
+  // Flip-flops carrying an input or output override (may repeat).
+  std::vector<std::uint32_t> override_ffs_;
+
+  // Differential mode: the nodes the last frame wrote (the only ones besides
+  // the good machine's changes that can differ from the good values), the
+  // flip-flops whose next state it may have disturbed, and a per-flip-flop
+  // mark that keeps that list free of repeats (all clear between frames).
+  std::vector<netlist::NodeId> written_;
+  std::vector<std::uint32_t> touched_ffs_;
+  std::vector<char> ff_mark_;
 };
 
 }  // namespace gatpg::sim

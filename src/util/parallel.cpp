@@ -1,6 +1,7 @@
 #include "util/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <utility>
 
@@ -95,8 +96,10 @@ void parallel_for_chunks(ThreadPool& pool, unsigned threads,
           ? 1
           : static_cast<unsigned>(std::min<std::size_t>(threads, chunks));
 
+  // Lanes claim chunks in ascending order from one shared counter.
+  std::atomic<std::size_t> next{0};
   auto run_lane = [&](unsigned lane) {
-    for (std::size_t ci = lane; ci < chunks; ci += lanes) {
+    for (std::size_t ci = next++; ci < chunks; ci = next++) {
       fn(ci, ci * chunk, std::min(n_items, (ci + 1) * chunk), lane);
     }
   };

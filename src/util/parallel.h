@@ -1,7 +1,7 @@
-// Reusable parallel-execution layer: a persistent worker pool plus a
-// statically-chunked parallel-for, shared by every data-parallel loop in the
-// library (PROOFS fault-group sweeps, GA fitness batches, future sharded
-// workloads).
+// Reusable parallel-execution layer: a persistent worker pool plus a chunked
+// parallel-for whose lanes claim chunks from a shared counter, shared by
+// every data-parallel loop in the library (PROOFS fault-group sweeps, GA
+// fitness batches).
 //
 // Design rules that every user of this header relies on:
 //   * Parallelism is only ever over *disjoint* simulator instances / output
@@ -13,9 +13,13 @@
 //     body runs inline on the calling thread, chunk 0..n-1 in order — the
 //     exact legacy code path.
 //   * Lanes, not threads, are the unit of scratch ownership: a loop over C
-//     chunks with T threads uses L = min(T, C) lanes; lane `l` runs chunks
-//     l, l+L, l+2L, ... strictly sequentially, so per-lane scratch (e.g. a
-//     thread-local SequenceSimulator) is safe and reusable.  Lane 0 always
+//     chunks with T threads uses L = min(T, C) lanes.  Each lane claims the
+//     next unclaimed chunk (in ascending chunk order) whenever it finishes
+//     one, so a lane that drew cheap chunks takes more of them, and which
+//     lane runs which chunk varies from run to run.  A lane still runs its
+//     chunks strictly one after another, so per-lane scratch (e.g. a
+//     thread-local SequenceSimulator) is safe and reusable, but nothing
+//     observable may depend on the chunk-to-lane mapping.  Lane 0 always
 //     runs on the calling thread.
 #pragma once
 
@@ -103,10 +107,12 @@ using ChunkFn = std::function<void(std::size_t chunk_index, std::size_t begin,
 unsigned max_lanes(const ParallelConfig& config, std::size_t n_items,
                    std::size_t chunk);
 
-/// Runs `fn` over ceil(n_items / chunk) chunks with static lane assignment
-/// (lane l gets chunks l, l+L, l+2L, ...).  With one lane the body runs
-/// inline, chunks in ascending order — the serial code path.  The calling
-/// thread always participates as lane 0; the shared pool supplies the rest.
+/// Runs `fn` over ceil(n_items / chunk) chunks.  Every lane loops claiming
+/// the lowest unclaimed chunk from a shared counter until none is left, so
+/// the work balances itself when chunks differ in cost.  With one lane the
+/// body runs inline, chunks in ascending order — the serial code path.  The
+/// calling thread always participates as lane 0; the shared pool supplies
+/// the rest.
 /// Blocks until every chunk completed; the first exception thrown by any
 /// chunk is rethrown here after all lanes have finished.
 void parallel_for_chunks(const ParallelConfig& config, std::size_t n_items,

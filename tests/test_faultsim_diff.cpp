@@ -285,6 +285,123 @@ TEST(FaultSimDiff, DifferentialDoesLessWork) {
   EXPECT_LT(total(diff.stats()), total(full.stats()));
 }
 
+/// Five flip-flops (one fed straight by another) whose D lines and outputs
+/// all settle to a fixed "quiet" value under the all-0 input vector: d0..d2
+/// and q0..q2 to 0, d3/q3 and q4 to 1.  The outputs are gated by `obs`, so
+/// fault effects mostly park in the state instead of being detected.
+netlist::Circuit bursty_circuit() {
+  using netlist::GateType;
+  netlist::CircuitBuilder b;
+  const auto a = b.add_input("a");
+  const auto bb = b.add_input("b");
+  const auto cc = b.add_input("c");
+  const auto en = b.add_input("en");
+  const auto obs = b.add_input("obs");
+  const auto q0 = b.add_dff("q0");
+  const auto q1 = b.add_dff("q1");
+  const auto q2 = b.add_dff("q2");
+  const auto q3 = b.add_dff("q3");
+  const auto q4 = b.add_dff("q4", q3);
+  b.set_dff_input(q0, b.add_gate(GateType::kAnd, "d0", {a, en}));
+  b.set_dff_input(q1, b.add_gate(GateType::kAnd, "d1", {q0, bb}));
+  b.set_dff_input(q2, b.add_gate(GateType::kAnd, "d2", {q1, cc}));
+  b.set_dff_input(q3, b.add_gate(GateType::kNand, "d3", {q2, en}));
+  const auto x = b.add_gate(GateType::kXor, "x", {q1, q4});
+  const auto o = b.add_gate(GateType::kOr, "o", {q0, q2});
+  b.mark_output(b.add_gate(GateType::kAnd, "z0", {obs, x}));
+  b.mark_output(b.add_gate(GateType::kAnd, "z1", {obs, o}));
+  return std::move(b).build("bursty");
+}
+
+/// Faults on every flip-flop's D pin and output, each with the polarity the
+/// quiet vector leaves unexcited (stuck-at or slow-to-rise/-fall), repeated
+/// so that they fill two groups.
+std::vector<fault::Fault> quiet_ff_faults(const netlist::Circuit& c,
+                                          FaultUniverse universe) {
+  std::vector<fault::Fault> one;
+  for (const netlist::NodeId q : c.flip_flops()) {
+    const bool quiet_one = c.name(q) == "q3" || c.name(q) == "q4";
+    for (const int pin : {0, fault::kOutputPin}) {
+      one.push_back(universe == FaultUniverse::kTransition
+                        ? fault::make_transition(q, pin, quiet_one)
+                        : fault::Fault{q, pin, quiet_one});
+    }
+  }
+  std::vector<fault::Fault> faults;
+  for (int copy = 0; copy < 7; ++copy) {
+    faults.insert(faults.end(), one.begin(), one.end());
+  }
+  return faults;
+}
+
+TEST(FaultSimDiff, GroupsGoQuietAndWakeWithinOneWindow) {
+  // Each run() is one 27-frame window that alternates random bursts with
+  // runs of the quiet vector: the groups are simulated, then screened out
+  // once their parked effects have flushed (while the good machine settles,
+  // so the reseed must cover the changes of frames it skipped), then
+  // simulated again.  Every fault sits on a flip-flop's D pin or output.
+  const auto c = bursty_circuit();
+  const sim::Vector3 quiet(5, sim::V3::k0);
+  for (const FaultUniverse universe :
+       {FaultUniverse::kStuckAt, FaultUniverse::kTransition}) {
+    const auto faults = quiet_ff_faults(c, universe);
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      util::Rng rng(seed);
+      std::vector<sim::Sequence> chunks;
+      for (int chunk = 0; chunk < 3; ++chunk) {
+        sim::Sequence seq;
+        for (int phase = 0; phase < 5; ++phase) {
+          for (int k = 0; k < (phase % 2 ? 6 : 5); ++k) {
+            if (phase % 2) {
+              seq.push_back(quiet);
+              continue;
+            }
+            sim::Vector3 v = test::random_vector(c, rng, 0.1);
+            // `obs` rarely opens, so most effects stay parked.
+            if (rng.chance(0.8)) v[4] = sim::V3::k0;
+            seq.push_back(v);
+          }
+        }
+        chunks.push_back(std::move(seq));
+      }
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("universe " + std::to_string(static_cast<int>(universe)) +
+                     " seed " + std::to_string(seed) + " threads " +
+                     std::to_string(threads));
+        FaultSimulator diff(c, faults, make_config(threads));
+        FullSweepFaultSim oracle(c, faults);
+        expect_sessions_match(diff, oracle, faults.size(), chunks);
+        // The screen really skipped frames, and not all of them.
+        EXPECT_GT(diff.stats().group_vectors_skipped, 0u);
+        EXPECT_GT(diff.stats().gate_evals, 0u);
+      }
+    }
+  }
+}
+
+TEST(FaultSimDiff, LaunchAnchorsAdvancePastTheLastDetection) {
+  // g = AND(a, b) slow-to-rise is detected in the first two-frame window;
+  // the windows after it have no fault left to simulate, but the launch
+  // anchor still follows the good machine to the last frame.
+  netlist::CircuitBuilder builder;
+  const auto a = builder.add_input("a");
+  const auto b = builder.add_input("b");
+  const auto g = builder.add_gate(netlist::GateType::kAnd, "g", {a, b});
+  builder.mark_output(g);
+  const auto c = std::move(builder).build("launch");
+  const std::vector<fault::Fault> faults{
+      fault::make_transition(g, fault::kOutputPin, false)};
+  using sim::V3;
+  const sim::Sequence seq = {{V3::k0, V3::k0}, {V3::k1, V3::k1},
+                             {V3::k1, V3::k1}, {V3::k1, V3::k1},
+                             {V3::k1, V3::k0}};
+  FaultSimulator diff(c, faults, make_config(1, 2));
+  FullSweepFaultSim oracle(c, faults);
+  expect_sessions_match(diff, oracle, faults.size(), {seq});
+  EXPECT_EQ(diff.detected_count(), 1u);
+  EXPECT_EQ(diff.launch_prev(0), V3::k0);
+}
+
 TEST(FaultSimDiff, ScreenSkipsUnexcitedFaults) {
   // g = AND(a, b) stuck-at-1: while a = b = 1 the good value equals the
   // stuck value, nothing is excited and no fault effect is parked, so the

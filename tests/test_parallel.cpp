@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -103,7 +104,7 @@ TEST(ParallelForChunks, SerialConfigRunsInlineInOrder) {
 }
 
 TEST(ParallelForChunks, LanesRunChunksSequentially) {
-  // Static assignment: each lane's chunks must never overlap in time.
+  // Each lane's chunks must never overlap in time.
   const unsigned threads = 4;
   std::vector<std::atomic<int>> lane_active(threads);
   std::atomic<bool> overlap{false};
@@ -114,6 +115,49 @@ TEST(ParallelForChunks, LanesRunChunksSequentially) {
         lane_active[lane].fetch_sub(1);
       });
   EXPECT_FALSE(overlap.load());
+}
+
+TEST(ParallelForChunks, UnevenChunksClaimedOnceAndMergeLikeSerial) {
+  // Every seventh chunk costs a thousand times more than the rest, so lanes
+  // that draw cheap chunks claim more of them.  Each chunk's output is a pure
+  // function of its items; merged in chunk order, the outputs must equal the
+  // serial run's whatever lane ran which chunk.
+  const std::size_t chunk = 8;
+  const std::size_t n_items = 8 * 61 + 3;  // a short last chunk
+  const std::size_t n_chunks = (n_items + chunk - 1) / chunk;
+  auto run = [&](unsigned threads) {
+    std::vector<std::uint64_t> out(n_chunks);
+    std::vector<std::atomic<int>> runs(n_chunks);
+    std::vector<std::atomic<int>> lane_busy(threads);
+    std::atomic<bool> overlap{false};
+    parallel_for_chunks(
+        ParallelConfig{threads}, n_items, chunk,
+        [&](std::size_t ci, std::size_t begin, std::size_t end,
+            unsigned lane) {
+          ASSERT_LT(lane, threads);
+          if (lane_busy[lane].fetch_add(1) != 0) overlap = true;
+          runs[ci].fetch_add(1);
+          const std::uint64_t rounds = ci % 7 == 0 ? 20000 : 20;
+          std::uint64_t h = ci;
+          for (std::size_t i = begin; i < end; ++i) {
+            for (std::uint64_t r = 0; r < rounds; ++r) {
+              h = h * 6364136223846793005ULL + i + r;
+            }
+          }
+          out[ci] = h;
+          lane_busy[lane].fetch_sub(1);
+        });
+    EXPECT_FALSE(overlap.load()) << threads << " threads";
+    for (std::size_t ci = 0; ci < n_chunks; ++ci) {
+      EXPECT_EQ(runs[ci].load(), 1) << "chunk " << ci << ", " << threads
+                                    << " threads";
+    }
+    return out;
+  };
+  const auto serial = run(1);
+  for (const unsigned threads : {2u, 4u, 7u}) {
+    EXPECT_EQ(run(threads), serial) << threads << " threads";
+  }
 }
 
 TEST(ParallelForChunks, PropagatesChunkExceptions) {
