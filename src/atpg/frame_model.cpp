@@ -202,28 +202,12 @@ void FrameModel::build_cone(std::span<const NodeId> goals) {
     cone_epoch_ = 1;
   }
   cone_order_.clear();
-  // Iterative post-order walk: a node is listed once all its fanins are,
-  // so cone_order_ is an evaluation order.  Only gates (non-null kernel)
-  // descend; PIs, flip-flops and constants end the cone.
+  const auto mark = [this](NodeId n) {
+    return std::exchange(cone_stamp_[n], cone_epoch_) != cone_epoch_;
+  };
+  const auto list = [this](NodeId n) { cone_order_.push_back(n); };
   for (const NodeId goal : goals) {
-    if (cone_stamp_[goal] == cone_epoch_) continue;
-    cone_stamp_[goal] = cone_epoch_;
-    cone_walk_.push_back({goal, 0});
-    while (!cone_walk_.empty()) {
-      auto& [n, next] = cone_walk_.back();
-      const auto fanins =
-          comp_fn_[n] ? c.fanins(n) : std::span<const NodeId>{};
-      if (next < fanins.size()) {
-        const NodeId in = fanins[next++];
-        if (cone_stamp_[in] != cone_epoch_) {
-          cone_stamp_[in] = cone_epoch_;
-          cone_walk_.push_back({in, 0});
-        }
-        continue;
-      }
-      cone_order_.push_back(n);
-      cone_walk_.pop_back();
-    }
+    netlist::walk_fanin(c, goal, cone_walk_, mark, list);
   }
 }
 

@@ -60,6 +60,7 @@
 #include "atpg/val5.h"
 #include "fault/fault.h"
 #include "netlist/circuit.h"
+#include "netlist/fanin_walk.h"
 #include "sim/seqsim.h"
 
 namespace gatpg::atpg {
@@ -333,12 +334,12 @@ class FrameModel {
   // cone_stamp_[n] == cone_epoch_, so starting a new cone is one epoch bump
   // instead of clearing a node-sized set.  cone_order_ lists the cone with
   // every gate after its fanins (the activation order of recompute_frame);
-  // cone_walk_ is the depth-first walk's (node, next fanin) stack.
+  // cone_walk_ is netlist::walk_fanin's stack.
   bool restricted_ = false;
   std::uint32_t cone_epoch_ = 0;
   std::vector<std::uint32_t> cone_stamp_;  // [node]
   std::vector<netlist::NodeId> cone_order_;
-  std::vector<std::pair<netlist::NodeId, std::uint32_t>> cone_walk_;
+  netlist::FaninStack cone_walk_;
 
   // Assignments.
   std::vector<sim::V3> pi_assign_;     // [frame × pi]

@@ -6,6 +6,13 @@
 // forward propagation frames, and a bound on reverse-time justification
 // depth.  A search that ends because a limit was hit is "aborted", never
 // "untestable" — untestability requires a completed exhaustive search.
+//
+// ForwardEngine and DeterministicJustifier never read time_limit_s: the
+// util::Deadline each search call takes is their clock.  The field only
+// carries a per-fault limit to callers that build that deadline (the
+// alternating engine turns AlternatingConfig::det_limits into a pass time
+// limit), so setting it on limits handed straight to an engine bounds
+// nothing.
 #pragma once
 
 namespace gatpg::atpg {

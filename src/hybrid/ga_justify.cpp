@@ -10,6 +10,7 @@
 
 #include "fault/inject.h"
 #include "ga/codec.h"
+#include "netlist/fanin_walk.h"
 
 namespace gatpg::hybrid {
 
@@ -29,8 +30,8 @@ namespace {
 /// every frame (the early exit reads it after each one), and whatever the
 /// depth-d cone reads was latched one frame earlier at depth d + 1 or more.
 /// Each depth's lists are prefixes of one walk, since depth d + 1 only adds
-/// to depth d; the gate list is a post-order walk, an evaluation order.
-/// Built in O(cone) on top of one node-sized mark array.
+/// to depth d; the gate list is netlist::walk_fanin's post-order, an
+/// evaluation order.  Built in O(cone) on top of one node-sized mark array.
 ///
 /// A transition fault's launch line needs no cone of its own.  Its good
 /// value in frame t only gates the fault's overrides in frame t + 1, which
@@ -39,9 +40,22 @@ namespace {
 /// too (or a flip-flop that cone reads), and frame t's cone contains that.
 class GoalCone {
  public:
-  GoalCone(const netlist::Circuit& c, std::span<const std::uint32_t> required)
-      : c_(c), seen_(c.node_count(), 0) {
-    for (const std::uint32_t i : required) visit(c.flip_flops()[i]);
+  GoalCone(const netlist::Circuit& c,
+           std::span<const std::uint32_t> required) {
+    std::vector<char> seen(c.node_count(), 0);
+    netlist::FaninStack stack;
+    const auto walk = [&](NodeId root) {
+      netlist::walk_fanin(
+          c, root, stack, [&](NodeId n) { return !std::exchange(seen[n], 1); },
+          [&](NodeId n) {
+            if (netlist::is_combinational(c.type(n))) {
+              gates_.push_back(n);
+            } else if (c.ff_index(n) >= 0) {
+              ffs_.push_back(static_cast<std::uint32_t>(c.ff_index(n)));
+            }
+          });
+    };
+    for (const std::uint32_t i : required) walk(c.flip_flops()[i]);
     std::size_t begin = 0;
     while (true) {
       const std::size_t end = ffs_.size();
@@ -66,40 +80,10 @@ class GoalCone {
   }
 
  private:
-  /// Marks `n`: an unseen gate goes on the walk stack, an unseen flip-flop
-  /// joins the next depth.
-  void visit(NodeId n) {
-    if (seen_[n]) return;
-    seen_[n] = 1;
-    if (netlist::is_combinational(c_.type(n))) {
-      stack_.push_back({n, 0});
-    } else if (c_.ff_index(n) >= 0) {
-      ffs_.push_back(static_cast<std::uint32_t>(c_.ff_index(n)));
-    }
-  }
-
-  /// Lists the unseen combinational fan-in of `root` in post-order.
-  void walk(NodeId root) {
-    visit(root);
-    while (!stack_.empty()) {
-      auto& [n, next] = stack_.back();
-      const auto fanins = c_.fanins(n);
-      if (next < fanins.size()) {
-        visit(fanins[next++]);  // may grow the stack: n and next go stale
-        continue;
-      }
-      gates_.push_back(n);
-      stack_.pop_back();
-    }
-  }
-
-  const netlist::Circuit& c_;
-  std::vector<char> seen_;  // [node]
   std::vector<NodeId> gates_;
   std::vector<std::uint32_t> ffs_;
   std::vector<std::size_t> gate_end_;  // [depth]
   std::vector<std::size_t> ff_end_;    // [depth]
-  std::vector<std::pair<NodeId, std::uint32_t>> stack_;
 };
 
 /// A required flip-flop literal: the slots whose value matches it are

@@ -1,10 +1,12 @@
 #include "netlist/depth.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <limits>
+#include <utility>
 
-#include "netlist/levelize.h"
+#include "netlist/fanin_walk.h"
 
 namespace gatpg::netlist {
 
@@ -12,22 +14,26 @@ unsigned sequential_depth(const Circuit& c) {
   const auto ffs = c.flip_flops();
   const std::size_t nff = ffs.size();
   if (nff == 0) return 0;
+  constexpr std::uint32_t kNoFlipFlop = ~std::uint32_t{0};
 
-  // s-graph: for each flip-flop, which flip-flops/PIs feed its D cone.
+  // s-graph: ff_targets[u] lists the flip-flops whose D cone reads
+  // flip-flop u; pi_fed marks those whose D cone reads a primary input.
+  // seen[n] is the last flip-flop whose D cone reached node n.
   std::vector<std::vector<std::size_t>> ff_targets(nff);
   std::vector<char> pi_fed(nff, 0);
-  for (std::size_t v = 0; v < nff; ++v) {
-    const NodeId d = c.fanins(ffs[v])[0];
-    const auto cone = transitive_fanin(c, d, /*cross_dffs=*/false);
-    for (std::size_t u = 0; u < nff; ++u) {
-      if (cone[ffs[u]]) ff_targets[u].push_back(v);
-    }
-    for (NodeId pi : c.primary_inputs()) {
-      if (cone[pi]) {
-        pi_fed[v] = 1;
-        break;
-      }
-    }
+  std::vector<std::uint32_t> seen(c.node_count(), kNoFlipFlop);
+  FaninStack stack;
+  for (std::uint32_t v = 0; v < nff; ++v) {
+    walk_fanin(
+        c, c.fanins(ffs[v])[0], stack,
+        [&](NodeId n) { return std::exchange(seen[n], v) != v; },
+        [&](NodeId n) {
+          if (c.ff_index(n) >= 0) {
+            ff_targets[static_cast<std::size_t>(c.ff_index(n))].push_back(v);
+          } else if (c.pi_index(n) >= 0) {
+            pi_fed[v] = 1;
+          }
+        });
   }
 
   // Shortest distance (in time frames) from the primary inputs to each

@@ -3,6 +3,7 @@
 #include "fault/compaction.h"
 #include "fault/grading.h"
 #include "gen/registry.h"
+#include "helpers/bounded_config.h"
 #include "helpers/random_circuit.h"
 #include "hybrid/hybrid_atpg.h"
 
@@ -48,11 +49,7 @@ TEST(Compaction, RemovesRedundantDuplicates) {
 
 TEST(Compaction, ShrinksAtpgTestSets) {
   const auto c = gen::make_circuit("g344");
-  hybrid::HybridConfig cfg;
-  cfg.schedule = session::PassSchedule::ga_hitec(0.01);
-  for (auto& pass : cfg.schedule.passes) pass.pass_budget_s = 1.5;
-  cfg.seed = 5;
-  const auto result = hybrid::HybridAtpg(c, cfg).run();
+  const auto result = hybrid::HybridAtpg(c, test::bounded_ga_config(5)).run();
   ASSERT_FALSE(result.segments.empty());
   // Segment boundaries must reconstruct the concatenated test set.
   sim::Sequence rebuilt;
@@ -73,10 +70,7 @@ TEST(Compaction, KeepsLoadBearingEarlySegments) {
   // be dropped even if it detects nothing by itself.  Construct by taking
   // an ATPG set and checking the invariant holds post-compaction.
   const auto c = gen::make_circuit("g298");
-  hybrid::HybridConfig cfg;
-  cfg.schedule = session::PassSchedule::ga_hitec(0.01);
-  for (auto& pass : cfg.schedule.passes) pass.pass_budget_s = 1.5;
-  const auto result = hybrid::HybridAtpg(c, cfg).run();
+  const auto result = hybrid::HybridAtpg(c, test::bounded_ga_config()).run();
   if (result.segments.size() < 2) GTEST_SKIP();
   const auto faults = collapse(c).faults;
   const auto compact = compact_segments(c, faults, result.segments);

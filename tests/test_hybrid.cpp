@@ -4,6 +4,7 @@
 #include "gen/registry.h"
 #include "netlist/builder.h"
 #include "gen/s27.h"
+#include "helpers/bounded_config.h"
 #include "helpers/exhaustive.h"
 #include "helpers/random_circuit.h"
 #include "hybrid/hybrid_atpg.h"
@@ -14,46 +15,10 @@ namespace {
 
 using session::FaultStatus;
 using session::JustifyMode;
-using session::PassConfig;
 using session::PassSchedule;
 using session::SessionResult;
-
-/// GA, GA, deterministic with no wall-clock limit: per-fault effort is
-/// bounded by forward solutions, GA generations and backtrack limits alone,
-/// so the run time and the result depend only on (circuit, config, seed).
-HybridConfig bounded_ga_config(std::uint64_t seed = 1) {
-  HybridConfig cfg;
-  cfg.seed = seed;
-  cfg.max_solutions_per_fault = 4;
-  cfg.schedule.passes.clear();
-  PassConfig pass;
-  pass.time_limit_s = 0.0;
-  pass.pass_budget_s = 0.0;
-  pass.mode = JustifyMode::kGenetic;
-  pass.max_backtracks = 200;
-  pass.ga_population = 64;
-  pass.ga_generations = 4;
-  pass.seq_len_multiplier = 4.0;
-  cfg.schedule.passes.push_back(pass);
-  pass.ga_population = 128;
-  pass.ga_generations = 8;
-  pass.seq_len_multiplier = 8.0;
-  cfg.schedule.passes.push_back(pass);
-  pass.mode = JustifyMode::kDeterministic;
-  pass.max_backtracks = 500;
-  cfg.schedule.passes.push_back(pass);
-  return cfg;
-}
-
-/// bounded_ga_config with every pass deterministic (the HITEC baseline
-/// shape), so the GA is never called.
-HybridConfig bounded_hitec_config() {
-  HybridConfig cfg = bounded_ga_config();
-  for (auto& pass : cfg.schedule.passes) {
-    pass.mode = JustifyMode::kDeterministic;
-  }
-  return cfg;
-}
+using test::bounded_ga_config;
+using test::bounded_hitec_config;
 
 TEST(PassSchedule, MatchesTableOne) {
   const PassSchedule s = PassSchedule::ga_hitec(1.0);

@@ -1,13 +1,14 @@
 // Cross-module integration tests: whole-pipeline runs over the registry
-// suite with tight budgets, internal bookkeeping vs independent grading,
-// bench-format round trips through the ATPG, and GA-vs-deterministic
-// engine-level consistency.
+// suite with wall-clock-free budgets, internal bookkeeping vs independent
+// grading, bench-format round trips through the ATPG, and
+// GA-vs-deterministic engine-level consistency.
 #include <gtest/gtest.h>
 
 #include "atpg/detengine.h"
 #include "atpg/justify.h"
 #include "fault/grading.h"
 #include "gen/registry.h"
+#include "helpers/bounded_config.h"
 #include "helpers/reference_sim.h"
 #include "hybrid/hybrid_atpg.h"
 #include "netlist/bench_io.h"
@@ -18,19 +19,12 @@ namespace {
 
 using session::FaultStatus;
 
-hybrid::HybridConfig tiny_budget(std::uint64_t seed = 1) {
-  hybrid::HybridConfig cfg;
-  cfg.schedule = session::PassSchedule::ga_hitec(0.005);
-  for (auto& pass : cfg.schedule.passes) pass.pass_budget_s = 1.5;
-  cfg.seed = seed;
-  return cfg;
-}
 
 class RegistrySweep : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(RegistrySweep, AtpgClaimsAreConsistent) {
   const auto c = gen::make_circuit(GetParam());
-  hybrid::HybridAtpg atpg(c, tiny_budget());
+  hybrid::HybridAtpg atpg(c, test::bounded_ga_config());
   const auto result = atpg.run();
   // Partition sanity.
   EXPECT_EQ(result.fault_state.size(), result.total_faults);
@@ -74,7 +68,8 @@ TEST(Integration, BenchRoundTripPreservesAtpgBehaviour) {
   // text round trip, so identical test sets are not expected; instead the
   // circuits must be *behaviourally* interchangeable: each circuit's test
   // set achieves the same coverage on the other circuit.
-  const auto r1 = hybrid::HybridAtpg(original, tiny_budget(3)).run();
+  const auto r1 =
+      hybrid::HybridAtpg(original, test::bounded_ga_config(3)).run();
   const auto g_on_original = fault::grade_sequence(original, r1.test_set);
   // Map the sequence across: PIs are emitted in the same order by
   // write_bench, so the vectors apply verbatim.
@@ -86,12 +81,9 @@ TEST(Integration, HybridBeatsOrMatchesPureDeterministicOnDatapath) {
   // The paper's headline: on data-dominant circuits the hybrid reaches at
   // least the deterministic baseline's coverage under equal budgets.
   const auto c = gen::make_circuit("div4");
-  hybrid::HybridConfig ga_cfg = tiny_budget(7);
-  hybrid::HybridConfig hitec_cfg = tiny_budget(7);
-  hitec_cfg.schedule = session::PassSchedule::hitec(0.005);
-  for (auto& pass : hitec_cfg.schedule.passes) pass.pass_budget_s = 1.5;
-  const auto ga = hybrid::HybridAtpg(c, ga_cfg).run();
-  const auto hitec = hybrid::HybridAtpg(c, hitec_cfg).run();
+  const auto ga = hybrid::HybridAtpg(c, test::bounded_ga_config(7)).run();
+  const auto hitec =
+      hybrid::HybridAtpg(c, test::bounded_hitec_config(7)).run();
   EXPECT_GE(ga.detected() + 2, hitec.detected())
       << "hybrid should be at least competitive";
 }
@@ -135,7 +127,8 @@ TEST(Integration, ForwardSolutionsFeedDeterministicJustifier) {
 TEST(Integration, TestSetsAreCompactRelativeToRandom) {
   // ATPG test sets should beat random sequences of equal length on s27.
   const auto c = gen::make_circuit("s27");
-  const auto result = hybrid::HybridAtpg(c, tiny_budget(11)).run();
+  const auto result =
+      hybrid::HybridAtpg(c, test::bounded_ga_config(11)).run();
   const auto atpg_report = fault::grade_sequence(c, result.test_set);
   util::Rng rng(1);
   sim::Sequence random_seq;

@@ -1,13 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "gen/s27.h"
 #include "helpers/random_circuit.h"
 #include "netlist/bench_io.h"
 #include "netlist/builder.h"
 #include "netlist/depth.h"
-#include "netlist/levelize.h"
+#include "netlist/fanin_walk.h"
 
 namespace gatpg::netlist {
 namespace {
@@ -178,27 +181,32 @@ TEST(BenchIo, ConstantExtensionRoundTrips) {
   EXPECT_EQ(c2.type(c2.find("k1")), GateType::kConst1);
 }
 
-TEST(Levelize, TransitiveFanoutContainsSelf) {
+TEST(FaninWalk, PostOrderStopsAtFlipFlops) {
   const Circuit c = tiny();
-  const auto mark = transitive_fanout(c, c.find("a"));
-  EXPECT_TRUE(mark[c.find("a")]);
-  EXPECT_TRUE(mark[c.find("g1")]);
-  EXPECT_TRUE(mark[c.find("g2")]);
-  EXPECT_FALSE(mark[c.find("b")]);
-}
-
-TEST(Levelize, TransitiveFaninStopsAtDffByDefault) {
-  const Circuit c = tiny();
-  const auto mark = transitive_fanin(c, c.find("g2"));
-  EXPECT_TRUE(mark[c.find("ff")]);
-  EXPECT_FALSE(mark[c.find("n1")]);  // behind the DFF
-  const auto deep = transitive_fanin(c, c.find("g2"), /*cross_dffs=*/true);
-  EXPECT_TRUE(deep[c.find("n1")]);
-}
-
-TEST(Levelize, ReachesObservationPoint) {
-  const Circuit c = tiny();
-  EXPECT_TRUE(reaches_observation_point(c, c.find("a")));
+  std::vector<char> mark(c.node_count(), 0);
+  FaninStack stack;
+  std::vector<NodeId> order;
+  const auto walk = [&](NodeId root) {
+    walk_fanin(
+        c, root, stack, [&](NodeId n) { return !std::exchange(mark[n], 1); },
+        [&](NodeId n) { order.push_back(n); });
+  };
+  walk(c.find("g2"));
+  // Post-order over g2 = OR(AND(a, b), ff); the walk ends at ff, so n1
+  // (behind the flip-flop) stays out.
+  const std::vector<NodeId> expected = {c.find("a"), c.find("b"),
+                                        c.find("g1"), c.find("ff"),
+                                        c.find("g2")};
+  EXPECT_EQ(order, expected);
+  EXPECT_TRUE(stack.empty());
+  // Marked nodes are not entered again, and a flip-flop root is reported
+  // without descending into its D input.
+  walk(c.find("g1"));
+  EXPECT_EQ(order, expected);
+  std::fill(mark.begin(), mark.end(), 0);
+  order.clear();
+  walk(c.find("ff"));
+  EXPECT_EQ(order, std::vector<NodeId>{c.find("ff")});
 }
 
 TEST(Depth, ZeroWithoutFlipFlops) {
@@ -220,6 +228,20 @@ TEST(Depth, ChainOfFlipFlops) {
   b.set_dff_input(f2, b.add_gate(GateType::kBuf, "b2", {f1}));
   b.mark_output(f2);
   EXPECT_EQ(sequential_depth(std::move(b).build("chain")), 3u);
+}
+
+TEST(Depth, DirectChainOfFlipFlops) {
+  // PI -> f0 -> f1 -> f2 with no gate between the flip-flops: depth 3.
+  CircuitBuilder b;
+  const NodeId a = b.add_input("a");
+  const NodeId f0 = b.add_dff("f0");
+  const NodeId f1 = b.add_dff("f1");
+  const NodeId f2 = b.add_dff("f2");
+  b.set_dff_input(f0, a);
+  b.set_dff_input(f1, f0);
+  b.set_dff_input(f2, f1);
+  b.mark_output(f2);
+  EXPECT_EQ(sequential_depth(std::move(b).build("shift")), 3u);
 }
 
 TEST(Depth, SelfLoopWithPiPathIsShallow) {
