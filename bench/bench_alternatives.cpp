@@ -9,8 +9,13 @@
 // competitive everywhere and uniquely able to prove untestability
 // (random/GA baselines report none).
 //
-// Usage: bench_alternatives [--time-scale=X] [--pass-budget=X] [--json=FILE]
-//        [names...]
+// Every engine stops on counts, never on the clock: the random generators
+// on their vector cap and stagnation blocks, the simulation GA on barren
+// rounds, the alternating hybrid on consecutive deterministic failures, and
+// GA-HITEC / HITEC on bench_tables' Table I schedules.  The Time column is
+// the cost each engine took, not a budget.
+//
+// Usage: bench_alternatives [--seed=N] [names...]
 #include <cstdio>
 
 #include "common.h"
@@ -18,6 +23,7 @@
 #include "tpg/randgen.h"
 #include "tpg/simgen.h"
 #include "util/stopwatch.h"
+#include "util/tableprint.h"
 
 int main(int argc, char** argv) {
   using namespace gatpg;
@@ -25,19 +31,24 @@ int main(int argc, char** argv) {
   const bench::BenchOptions options =
       bench::parse_options(argc, argv, &names);
   if (names.empty()) names = {"g298", "g526", "g1488", "div4", "mult4"};
-  const double budget = options.pass_budget_s * 3;  // whole-run budget
 
-  std::printf("Test-generator landscape (whole-run budget %.3gs/engine)\n",
-              budget);
-  bench::JsonReport json;
-  bench::JsonReport* json_ptr = options.json_path.empty() ? nullptr : &json;
-  auto table = bench::make_engine_table();
+  std::printf("Test-generator landscape (count budgets, seed %llu)\n",
+              static_cast<unsigned long long>(options.seed));
+  util::TablePrinter table(
+      {"Circuit", "Engine", "Det", "Unt", "Vec", "Time", "Cov%"});
   for (const auto& name : names) {
     const auto c = bench::load_circuit(name);
     const std::size_t total = fault::collapse(c).size();
     auto emit = [&](const std::string& engine,
                     const session::SessionResult& r, double time_s) {
-      bench::add_engine_row(table, c.name(), engine, total, r, time_s);
+      table.add_row({c.name(), engine, std::to_string(r.detected()),
+                     std::to_string(r.untestable()),
+                     std::to_string(r.test_set.size()),
+                     util::format_duration(time_s),
+                     util::format_sig(100.0 *
+                                          static_cast<double>(r.detected()) /
+                                          static_cast<double>(total),
+                                      3)});
     };
 
     for (const bool weighted : {false, true}) {
@@ -46,52 +57,38 @@ int main(int argc, char** argv) {
       cfg.weighted = weighted;
       cfg.max_vectors = 100000;
       cfg.stagnation_blocks = 30;
-      const char* engine = weighted ? "weighted" : "random";
-      auto observer = bench::JsonReport::observe(json_ptr, c.name(), engine);
       util::Stopwatch timer;
-      const auto r = tpg::random_pattern_generate(c, cfg, &observer);
-      emit(engine, r, timer.seconds());
+      const auto r = tpg::random_pattern_generate(c, cfg);
+      emit(weighted ? "weighted" : "random", r, timer.seconds());
     }
     {
       tpg::SimGenConfig cfg;
       cfg.seed = options.seed;
-      cfg.time_limit_s = budget;
-      auto observer = bench::JsonReport::observe(json_ptr, c.name(), "sim-GA");
+      cfg.time_limit_s = 0.0;
       util::Stopwatch timer;
-      const auto r = tpg::SimulationTestGenerator(c, cfg).run(&observer);
+      const auto r = tpg::SimulationTestGenerator(c, cfg).run();
       emit("sim-GA", r, timer.seconds());
     }
     {
       tpg::AlternatingConfig cfg;
       cfg.seed = options.seed;
-      cfg.time_limit_s = budget;
-      cfg.det_limits.time_limit_s = 10 * options.time_scale;
-      auto observer =
-          bench::JsonReport::observe(json_ptr, c.name(), "alt-hybrid");
+      cfg.time_limit_s = 0.0;
+      cfg.det_limits.time_limit_s = 0.0;
       util::Stopwatch timer;
-      const auto r = tpg::alternating_hybrid_generate(c, cfg, &observer);
+      const auto r = tpg::alternating_hybrid_generate(c, cfg);
       emit("alt-hybrid", r, timer.seconds());
     }
     for (const bool use_ga : {false, true}) {
-      hybrid::HybridConfig cfg;
-      cfg.schedule =
-          use_ga ? session::PassSchedule::ga_hitec(options.time_scale)
-                 : session::PassSchedule::hitec(options.time_scale);
-      for (auto& pass : cfg.schedule.passes) {
-        pass.pass_budget_s = options.pass_budget_s;
-      }
-      cfg.seed = options.seed;
-      const char* engine = use_ga ? "GA-HITEC" : "HITEC";
-      auto observer = bench::JsonReport::observe(json_ptr, c.name(), engine);
       util::Stopwatch timer;
-      const auto r = hybrid::HybridAtpg(c, cfg).run(&observer);
-      emit(engine, r, timer.seconds());
+      const auto r =
+          hybrid::HybridAtpg(c, bench::table_config(use_ga, options.seed))
+              .run();
+      emit(use_ga ? "GA-HITEC" : "HITEC", r, timer.seconds());
     }
     table.add_rule();
   }
   table.print();
   std::printf("\nShape checks: only the deterministic-capable engines report "
               "Unt > 0; GA-HITEC leads or ties on the datapath rows.\n");
-  bench::finish_json(options, json);
   return 0;
 }

@@ -23,26 +23,13 @@
 #include "common.h"
 #include "fault/faultlist.h"
 #include "hybrid/hybrid_atpg.h"
-#include "netlist/depth.h"
-#include "session/session.h"
 #include "util/json_writer.h"
 #include "util/parallel.h"
-#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace {
 
 using namespace gatpg;
-
-std::string to_hex(std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  std::string s(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    s[static_cast<std::size_t>(i)] = digits[v & 0xf];
-    v >>= 4;
-  }
-  return s;
-}
 
 /// Backtrack/generation-bounded two-pass schedule: no wall-clock limit ever
 /// binds, so results are machine-independent (the exact-match gate relies
@@ -68,24 +55,6 @@ hybrid::HybridConfig base_config(fault::FaultUniverse universe,
   cfg.parallel.threads = 1;
   cfg.state_store.enabled = true;
   return cfg;
-}
-
-session::SessionResult run_hybrid(const netlist::Circuit& c,
-                                  const fault::FaultList& faults,
-                                  const hybrid::HybridConfig& cfg) {
-  session::Session s(c, faults, cfg.session_config());
-  util::Rng rng(cfg.seed);
-  hybrid::HybridEngine engine(c, cfg, netlist::sequential_depth(c), rng);
-  return s.run(engine, cfg.schedule);
-}
-
-bool same_bits(const session::SessionResult& a,
-               const session::SessionResult& b) {
-  return a.digests.faults == b.digests.faults &&
-         a.digests.tests == b.digests.tests &&
-         a.digests.store == b.digests.store &&
-         a.fault_state == b.fault_state && a.test_set == b.test_set &&
-         a.detected() == b.detected() && a.untestable() == b.untestable();
 }
 
 struct Row {
@@ -161,7 +130,7 @@ int main(int argc, char** argv) {
           base_config(universe, options.seed, backtracks);
 
       const util::Stopwatch sw;
-      const session::SessionResult base = run_hybrid(c, faults, cfg);
+      const session::SessionResult base = bench::run_hybrid(c, faults, cfg);
       const double time_s = sw.seconds();
 
       // Identity across execution shapes: fault-sim threads are pure
@@ -169,7 +138,7 @@ int main(int argc, char** argv) {
       {
         hybrid::HybridConfig v = cfg;
         v.parallel.threads = 4;
-        if (!same_bits(base, run_hybrid(c, faults, v))) {
+        if (!bench::same_bits(base, bench::run_hybrid(c, faults, v))) {
           std::printf("ERROR: %s %s diverges at 4 fault-sim threads\n",
                       name.c_str(), fault::universe_name(universe));
           consistent = false;
@@ -186,7 +155,8 @@ int main(int argc, char** argv) {
           legacy_faults.faults.resize(cap);
           legacy_faults.class_sizes.resize(cap);
         }
-        if (!same_bits(base, run_hybrid(c, legacy_faults, legacy))) {
+        if (!bench::same_bits(base,
+                              bench::run_hybrid(c, legacy_faults, legacy))) {
           std::printf("ERROR: %s stuck-at diverges from default-config run\n",
                       name.c_str());
           stuck_at_matches_default = false;
@@ -247,7 +217,7 @@ int main(int argc, char** argv) {
       json.field("coverage", r.coverage());
       json.field("targeted", r.targeted);
       json.field("committed_tests", r.committed_tests);
-      json.field("digest_tests", to_hex(r.digest_tests));
+      json.field("digest_tests", bench::to_hex(r.digest_tests));
       json.field("time_s", r.time_s);
       json.end_object();
     }

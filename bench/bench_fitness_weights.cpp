@@ -8,43 +8,15 @@
 // pair; each pair is then attempted by the GA justifier once per weight
 // configuration with identical seeds and budgets.
 //
-// Usage: bench_fitness_weights [--time-scale=X] [--seed=N] [names...]
+// Every search is bounded by backtracks and generations alone, so the rows
+// do not depend on host speed or load.
+//
+// Usage: bench_fitness_weights [--seed=N] [names...]
 #include <cstdio>
 
-#include "atpg/detengine.h"
 #include "common.h"
 #include "hybrid/ga_justify.h"
-
-namespace {
-
-struct Problem {
-  gatpg::fault::Fault fault;
-  gatpg::sim::State3 state;
-};
-
-std::vector<Problem> harvest_problems(const gatpg::netlist::Circuit& c,
-                                      std::size_t cap) {
-  using namespace gatpg;
-  std::vector<Problem> problems;
-  atpg::SearchLimits limits;
-  limits.time_limit_s = 0.02;
-  limits.max_backtracks = 2000;
-  for (const auto& f : fault::collapse(c).faults) {
-    if (problems.size() >= cap) break;
-    atpg::ForwardEngine engine(c, f, limits);
-    if (engine.next_solution(util::Deadline::after_seconds(0.02)) !=
-        atpg::ForwardStatus::kSolved) {
-      continue;
-    }
-    const auto state = engine.required_state();
-    bool needs = false;
-    for (auto v : state) needs |= v != sim::V3::kX;
-    if (needs) problems.push_back({f, state});
-  }
-  return problems;
-}
-
-}  // namespace
+#include "util/tableprint.h"
 
 int main(int argc, char** argv) {
   using namespace gatpg;
@@ -58,7 +30,7 @@ int main(int argc, char** argv) {
                             "9:1 len", "5:5 len"});
   for (const auto& name : names) {
     const auto c = bench::load_circuit(name);
-    const auto problems = harvest_problems(c, 60);
+    const auto problems = bench::harvest_problems(c, 60);
     const hybrid::GaStateJustifier justifier(c);
     const sim::State3 all_x(c.flip_flops().size(), sim::V3::kX);
 
@@ -78,7 +50,7 @@ int main(int argc, char** argv) {
         cfg.seed = options.seed + i;
         const auto r = justifier.justify(
             problems[i].fault, problems[i].state, problems[i].state, all_x,
-            cfg, util::Deadline::after_seconds(0.25));
+            cfg, util::Deadline::unlimited());
         Score& score = use_paper_weights ? paper : equal;
         if (r.success) {
           ++score.solved;

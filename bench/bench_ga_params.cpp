@@ -4,11 +4,16 @@
 // pass 2 (128/8/x): this sweep shows the same monotone coverage-vs-cost
 // trend on the analog suite.
 //
-// Usage: bench_ga_params [--time-scale=X] [--seed=N] [circuit]
+// Each cell is Table I's first pass (bench_tables' schedule: count budgets
+// only, no wall-clock limit) with the cell's GA parameters, so Det and GA
+// calls are machine-independent; the Time column is the cost they took.
+//
+// Usage: bench_ga_params [--seed=N] [circuit]
 #include <cstdio>
 
 #include "common.h"
 #include "util/stopwatch.h"
+#include "util/tableprint.h"
 
 int main(int argc, char** argv) {
   using namespace gatpg;
@@ -25,13 +30,8 @@ int main(int argc, char** argv) {
   for (const std::size_t population : {64u, 128u}) {
     for (const unsigned generations : {4u, 8u}) {
       for (const double multiplier : {2.0, 4.0, 8.0}) {
-        hybrid::HybridConfig cfg;
-        cfg.seed = options.seed;
-        session::PassConfig pass;
-        pass.mode = session::JustifyMode::kGenetic;
-        pass.pass_budget_s = options.pass_budget_s;
-        pass.time_limit_s = 1.0 * options.time_scale;
-        pass.max_backtracks = 10000;
+        hybrid::HybridConfig cfg = bench::table_config(true, options.seed);
+        session::PassConfig pass = cfg.schedule.passes.front();
         pass.ga_population = population;
         pass.ga_generations = generations;
         pass.seq_len_multiplier = multiplier;

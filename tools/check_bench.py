@@ -38,12 +38,19 @@ Supported benches:
               machine-independent), execution-shape identity invariants,
               and per-model coverage floors (min_coverage_stuck_at >= 0.5,
               min_coverage_transition >= 0.25).
+  tables      BENCH_tables.json — the paper's Tables II/III and Fig. 1:
+              exact-match per-pass Det/Vec/Unt, flowchart counters and
+              digests per (circuit, engine) row (count budgets only, so
+              rows are machine-independent), and the thread/lane identity
+              invariant.  No floor; wall times are recorded, never gated.
 
 Usage:
   check_bench.py --bench detengine --fresh build/BENCH_detengine.json \
       --snapshot BENCH_detengine.json
   check_bench.py --bench faultsim --fresh build/BENCH_faultsim.json \
       --snapshot BENCH_faultsim.json [--min-ratio 1.5]
+  check_bench.py --bench tables --fresh build/BENCH_tables.json \
+      --snapshot BENCH_tables.json
 
 --min-ratio overrides the floor of the bench's first (primary) ratio.
 """
@@ -165,6 +172,26 @@ BENCH_SPECS = {
         ),
         "extra": None,
     },
+    "tables": {
+        "args": ("seed", "backtracks", "solutions", "names",
+                 "identity_rows"),
+        "invariants": {
+            "consistent_across_configs":
+                "a 4-thread or 4-lane rerun diverged from the serial run",
+        },
+        # One result row per engine (ga-hitec, hitec) within a circuit.
+        "row_key": lambda r: r["engine"],
+        # Per-pass cumulative rows, Fig. 1 counters and digests; the
+        # schedules have no wall-clock limit, so all are exact.
+        "counters": ("det", "vec", "unt", "targeted", "forward_solutions",
+                     "no_justification_needed", "ga_invocations",
+                     "ga_successes", "det_justify_calls",
+                     "det_justify_successes", "verify_failures",
+                     "aborted_faults", "digest_faults", "digest_tests"),
+        "row_guards": {},
+        "ratios": (),
+        "extra": None,
+    },
 }
 
 
@@ -271,7 +298,8 @@ def main():
         return 1
     summary = ", ".join(f"{key} x{ratio:.2f} (floor {floor:.2f})"
                         for key, ratio, floor in ratios)
-    print(f"OK [{args.bench}]: counters stable, {summary}")
+    print(f"OK [{args.bench}]: counters stable"
+          + (f", {summary}" if summary else ""))
     return 0
 
 
